@@ -14,16 +14,21 @@ import math
 
 import numpy as np
 
-from .convex import ConvexFnSpec, midpoint_estimate, split_integral_avg, trapezoid_estimate
+from .convex import (
+    ConvexFnSpec,
+    midpoint_estimate,
+    require_ordered_interval,
+    split_integral_avg,
+    trapezoid_estimate,
+)
 from .quadrature import QuadConfig, integrate
 from .reports import GapBoundReport
 from .scalar import (
     check_pair,
     check_weight,
+    identric_chain_log_terms,
+    log_chain_terms,
     log_weighted_identric,
-    weighted_arithmetic,
-    weighted_geometric,
-    weighted_logarithmic,
 )
 
 
@@ -86,11 +91,12 @@ def _resolve_mM(f: ConvexFnSpec, a: float, b: float, m, M) -> tuple[float, float
     return (float(m) if m is not None else m_est, float(M) if M is not None else m_big_est)
 
 
-def _check_oriented(a, b):
+def _check_oriented(a, b, v):
+    v = check_weight(v)
     a, b = check_pair(a, b)
     if a > b:
         raise ValueError(f"these bounds require b >= a, got ({a}, {b})")
-    return a, b
+    return a, b, v
 
 
 def trapezoid_gap_bounds(
@@ -103,8 +109,7 @@ def trapezoid_gap_bounds(
     tol: float = 1e-9,
 ) -> GapBoundReport:
     """Two-sided bound on (f(a)+f(b))/2 minus the integral average."""
-    if not a < b:
-        raise ValueError(f"need a < b, got ({a}, {b})")
+    require_ordered_interval(f, a, b)
     m, M = _resolve_mM(f, a, b, m, M)
     avg = integrate(f.fn, a, b, quad) / (b - a)
     ends = 0.5 * (float(f.fn(a)) + float(f.fn(b)))
@@ -125,8 +130,7 @@ def midpoint_gap_bounds(
     tol: float = 1e-9,
 ) -> GapBoundReport:
     """Two-sided bound on the integral average minus f((a+b)/2)."""
-    if not a < b:
-        raise ValueError(f"need a < b, got ({a}, {b})")
+    require_ordered_interval(f, a, b)
     m, M = _resolve_mM(f, a, b, m, M)
     avg = integrate(f.fn, a, b, quad) / (b - a)
     midv = float(f.fn(0.5 * (a + b)))
@@ -151,9 +155,8 @@ def deriv_gap_bounds(
     Both split_integral_avg - midpoint_estimate and
     trapezoid_estimate - split_integral_avg lie in [0, v(1-v) K (b-a)/2].
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got ({a}, {b})")
     v = check_weight(v)
+    require_ordered_interval(f, a, b)
     big_k = _resolve_K(f, a, b, K)
     c = split_integral_avg(f, a, b, v, quad)
     r_mid = midpoint_estimate(f, a, b, v)
@@ -177,9 +180,8 @@ def curvature_gap_bounds(
     tol: float = 1e-9,
 ) -> tuple[GapBoundReport, GapBoundReport]:
     """Two-sided curvature sandwiches for the two central chain gaps."""
-    if not a < b:
-        raise ValueError(f"need a < b, got ({a}, {b})")
     v = check_weight(v)
+    require_ordered_interval(f, a, b)
     m, M = _resolve_mM(f, a, b, m, M)
     c = split_integral_avg(f, a, b, v, quad)
     r_mid = midpoint_estimate(f, a, b, v)
@@ -196,24 +198,14 @@ def curvature_gap_bounds(
     )
 
 
-def _logmean_chain_pieces(a, b, v):
-    mix = (1.0 - v) * weighted_geometric(a, b, v / 2.0) + v * weighted_geometric(
-        a, b, (1.0 + v) / 2.0
-    )
-    lv = weighted_logarithmic(a, b, v)
-    avg = 0.5 * (weighted_arithmetic(a, b, v) + weighted_geometric(a, b, v))
-    return mix, lv, avg
-
-
 def logmean_diff_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
     """Difference-type reverses around the weighted logarithmic mean.
 
     Both gaps of the five-term scalar chain are at most
     v(1-v) b log(b/a) / 2; requires b >= a.
     """
-    a, b = _check_oriented(a, b)
-    v = check_weight(v)
-    mix, lv, avg = _logmean_chain_pieces(a, b, v)
+    a, b, v = _check_oriented(a, b, v)
+    _, mix, lv, avg, _ = log_chain_terms(a, b, v)
     bound = v * (1.0 - v) * b * math.log(b / a) / 2.0
     scale = max(lv, avg, bound)
     return (
@@ -228,9 +220,8 @@ def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport
     v(1-v) a log^2(b/a)/24 <= L - geommix <= v(1-v) b log^2(b/a)/24 and the
     analogous /12 sandwich for avgmix - L; requires b >= a.
     """
-    a, b = _check_oriented(a, b)
-    v = check_weight(v)
-    mix, lv, avg = _logmean_chain_pieces(a, b, v)
+    a, b, v = _check_oriented(a, b, v)
+    _, mix, lv, avg, _ = log_chain_terms(a, b, v)
     log2 = math.log(b / a) ** 2
     lo1 = v * (1.0 - v) * a / 24.0 * log2
     hi1 = v * (1.0 - v) * b / 24.0 * log2
@@ -243,26 +234,15 @@ def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport
     )
 
 
-def _identric_log_pieces(a, b, v):
-    n1 = weighted_arithmetic(a, b, v / 2.0)
-    n2 = weighted_arithmetic(a, b, (1.0 + v) / 2.0)
-    mix_log = (1.0 - v) * math.log(n1) + v * math.log(n2)
-    iv_log = log_weighted_identric(a, b, v)
-    geo_log = 0.5 * (
-        math.log(weighted_geometric(a, b, v)) + math.log(weighted_arithmetic(a, b, v))
-    )
-    return mix_log, iv_log, geo_log
-
-
 def identric_ratio_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
     """Ratio-type reverses around the weighted identric mean (log domain).
 
     With x = v(1-v)(b-a)/(2a):  arithmix <= e^x I_v and I_v <= e^x geomix;
     requires b >= a.  Gaps and bounds are reported on logarithms.
     """
-    a, b = _check_oriented(a, b)
-    v = check_weight(v)
-    mix_log, iv_log, geo_log = _identric_log_pieces(a, b, v)
+    a, b, v = _check_oriented(a, b, v)
+    _, geo_log, mix_log, _ = identric_chain_log_terms(a, b, v)
+    iv_log = log_weighted_identric(a, b, v)
     x = v * (1.0 - v) * (b - a) / (2.0 * a)
     scale = max(abs(mix_log), abs(iv_log), abs(geo_log), x, 1.0)
     return (
@@ -280,9 +260,9 @@ def identric_ratio_refinement(
     [v(1-v)(b-a)^2/(24 b^2), v(1-v)(b-a)^2/(24 a^2)], and the log-gap to
     the geometric mix in the analogous /12 window; requires b >= a.
     """
-    a, b = _check_oriented(a, b)
-    v = check_weight(v)
-    mix_log, iv_log, geo_log = _identric_log_pieces(a, b, v)
+    a, b, v = _check_oriented(a, b, v)
+    _, geo_log, mix_log, _ = identric_chain_log_terms(a, b, v)
+    iv_log = log_weighted_identric(a, b, v)
     sq = v * (1.0 - v) * (b - a) ** 2
     lo1 = sq / (24.0 * b * b)
     hi1 = sq / (24.0 * a * a)

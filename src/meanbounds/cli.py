@@ -47,12 +47,9 @@ OPERATOR_MEANS = {
 }
 
 
-class CliInputError(ValueError):
-    pass
-
-
-def _add_format(p):
+def _finish(p, handler, **defaults):
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(handler=handler, **defaults)
 
 
 def _add_abv(p):
@@ -73,14 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = means_sub.add_parser("eval", help="evaluate one weighted mean")
     p.add_argument("--mean", choices=tuple(SCALAR_MEANS), required=True)
     _add_abv(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_means_eval)
+    _finish(p, _cmd_means_eval)
     p = means_sub.add_parser("chain", help="five-term mean chain")
     p.add_argument("--chain", choices=("log", "identric"), default="log")
     _add_abv(p)
     p.add_argument("--tol", type=float, default=1e-12)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_means_chain)
+    _finish(p, _cmd_means_chain)
 
     hh = top.add_parser("hh", help="convex-function refinement chain")
     hh_sub = hh.add_subparsers(dest="subcommand", required=True)
@@ -88,31 +83,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", choices=FUNCTION_CHOICES, required=True)
     _add_abv(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_hh_chain)
+    _finish(p, _cmd_hh_chain)
     p = hh_sub.add_parser("c", help="split integral average of a builtin function")
     p.add_argument("--f", choices=FUNCTION_CHOICES, required=True)
     _add_abv(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_hh_c)
+    _finish(p, _cmd_hh_c)
 
     bounds_p = top.add_parser("bounds", help="gap bounds and mean reverses/refinements")
     bounds_sub = bounds_p.add_subparsers(dest="subcommand", required=True)
-    for name, needs_f in (
-        ("thm32", True),
-        ("thm33", True),
-        ("cor31", False),
-        ("cor32", False),
-        ("cor33", False),
-        ("cor34", False),
-    ):
+    for name, (takes_f, _) in harness.BOUNDS_CHECKS.items():
         p = bounds_sub.add_parser(name)
-        if needs_f:
+        if takes_f:
             p.add_argument("--f", choices=FUNCTION_CHOICES, required=True)
         _add_abv(p)
         p.add_argument("--tol", type=float, default=None)
-        _add_format(p)
-        p.set_defaults(handler=_cmd_bounds, which=name)
+        _finish(p, _cmd_bounds, which=name)
 
     op = top.add_parser("op", help="operator (SPD matrix) means")
     op_sub = op.add_subparsers(dest="subcommand", required=True)
@@ -120,21 +105,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help='JSON file {"A": {...}, "B": {...}}')
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_op_chain)
+    _finish(p, _cmd_op_chain)
     p = op_sub.add_parser("eval", help="evaluate one operator mean")
     p.add_argument("--file", required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--mean", choices=tuple(OPERATOR_MEANS), required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_op_eval)
+    _finish(p, _cmd_op_eval)
 
     verify = top.add_parser("verify", help="randomized verification suites")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    for name, seed, trials in (
-        ("scalar", 42, 10_000),
-        ("bounds", 42, 2_000),
-        ("operator", 7, 500),
+    for name, seed, trials, runner in (
+        ("scalar", 42, 10_000, harness.run_scalar_suite),
+        ("bounds", 42, 2_000, harness.run_bounds_suite),
+        ("operator", 7, 500, harness.run_operator_suite),
     ):
         p = verify_sub.add_parser(name)
         p.add_argument("--seed", type=int, default=seed)
@@ -142,96 +125,44 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--timing", action="store_true",
                        help="include measured wall_ms (breaks byte-for-byte determinism)")
-        _add_format(p)
-        p.set_defaults(handler=_cmd_verify, which=name)
+        _finish(p, _cmd_verify, runner=runner)
     p = verify_sub.add_parser("paper-numbers")
     p.add_argument("--timing", action="store_true")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_verify, which="paper-numbers")
+    _finish(p, _cmd_paper_numbers)
 
     p = top.add_parser("scan", help="grid sweep of a five-term mean chain")
     p.add_argument("--a", default="0.5:2.0:11", help="grid spec lo:hi:n")
     p.add_argument("--b", default="0.5:2.0:11", help="grid spec lo:hi:n")
     p.add_argument("--v", default="0.1:0.9:9", help="grid spec lo:hi:n")
     p.add_argument("--chain", choices=("log", "identric"), default="log")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_scan)
+    _finish(p, _cmd_scan)
 
     return parser
 
 
-def _checked_pair_weight(a, b, v):
-    try:
-        a, b = sc.check_pair(a, b)
-        v = sc.check_weight(v)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-    return a, b, v
-
-
 def _cmd_means_eval(args):
-    a, b, v = _checked_pair_weight(args.a, args.b, args.v)
-    return {"value": SCALAR_MEANS[args.mean](a, b, v)}
+    return {"value": SCALAR_MEANS[args.mean](args.a, args.b, args.v)}
 
 
 def _cmd_means_chain(args):
-    a, b, v = _checked_pair_weight(args.a, args.b, args.v)
     fn = sc.logarithmic_chain if args.chain == "log" else sc.identric_chain
-    return fn(a, b, v, tol=args.tol).to_dict()
-
-
-def _hh_inputs(args):
-    f = cvx.get_builtin(args.f)
-    try:
-        v = sc.check_weight(args.v)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-    if not args.a < args.b:
-        raise CliInputError(f"need a < b, got ({args.a}, {args.b})")
-    if not f.contains(args.a, args.b):
-        raise CliInputError(f"[{args.a}, {args.b}] not inside the domain of {args.f!r}")
-    return f, float(args.a), float(args.b), v
+    return fn(args.a, args.b, args.v, tol=args.tol).to_dict()
 
 
 def _cmd_hh_chain(args):
-    f, a, b, v = _hh_inputs(args)
-    return cvx.chain_eval(f, a, b, v, tol=args.tol).to_dict()
+    f = cvx.get_builtin(args.f)
+    return cvx.chain_eval(f, args.a, args.b, args.v, tol=args.tol).to_dict()
 
 
 def _cmd_hh_c(args):
-    f, a, b, v = _hh_inputs(args)
-    return {"value": cvx.split_integral_avg(f, a, b, v)}
+    return {"value": cvx.split_integral_avg(cvx.get_builtin(args.f), args.a, args.b, args.v)}
 
 
 def _cmd_bounds(args):
-    which = args.which
-    try:
-        v = sc.check_weight(args.v)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-    if which in ("thm32", "thm33"):
-        f = cvx.get_builtin(args.f)
-        if not args.a < args.b:
-            raise CliInputError(f"need a < b, got ({args.a}, {args.b})")
-        if not f.contains(args.a, args.b):
-            raise CliInputError(f"[{args.a}, {args.b}] not inside the domain of {args.f!r}")
-        kwargs = {} if args.tol is None else {"tol": args.tol}
-        if which == "thm32":
-            reports = bnd.deriv_gap_bounds(f, args.a, args.b, v, **kwargs)
-        else:
-            reports = bnd.curvature_gap_bounds(f, args.a, args.b, v, **kwargs)
-    else:
-        fn = {
-            "cor31": bnd.logmean_diff_reverse,
-            "cor32": bnd.identric_ratio_reverse,
-            "cor33": bnd.logmean_diff_refinement,
-            "cor34": bnd.identric_ratio_refinement,
-        }[which]
-        try:
-            kwargs = {} if args.tol is None else {"tol": args.tol}
-            reports = fn(args.a, args.b, v, **kwargs)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from None
+    takes_f, producer = harness.BOUNDS_CHECKS[args.which]
+    head = (cvx.get_builtin(args.f),) if takes_f else ()
+    kwargs = {} if args.tol is None else {"tol": args.tol}
+    reports = getattr(bnd, producer)(*head, args.a, args.b, args.v, **kwargs)
     return {
         "reports": [rep.to_dict() for rep in reports],
         "pass": all(rep.passed for rep in reports),
@@ -243,71 +174,46 @@ def _load_matrix_pair(path):
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read matrix pair from {path!r}: {exc}") from None
+        raise ValueError(f"cannot read matrix pair from {path!r}: {exc}") from None
     try:
         return ops.SpdMatrix.from_dict(payload["A"]), ops.SpdMatrix.from_dict(payload["B"])
     except (KeyError, TypeError):
-        raise CliInputError('matrix pair JSON needs keys "A" and "B"') from None
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+        raise ValueError('matrix pair JSON needs keys "A" and "B"') from None
 
 
 def _cmd_op_chain(args):
     mat_a, mat_b = _load_matrix_pair(args.file)
-    try:
-        v = sc.check_weight(args.v)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-    if mat_a.dim != mat_b.dim:
-        raise CliInputError(f"dimension mismatch: {mat_a.dim} vs {mat_b.dim}")
-    report = ops.operator_chain(mat_a, mat_b, v, tol=args.tol)
-    out = {"dim": mat_a.dim, "v": v}
+    report = ops.operator_chain(mat_a, mat_b, args.v, tol=args.tol)
+    out = {"dim": mat_a.dim, "v": args.v}
     out.update(report.to_dict())
     return out
 
 
 def _cmd_op_eval(args):
     mat_a, mat_b = _load_matrix_pair(args.file)
-    try:
-        v = sc.check_weight(args.v)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-    if mat_a.dim != mat_b.dim:
-        raise CliInputError(f"dimension mismatch: {mat_a.dim} vs {mat_b.dim}")
-    return OPERATOR_MEANS[args.mean](mat_a, mat_b, v).to_dict()
+    return OPERATOR_MEANS[args.mean](mat_a, mat_b, args.v).to_dict()
 
 
 def _cmd_verify(args):
-    if args.which == "paper-numbers":
-        report = harness.reference_value_check()
-        return report.to_dict(include_timing=args.timing)
     overrides = {"seed": args.seed, "trials": args.trials}
     if args.tol is not None:
         overrides["tol"] = args.tol
-    try:
-        cfg = harness.SuiteConfig(**overrides)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-    runner = {
-        "scalar": harness.run_scalar_suite,
-        "bounds": harness.run_bounds_suite,
-        "operator": harness.run_operator_suite,
-    }[args.which]
-    return runner(cfg).to_dict(include_timing=args.timing)
+    return args.runner(harness.SuiteConfig(**overrides)).to_dict(include_timing=args.timing)
+
+
+def _cmd_paper_numbers(args):
+    return harness.reference_value_check().to_dict(include_timing=args.timing)
 
 
 def _parse_grid(spec: str, name: str, positive: bool) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
-        raise CliInputError(f"--{name} grid spec must be lo:hi:n, got {spec!r}")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise CliInputError(f"--{name} grid spec must be lo:hi:n, got {spec!r}") from None
+        raise ValueError(f"--{name} grid spec must be lo:hi:n, got {spec!r}")
+    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1 or lo > hi:
-        raise CliInputError(f"--{name} grid is empty: {spec!r}")
+        raise ValueError(f"--{name} grid is empty: {spec!r}")
     if positive and lo <= 0.0:
-        raise CliInputError(f"--{name} grid must stay positive: {spec!r}")
+        raise ValueError(f"--{name} grid must stay positive: {spec!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -316,7 +222,7 @@ def _cmd_scan(args):
     b_grid = _parse_grid(args.b, "b", positive=True)
     v_grid = _parse_grid(args.v, "v", positive=False)
     if np.any(v_grid < 0.0) or np.any(v_grid > 1.0):
-        raise CliInputError(f"--v grid must stay inside [0, 1]: {args.v!r}")
+        raise ValueError(f"--v grid must stay inside [0, 1]: {args.v!r}")
     chain_fn = sc.logarithmic_chain if args.chain == "log" else sc.identric_chain
     rows = []
     for a in a_grid:
@@ -374,13 +280,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.handler(args)
-    except CliInputError as exc:
-        print(f"meanbounds: error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as exc:
         print(f"meanbounds: error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, ops.NumericalBreakdown) as exc:
+    except (QuadratureError, ArithmeticError, ops.NumericalBreakdown) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
     if getattr(args, "format", "json") == "csv":

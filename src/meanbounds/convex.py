@@ -150,6 +150,13 @@ def _require_interval(f: ConvexFnSpec, a: float, b: float):
         raise ValueError(f"[{a}, {b}] not inside the domain of {f.name!r}")
 
 
+def require_ordered_interval(f: ConvexFnSpec, a: float, b: float):
+    """Reject [a, b] unless a < b, both ends are finite and inside f's domain."""
+    if not a < b:
+        raise ValueError(f"need a < b, got ({a}, {b})")
+    _require_interval(f, a, b)
+
+
 def _feval(f: ConvexFnSpec, x) -> float:
     return float(f.fn(x))
 
@@ -251,10 +258,8 @@ def split_integral_avg(
     quadrature independently confirms the change-of-variables identity
     with the [a, n] / [n, b] averages.
     """
-    _require_interval(f, a, b)
-    if not a < b:
-        raise ValueError(f"need a < b, got ({a}, {b})")
     v = check_weight(v)
+    require_ordered_interval(f, a, b)
     n = node_point(a, b, v)
     first = integrate(lambda t: f.fn(a + v * (b - a) * t), 0.0, 1.0, quad)
     second = integrate(lambda t: f.fn(n + (1.0 - v) * (b - a) * t), 0.0, 1.0, quad)
@@ -268,17 +273,19 @@ def convexity_gap(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     return endpoint_average(f, a, b, v) - _feval(f, node_point(a, b, v))
 
 
+def _node_plus_midpoint_gap(f: ConvexFnSpec, a: float, b: float, v: float, weight: float):
+    m1 = node_point(a, b, v / 2.0)
+    m2 = node_point(a, b, (1.0 + v) / 2.0)
+    return _feval(f, node_point(a, b, v)) + 2.0 * weight * convexity_gap(f, m1, m2, 0.5)
+
+
 def sharp_lower(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     """f(node) plus twice the min-weight half-gap of the split midpoints.
 
     Sits between f(node) and the midpoint estimate.
     """
     v = check_weight(v)
-    m1 = node_point(a, b, v / 2.0)
-    m2 = node_point(a, b, (1.0 + v) / 2.0)
-    return _feval(f, node_point(a, b, v)) + 2.0 * min_weight(v) * convexity_gap(
-        f, m1, m2, 0.5
-    )
+    return _node_plus_midpoint_gap(f, a, b, v, min_weight(v))
 
 
 def sharp_upper(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
@@ -293,11 +300,7 @@ def sharp_upper(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
 def maxweight_lower(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     """sharp_lower with the larger split weight; dominates midpoint_estimate."""
     v = check_weight(v)
-    m1 = node_point(a, b, v / 2.0)
-    m2 = node_point(a, b, (1.0 + v) / 2.0)
-    return _feval(f, node_point(a, b, v)) + 2.0 * max_weight(v) * convexity_gap(
-        f, m1, m2, 0.5
-    )
+    return _node_plus_midpoint_gap(f, a, b, v, max_weight(v))
 
 
 def maxweight_upper(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
@@ -323,10 +326,8 @@ def chain_eval(
     Requires a < b.  A convexity spot check runs on [a, b]; on violation
     the report is still produced but flagged ``certified=False``.
     """
-    _require_interval(f, a, b)
-    if not a < b:
-        raise ValueError(f"need a < b, got ({a}, {b})")
     v = check_weight(v)
+    require_ordered_interval(f, a, b)
     values = (
         _feval(f, node_point(a, b, v)),
         sharp_lower(f, a, b, v),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,9 +181,27 @@ def _slice(cfg_total: int, start: int, count):
     return range(start, start + count)
 
 
-def run_scalar_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
-    """Mean chains, the seven-term chain cycling the builtin functions,
-    and both convexity-gap checks on randomized (a, b, v) draws."""
+class _Trial(NamedTuple):
+    index: int
+    a: float
+    b: float
+    lo: float
+    hi: float
+    v: float
+    f: cvx.ConvexFnSpec
+    inputs: dict
+
+
+def _run_trials(suite: str, cfg: SuiteConfig, start, count, checks, oriented: bool):
+    """Trial loop shared by the scalar and bounds suites.
+
+    Trial i draws (a, b, v) and takes the builtin ``cfg.functions[i % n]``;
+    each (key, check) in ``checks`` then runs as ``check(col, key, trial, tol)``.
+    A trial's inputs are valid by construction, so a check raising
+    QuadratureError, ArithmeticError or ValueError has failed numerically: it
+    becomes a failure record of that trial and the remaining checks still
+    run.  Failure inputs hold the drawn (a, b), or (lo, hi) when ``oriented``.
+    """
     t0 = time.perf_counter()
     col = _Collector()
     indices = _slice(cfg.trials, start, count)
@@ -191,71 +210,89 @@ def run_scalar_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteRepor
         a, b = _draw_pair(rng, cfg)
         v = _draw_weight(rng, cfg)
         fname = cfg.functions[i % len(cfg.functions)]
-        f = cvx.get_builtin(fname)
         lo, hi = min(a, b), max(a, b)
-        inputs = {"a": a, "b": b, "v": v, "f": fname}
-
-        col.chain("log_chain", sc.logarithmic_chain(a, b, v, tol=cfg.tol), i, inputs)
-        col.chain("identric_chain", sc.identric_chain(a, b, v, tol=cfg.tol), i, inputs)
-
-        if hi - lo >= MIN_GAP:
+        inputs = {"a": lo, "b": hi} if oriented else {"a": a, "b": b}
+        inputs.update(v=v, f=fname)
+        trial = _Trial(i, a, b, lo, hi, v, cvx.get_builtin(fname), inputs)
+        for key, check in checks:
             try:
-                col.chain("hh_chain", cvx.chain_eval(f, lo, hi, v, tol=cfg.tol), i, inputs)
-            except QuadratureError as exc:
-                col.fail(i, "hh_chain", inputs, error=str(exc))
-
-        sandwich = cvx.gap_sandwich_check(f, lo, hi, v, tol=cfg.tol)
-        col.note("gap_sandwich.lower", sandwich.mid - sandwich.lhs)
-        col.note("gap_sandwich.upper", sandwich.rhs - sandwich.mid)
-        if not sandwich.passed:
-            col.fail(i, "gap_sandwich", inputs, lhs=sandwich.lhs, mid=sandwich.mid,
-                     rhs=sandwich.rhs)
-
-        refined = cvx.refined_gap_check(f, lo, hi, v, tol=cfg.tol)
-        col.note("refined_gap.refined", refined.lhs - refined.rhs)
-        col.note("refined_gap.nonneg", refined.rhs)
-        if not refined.passed:
-            col.fail(i, "refined_gap", inputs, lhs=refined.lhs, rhs=refined.rhs)
-
+                check(col, key, trial, cfg.tol)
+            except (QuadratureError, ArithmeticError, ValueError) as exc:
+                col.fail(i, key, inputs, error=str(exc))
     wall = (time.perf_counter() - t0) * 1e3
-    return SuiteReport("scalar", cfg.seed, len(indices), col.failures, col.min_slacks, wall)
+    return SuiteReport(suite, cfg.seed, len(indices), col.failures, col.min_slacks, wall)
+
+
+def _log_chain(col, key, t, tol):
+    col.chain(key, sc.logarithmic_chain(t.a, t.b, t.v, tol=tol), t.index, t.inputs)
+
+
+def _identric_chain(col, key, t, tol):
+    col.chain(key, sc.identric_chain(t.a, t.b, t.v, tol=tol), t.index, t.inputs)
+
+
+def _hh_chain(col, key, t, tol):
+    if t.hi - t.lo >= MIN_GAP:
+        col.chain(key, cvx.chain_eval(t.f, t.lo, t.hi, t.v, tol=tol), t.index, t.inputs)
+
+
+def _gap_sandwich(col, key, t, tol):
+    res = cvx.gap_sandwich_check(t.f, t.lo, t.hi, t.v, tol=tol)
+    col.note(f"{key}.lower", res.mid - res.lhs)
+    col.note(f"{key}.upper", res.rhs - res.mid)
+    if not res.passed:
+        col.fail(t.index, key, t.inputs, lhs=res.lhs, mid=res.mid, rhs=res.rhs)
+
+
+def _refined_gap(col, key, t, tol):
+    res = cvx.refined_gap_check(t.f, t.lo, t.hi, t.v, tol=tol)
+    col.note(f"{key}.refined", res.lhs - res.rhs)
+    col.note(f"{key}.nonneg", res.rhs)
+    if not res.passed:
+        col.fail(t.index, key, t.inputs, lhs=res.lhs, rhs=res.rhs)
+
+
+_SCALAR_CHECKS = (
+    ("log_chain", _log_chain),
+    ("identric_chain", _identric_chain),
+    ("hh_chain", _hh_chain),
+    ("gap_sandwich", _gap_sandwich),
+    ("refined_gap", _refined_gap),
+)
+
+# The bounds suite's checks and the CLI's `bounds` subcommands:
+# name -> (takes a convex function, producing function of meanbounds.bounds).
+# Producers are named, not referenced, so calls go through the module attribute.
+BOUNDS_CHECKS = {
+    "thm32": (True, "deriv_gap_bounds"),
+    "thm33": (True, "curvature_gap_bounds"),
+    "cor31": (False, "logmean_diff_reverse"),
+    "cor32": (False, "identric_ratio_reverse"),
+    "cor33": (False, "logmean_diff_refinement"),
+    "cor34": (False, "identric_ratio_refinement"),
+}
+
+
+def _bounds_check(col, key, t, tol):
+    takes_f, producer = BOUNDS_CHECKS[key]
+    if takes_f and t.hi - t.lo < MIN_GAP:
+        return
+    head = (t.f,) if takes_f else ()
+    for rep in getattr(bnd, producer)(*head, t.lo, t.hi, t.v, tol=tol):
+        col.gap(f"{key}.{rep.name}", rep, t.index, t.inputs)
+
+
+def run_scalar_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
+    """Mean chains, the seven-term chain cycling the builtin functions,
+    and both convexity-gap checks on randomized (a, b, v) draws."""
+    return _run_trials("scalar", cfg, start, count, _SCALAR_CHECKS, oriented=False)
 
 
 def run_bounds_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
     """Derivative and curvature gap bounds plus the four mean-specific
     reverses/refinements on oriented randomized draws."""
-    t0 = time.perf_counter()
-    col = _Collector()
-    indices = _slice(cfg.trials, start, count)
-    for i in indices:
-        rng = _trial_rng(cfg.seed, i)
-        a, b = _draw_pair(rng, cfg)
-        v = _draw_weight(rng, cfg)
-        fname = cfg.functions[i % len(cfg.functions)]
-        f = cvx.get_builtin(fname)
-        lo, hi = min(a, b), max(a, b)
-        inputs = {"a": lo, "b": hi, "v": v, "f": fname}
-
-        if hi - lo >= MIN_GAP:
-            try:
-                for rep in bnd.deriv_gap_bounds(f, lo, hi, v, tol=cfg.tol):
-                    col.gap(f"thm32.{rep.name}", rep, i, inputs)
-                for rep in bnd.curvature_gap_bounds(f, lo, hi, v, tol=cfg.tol):
-                    col.gap(f"thm33.{rep.name}", rep, i, inputs)
-            except QuadratureError as exc:
-                col.fail(i, "gap_bounds", inputs, error=str(exc))
-
-        for key, fn in (
-            ("cor31", bnd.logmean_diff_reverse),
-            ("cor32", bnd.identric_ratio_reverse),
-            ("cor33", bnd.logmean_diff_refinement),
-            ("cor34", bnd.identric_ratio_refinement),
-        ):
-            for rep in fn(lo, hi, v, tol=cfg.tol):
-                col.gap(f"{key}.{rep.name}", rep, i, inputs)
-
-    wall = (time.perf_counter() - t0) * 1e3
-    return SuiteReport("bounds", cfg.seed, len(indices), col.failures, col.min_slacks, wall)
+    checks = [(key, _bounds_check) for key in BOUNDS_CHECKS]
+    return _run_trials("bounds", cfg, start, count, checks, oriented=True)
 
 
 def random_spd(rng: np.random.Generator, dim: int, log10_cond_half: float = 2.0) -> ops.SpdMatrix:

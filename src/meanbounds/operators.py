@@ -13,6 +13,7 @@ Loewner-order eigenvalue tests are not corrupted by roundoff.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,10 +139,15 @@ def matrix_function(a, g) -> np.ndarray:
     return _sym((u * vals) @ u.T)
 
 
-def _congruence_spectrum(a: SpdMatrix, b: SpdMatrix):
-    """Eigen-data of A^{-1/2} B A^{-1/2} plus the frame A^{1/2} V."""
+def _check_operands(a: SpdMatrix, b: SpdMatrix, v) -> float:
+    v = check_weight(v)
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return v
+
+
+def _congruence_spectrum(a: SpdMatrix, b: SpdMatrix):
+    """Eigen-data of A^{-1/2} B A^{-1/2} plus the frame A^{1/2} V."""
     lam_a, u = np.linalg.eigh(a.entries)
     root = (u * np.sqrt(lam_a)) @ u.T
     inv_root = (u / np.sqrt(lam_a)) @ u.T
@@ -154,49 +160,44 @@ def _congruence_spectrum(a: SpdMatrix, b: SpdMatrix):
     return lam, root @ v
 
 
-def _from_representing(lam: np.ndarray, frame: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _from_representing(frame: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _sym((frame * values) @ frame.T)
 
 
 def weighted_arithmetic(a: SpdMatrix, b: SpdMatrix, v) -> SpdMatrix:
     """(1-v) A + v B."""
-    v = check_weight(v)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    v = _check_operands(a, b, v)
     return SpdMatrix((1.0 - v) * a.entries + v * b.entries)
 
 
-def _validated_spd(entries: np.ndarray) -> SpdMatrix:
+def _lift(a: SpdMatrix, b: SpdMatrix, v, representing) -> SpdMatrix:
+    """The congruence lift of ``representing(t, v)`` = m(1, t); weight
+    endpoints return A and B."""
+    v = _check_operands(a, b, v)
+    if v == 0.0:
+        return SpdMatrix(a.entries)
+    if v == 1.0:
+        return SpdMatrix(b.entries)
+    lam, frame = _congruence_spectrum(a, b)
+    mean = _from_representing(frame, representing(lam, v))
     try:
-        return SpdMatrix(entries)
+        return SpdMatrix(mean)
     except ValueError as exc:
         raise NumericalBreakdown(f"computed mean failed SPD validation: {exc}") from None
 
 
 def weighted_geometric(a: SpdMatrix, b: SpdMatrix, v) -> SpdMatrix:
     """A^{1/2} (A^{-1/2} B A^{-1/2})^v A^{1/2}."""
-    v = check_weight(v)
-    if v == 0.0:
-        return SpdMatrix(a.entries)
-    if v == 1.0:
-        return SpdMatrix(b.entries)
-    lam, frame = _congruence_spectrum(a, b)
-    return _validated_spd(_from_representing(lam, frame, lam**v))
+    return _lift(a, b, v, operator.pow)
 
 
 def weighted_logarithmic(a: SpdMatrix, b: SpdMatrix, v) -> SpdMatrix:
     """Operator lift of the weighted logarithmic mean.
 
     Applies the representing function L_v(1, t) to the spectrum of
-    A^{-1/2} B A^{-1/2}; weight endpoints return A and B.
+    A^{-1/2} B A^{-1/2}.
     """
-    v = check_weight(v)
-    if v == 0.0:
-        return SpdMatrix(a.entries)
-    if v == 1.0:
-        return SpdMatrix(b.entries)
-    lam, frame = _congruence_spectrum(a, b)
-    return _validated_spd(_from_representing(lam, frame, log_mean_unit(lam, v)))
+    return _lift(a, b, v, log_mean_unit)
 
 
 def spectral_norm(x) -> float:
@@ -250,15 +251,13 @@ def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10) -> Operato
     geometric <= (1-v) geo(v/2) + v geo((1+v)/2) <= logarithmic
               <= (geometric + arithmetic)/2 <= arithmetic.
     """
-    v = check_weight(v)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    v = _check_operands(a, b, v)
     lam, frame = _congruence_spectrum(a, b)
-    geo = _from_representing(lam, frame, lam**v)
-    mix = (1.0 - v) * _from_representing(lam, frame, lam ** (v / 2.0)) + v * _from_representing(
-        lam, frame, lam ** ((1.0 + v) / 2.0)
+    geo = _from_representing(frame, lam**v)
+    mix = (1.0 - v) * _from_representing(frame, lam ** (v / 2.0)) + v * _from_representing(
+        frame, lam ** ((1.0 + v) / 2.0)
     )
-    logm = _from_representing(lam, frame, log_mean_unit(lam, v))
+    logm = _from_representing(frame, log_mean_unit(lam, v))
     arith = (1.0 - v) * a.entries + v * b.entries
     avg = 0.5 * (geo + arith)
     terms = (geo, mix, logm, avg, arith)

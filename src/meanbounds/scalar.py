@@ -85,15 +85,21 @@ def weighted_geometric(a, b, v) -> float:
     return math.exp((1.0 - v) * math.log(a) + v * math.log(b))
 
 
+def _log_mean_unit_formula(h, v):
+    evh = np.expm1(v * h)
+    return ((1.0 - v) / v * evh + v / (1.0 - v) * (np.expm1(h) - evh)) / h
+
+
+def _log_mean_unit_series(h, v):
+    return 1.0 + v * h + v * (1.0 + 2.0 * v) * h * h / 6.0
+
+
 def _logmean_kernel(t_arr, v):
     # assumes 0 < v <= 1/2, where no term amplifies cancellation error
     h = np.log(t_arr)
     small = np.abs(h) < H_SWITCH
-    h_safe = np.where(small, 1.0, h)
-    evh = np.expm1(v * h_safe)
-    main = ((1.0 - v) / v * evh + v / (1.0 - v) * (np.expm1(h_safe) - evh)) / h_safe
-    series = 1.0 + v * h + v * (1.0 + 2.0 * v) * h * h / 6.0
-    return np.where(small, series, main)
+    main = _log_mean_unit_formula(np.where(small, 1.0, h), v)
+    return np.where(small, _log_mean_unit_series(h, v), main)
 
 
 def log_mean_unit(t, v):
@@ -196,6 +202,27 @@ def weighted_identric(a, b, v) -> float:
     return math.exp(log_weighted_identric(a, b, v))
 
 
+def log_chain_terms(a, b, v) -> tuple[float, ...]:
+    """The five terms of :func:`logarithmic_chain`, in chain order."""
+    geo = weighted_geometric(a, b, v)
+    ari = weighted_arithmetic(a, b, v)
+    mix = (1.0 - v) * weighted_geometric(a, b, v / 2.0) + v * weighted_geometric(
+        a, b, (1.0 + v) / 2.0
+    )
+    return geo, mix, weighted_logarithmic(a, b, v), 0.5 * (ari + geo), ari
+
+
+def identric_chain_log_terms(a, b, v) -> tuple[float, float, float, float]:
+    """(geometric, log of the second term, log of the fourth term, arithmetic)
+    of :func:`identric_chain`; the two middle terms are formed as logarithms."""
+    geo = weighted_geometric(a, b, v)
+    ari = weighted_arithmetic(a, b, v)
+    n1 = weighted_arithmetic(a, b, v / 2.0)
+    n2 = weighted_arithmetic(a, b, (1.0 + v) / 2.0)
+    mix_log = (1.0 - v) * math.log(n1) + v * math.log(n2)
+    return geo, 0.5 * (math.log(geo) + math.log(ari)), mix_log, ari
+
+
 def logarithmic_chain(a, b, v, tol=1e-12) -> ChainReport:
     """Five-term chain around the weighted logarithmic mean.
 
@@ -205,17 +232,7 @@ def logarithmic_chain(a, b, v, tol=1e-12) -> ChainReport:
     """
     a, b = check_pair(a, b)
     v = check_weight(v)
-    geo = weighted_geometric(a, b, v)
-    ari = weighted_arithmetic(a, b, v)
-    values = (
-        geo,
-        (1.0 - v) * weighted_geometric(a, b, v / 2.0)
-        + v * weighted_geometric(a, b, (1.0 + v) / 2.0),
-        weighted_logarithmic(a, b, v),
-        0.5 * (ari + geo),
-        ari,
-    )
-    return ChainReport.from_values(LOG_CHAIN_LABELS, values, tol)
+    return ChainReport.from_values(LOG_CHAIN_LABELS, log_chain_terms(a, b, v), tol)
 
 
 def identric_chain(a, b, v, tol=1e-12) -> ChainReport:
@@ -226,25 +243,6 @@ def identric_chain(a, b, v, tol=1e-12) -> ChainReport:
     """
     a, b = check_pair(a, b)
     v = check_weight(v)
-    geo = weighted_geometric(a, b, v)
-    ari = weighted_arithmetic(a, b, v)
-    n1 = weighted_arithmetic(a, b, v / 2.0)
-    n2 = weighted_arithmetic(a, b, (1.0 + v) / 2.0)
-    values = (
-        geo,
-        math.exp(0.5 * (math.log(geo) + math.log(ari))),
-        weighted_identric(a, b, v),
-        math.exp((1.0 - v) * math.log(n1) + v * math.log(n2)),
-        ari,
-    )
+    geo, geo_ari_log, mix_log, ari = identric_chain_log_terms(a, b, v)
+    values = (geo, math.exp(geo_ari_log), weighted_identric(a, b, v), math.exp(mix_log), ari)
     return ChainReport.from_values(IDENTRIC_CHAIN_LABELS, values, tol)
-
-
-# internal branches of log_mean_unit, exposed for the switch-continuity tests
-def _log_mean_unit_formula(h: float, v: float) -> float:
-    evh = math.expm1(v * h)
-    return ((1.0 - v) / v * evh + v / (1.0 - v) * (math.expm1(h) - evh)) / h
-
-
-def _log_mean_unit_series(h: float, v: float) -> float:
-    return 1.0 + v * h + v * (1.0 + 2.0 * v) * h * h / 6.0

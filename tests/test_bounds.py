@@ -119,6 +119,12 @@ class TestDerivGapBounds:
         with pytest.raises(ValueError):
             bnd.deriv_gap_bounds(EXP, 2.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("fn", [bnd.deriv_gap_bounds, bnd.curvature_gap_bounds])
+    def test_interval_outside_domain_names_the_domain(self, fn):
+        # checked before the derivative bounds, which would hit log(-2)
+        with pytest.raises(ValueError, match="not inside the domain of 'xlogx'"):
+            fn(XLOGX, -2.0, -1.0, 0.3)
+
 
 class TestCurvatureGapBounds:
     def test_square_pins_gap(self):

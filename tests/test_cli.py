@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from meanbounds import cli
+from meanbounds import cli, harness
 from meanbounds.quadrature import QuadratureError
 
 SCAN_LOG_HEADER = (
@@ -137,6 +137,23 @@ class TestBounds:
         )
         assert code == 0
         assert payload["pass"] is True
+
+    @pytest.mark.parametrize("sub", ["thm32", "thm33"])
+    def test_overflow_exits_1_with_json_error(self, capsys, sub):
+        code, out, err = run_cli(
+            capsys, "bounds", sub, "--f", "exp", "--a", "1", "--b", "2000", "--v", "0.3"
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {"type": "OverflowError", "message": "math range error"}
+        }
+        assert err == ""
+
+    def test_subcommands_are_the_check_table(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(harness.BOUNDS_CHECKS) + "}" in capsys.readouterr().out
 
     def test_orientation_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "cor31", "--a", "2", "--b", "1", "--v", "0.5")

@@ -110,6 +110,21 @@ class TestFailureRecords:
         replay = [r for r in single.failures if r["check"] == record["check"]]
         assert replay and replay[0]["inputs"] == record["inputs"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("runner", [harness.run_scalar_suite, harness.run_bounds_suite])
+    def test_numeric_errors_become_replayable_records(self, runner):
+        # exp overflows on this accepted range: the quadrature sees non-finite
+        # values and the exact derivative bounds raise OverflowError
+        cfg = harness.SuiteConfig(seed=1, trials=30, a_range=(1.0, 2000.0),
+                                  b_range=(1.0, 2000.0))
+        rep = runner(cfg)
+        errors = [r for r in rep.failures if "error" in r]
+        assert errors
+        for record in errors:
+            assert set(record) == {"trial", "check", "inputs", "error"}
+            single = runner(cfg, record["trial"], 1)
+            assert record in single.failures
+
     def test_min_slacks_keys_present(self):
         rep = harness.run_scalar_suite(small_cfg(trials=12))
         expected_prefixes = {"log_chain", "identric_chain", "hh_chain", "gap_sandwich",

@@ -16,10 +16,10 @@ import numpy as np
 
 from .convex import (
     ConvexFnSpec,
-    midpoint_estimate,
+    _central_difference,
+    _terms,
     require_ordered_interval,
     split_integral_avg,
-    trapezoid_estimate,
 )
 from .quadrature import QuadConfig, integrate
 from .reports import GapBoundReport
@@ -31,30 +31,30 @@ from .scalar import (
     log_weighted_identric,
 )
 
+DERIV_GRID = 201
+
 
 def derivative_bounds(
     f: ConvexFnSpec,
     a: float,
     b: float,
-    n_grid: int = 201,
     allow_finite_differences: bool = True,
 ) -> tuple[float, float, float]:
     """(K, m, M) = (sup |f'|, inf f'', sup f'') over [a, b].
 
     Uses the exact closed-form bounds for builtins; otherwise samples the
-    derivatives (or finite differences of fn) on an n_grid point grid and
+    derivatives (or finite differences of fn) on DERIV_GRID points and
     pads K and M up, m down, by 1% so downstream sandwich checks stay
     conservative.
     """
     lo, hi = (a, b) if a <= b else (b, a)
     if f.exact_bounds is not None:
         return f.exact_bounds(lo, hi)
-    xs = np.linspace(lo, hi, n_grid)
+    xs = np.linspace(lo, hi, DERIV_GRID)
     if f.deriv1 is not None:
         d1 = np.asarray(f.deriv1(xs), dtype=float)
     elif allow_finite_differences:
-        h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(xs))
-        d1 = (np.asarray(f.fn(xs + h), float) - np.asarray(f.fn(xs - h), float)) / (2.0 * h)
+        d1 = _central_difference(f.fn, xs)
     else:
         raise ValueError(f"{f.name!r} has no deriv1 and finite differences are disabled")
     if f.deriv2 is not None:
@@ -75,18 +75,12 @@ def derivative_bounds(
 
 
 def _resolve_K(f: ConvexFnSpec, a: float, b: float, K) -> float:
-    if K is not None:
-        return float(K)
-    if f.deriv_bound_K is not None:
-        return f.deriv_bound_K
-    return derivative_bounds(f, a, b)[0]
+    return float(K) if K is not None else derivative_bounds(f, a, b)[0]
 
 
 def _resolve_mM(f: ConvexFnSpec, a: float, b: float, m, M) -> tuple[float, float]:
     if m is not None and M is not None:
         return float(m), float(M)
-    if f.curve_bounds_mM is not None:
-        return f.curve_bounds_mM
     _, m_est, m_big_est = derivative_bounds(f, a, b)
     return (float(m) if m is not None else m_est, float(M) if M is not None else m_big_est)
 
@@ -159,13 +153,12 @@ def deriv_gap_bounds(
     require_ordered_interval(f, a, b)
     big_k = _resolve_K(f, a, b, K)
     c = split_integral_avg(f, a, b, v, quad)
-    r_mid = midpoint_estimate(f, a, b, v)
-    r_trap = trapezoid_estimate(f, a, b, v)
+    t = _terms(f, a, b, v)
     bound = v * (1.0 - v) * big_k * (b - a) / 2.0
-    scale = max(abs(c), abs(r_mid), abs(r_trap), bound)
+    scale = max(abs(c), abs(t.midpoint), abs(t.trapezoid), bound)
     return (
-        GapBoundReport.build("integral_minus_midpoint", c - r_mid, 0.0, bound, tol, scale),
-        GapBoundReport.build("trapezoid_minus_integral", r_trap - c, 0.0, bound, tol, scale),
+        GapBoundReport.build("integral_minus_midpoint", c - t.midpoint, 0.0, bound, tol, scale),
+        GapBoundReport.build("trapezoid_minus_integral", t.trapezoid - c, 0.0, bound, tol, scale),
     )
 
 
@@ -184,16 +177,16 @@ def curvature_gap_bounds(
     require_ordered_interval(f, a, b)
     m, M = _resolve_mM(f, a, b, m, M)
     c = split_integral_avg(f, a, b, v, quad)
-    r_mid = midpoint_estimate(f, a, b, v)
-    r_trap = trapezoid_estimate(f, a, b, v)
+    t = _terms(f, a, b, v)
+    low, high = c - t.midpoint, t.trapezoid - c
     factor = v * (1.0 - v) * ((b - a) / 2.0) ** 2
-    scale = max(abs(c), abs(r_mid), abs(r_trap), abs(m) * factor, abs(M) * factor)
+    scale = max(abs(c), abs(t.midpoint), abs(t.trapezoid), abs(m) * factor, abs(M) * factor)
     return (
         GapBoundReport.build(
-            "integral_minus_midpoint", c - r_mid, m / 6.0 * factor, M / 6.0 * factor, tol, scale
+            "integral_minus_midpoint", low, m / 6.0 * factor, M / 6.0 * factor, tol, scale
         ),
         GapBoundReport.build(
-            "trapezoid_minus_integral", r_trap - c, m / 3.0 * factor, M / 3.0 * factor, tol, scale
+            "trapezoid_minus_integral", high, m / 3.0 * factor, M / 3.0 * factor, tol, scale
         ),
     )
 

@@ -280,12 +280,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.handler(args)
-    except (ValueError, KeyError) as exc:
-        print(f"meanbounds: error: {exc}", file=sys.stderr)
-        return 2
     except (QuadratureError, ArithmeticError, ops.NumericalBreakdown) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
+    except (ValueError, KeyError) as exc:
+        print(f"meanbounds: error: {exc}", file=sys.stderr)
+        return 2
     if getattr(args, "format", "json") == "csv":
         sys.stdout.write(_to_csv(payload))
     else:

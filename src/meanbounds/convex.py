@@ -16,7 +16,7 @@ The full seven-term chain evaluated by :func:`chain_eval` is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,9 +49,8 @@ class ConvexFnSpec:
 
     ``fn`` (and the derivatives, when given) must accept scalars and
     ndarrays alike.  ``domain`` is the open interval on which convexity is
-    claimed.  ``deriv_bound_K`` and ``curve_bounds_mM`` may pin sup|f'| and
-    (inf f'', sup f'') for a caller-chosen interval; ``exact_bounds`` maps
-    an interval (a, b) to exact (K, m, M) and is set for the builtins.
+    claimed.  ``exact_bounds`` maps an interval (a, b) to exact (K, m, M)
+    and is set for the builtins.
     """
 
     name: str
@@ -59,25 +58,16 @@ class ConvexFnSpec:
     deriv1: Callable | None = None
     deriv2: Callable | None = None
     domain: tuple[float, float] = (-math.inf, math.inf)
-    deriv_bound_K: float | None = None
-    curve_bounds_mM: tuple[float, float] | None = None
     exact_bounds: Callable[[float, float], tuple[float, float, float]] | None = None
 
     def __post_init__(self):
         lo, hi = self.domain
         if not lo < hi:
             raise ValueError(f"empty domain {self.domain}")
-        if self.curve_bounds_mM is not None:
-            m, big_m = self.curve_bounds_mM
-            if m > big_m:
-                raise ValueError("curve bounds need m <= M")
 
     def contains(self, a: float, b: float) -> bool:
         lo, hi = self.domain
         return lo < min(a, b) and max(a, b) < hi
-
-    def with_bounds(self, K=None, mM=None) -> "ConvexFnSpec":
-        return replace(self, deriv_bound_K=K, curve_bounds_mM=mM)
 
 
 def _exp_bounds(a, b):
@@ -157,10 +147,6 @@ def require_ordered_interval(f: ConvexFnSpec, a: float, b: float):
     _require_interval(f, a, b)
 
 
-def _feval(f: ConvexFnSpec, x) -> float:
-    return float(f.fn(x))
-
-
 def convexity_violation(f: ConvexFnSpec, a: float, b: float, samples: int = 33) -> float:
     """Worst midpoint-convexity violation f((x+y)/2) - (f(x)+f(y))/2 on a grid.
 
@@ -172,6 +158,12 @@ def convexity_violation(f: ConvexFnSpec, a: float, b: float, samples: int = 33) 
     fx = np.asarray(f.fn(xs), dtype=float)
     mids = np.asarray(f.fn(0.5 * (xs[:, None] + xs[None, :])), dtype=float)
     return float(np.max(mids - 0.5 * (fx[:, None] + fx[None, :])))
+
+
+def _central_difference(fn: Callable, xs: np.ndarray) -> np.ndarray:
+    """Central-difference estimate of fn' at xs, step cbrt(eps) * max(1, |x|)."""
+    h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(xs))
+    return (np.asarray(fn(xs + h), float) - np.asarray(fn(xs - h), float)) / (2.0 * h)
 
 
 def _fn_scale(f: ConvexFnSpec, a: float, b: float, samples: int = 9) -> float:
@@ -208,11 +200,9 @@ def make_convex_fn(
         )
     if deriv1 is not None:
         xs = np.linspace(a, b, samples)
-        h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(xs))
-        fd = (np.asarray(fn(xs + h), float) - np.asarray(fn(xs - h), float)) / (2.0 * h)
         d1 = np.asarray(deriv1(xs), dtype=float)
         denom = np.maximum(1.0, np.abs(d1))
-        if np.max(np.abs(fd - d1) / denom) > 1e-6:
+        if np.max(np.abs(_central_difference(fn, xs) - d1) / denom) > 1e-6:
             raise ValueError(f"deriv1 of {name!r} disagrees with finite differences")
     return spec
 
@@ -221,11 +211,41 @@ def node_point(a: float, b: float, v: float) -> float:
     return a + v * (b - a)
 
 
-def endpoint_average(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
-    """(1-v) f(a) + v f(b), the outermost chain term."""
+class _Terms(NamedTuple):
+    node: float  # f(n), n = node_point(a, b, v)
+    midpoint: float
+    trapezoid: float
+    endpoints: float
+    gap: float  # convexity gap(a, b, v)
+    half_gap: float  # gap(a, b, 1/2)
+    split_gap: float  # gap(m1, m2, 1/2), m1 and m2 the midpoints of [a, n] and [n, b]
+
+    def lower(self, weight: float) -> float:
+        return self.node + 2.0 * weight * self.split_gap
+
+    def upper(self, weight: float) -> float:
+        return self.endpoints - weight * self.half_gap
+
+
+def _terms(f: ConvexFnSpec, a: float, b: float, v: float) -> _Terms:
+    """Check [a, b], then v, and evaluate f once at all seven chain points."""
     _require_interval(f, a, b)
     v = check_weight(v)
-    return (1.0 - v) * _feval(f, a) + v * _feval(f, b)
+    n = node_point(a, b, v)
+    m1 = node_point(a, b, v / 2.0)
+    m2 = node_point(a, b, (1.0 + v) / 2.0)
+    points = np.array([a, b, n, m1, m2, node_point(a, b, 0.5), node_point(m1, m2, 0.5)])
+    fa, fb, fn, f1, f2, fh, fmh = np.asarray(f.fn(points), dtype=float).tolist()
+    ends = (1.0 - v) * fa + v * fb
+    return _Terms(
+        fn, (1.0 - v) * f1 + v * f2, 0.5 * (ends + fn), ends, ends - fn,
+        0.5 * fa + 0.5 * fb - fh, 0.5 * f1 + 0.5 * f2 - fmh,
+    )
+
+
+def endpoint_average(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
+    """(1-v) f(a) + v f(b), the outermost chain term."""
+    return _terms(f, a, b, v).endpoints
 
 
 def midpoint_estimate(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
@@ -234,18 +254,12 @@ def midpoint_estimate(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     Evaluates f at the midpoints of [a, n] and [n, b] and mixes with
     weights (1-v, v); a lower bound for convex f.
     """
-    _require_interval(f, a, b)
-    v = check_weight(v)
-    m1 = node_point(a, b, v / 2.0)
-    m2 = node_point(a, b, (1.0 + v) / 2.0)
-    return (1.0 - v) * _feval(f, m1) + v * _feval(f, m2)
+    return _terms(f, a, b, v).midpoint
 
 
 def trapezoid_estimate(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     """Weighted trapezoid-rule estimate, ((1-v) f(a) + v f(b) + f(n)) / 2."""
-    _require_interval(f, a, b)
-    v = check_weight(v)
-    return 0.5 * (endpoint_average(f, a, b, v) + _feval(f, node_point(a, b, v)))
+    return _terms(f, a, b, v).trapezoid
 
 
 def split_integral_avg(
@@ -268,15 +282,7 @@ def split_integral_avg(
 
 def convexity_gap(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     """(1-v) f(a) + v f(b) - f((1-v) a + v b); nonnegative for convex f."""
-    _require_interval(f, a, b)
-    v = check_weight(v)
-    return endpoint_average(f, a, b, v) - _feval(f, node_point(a, b, v))
-
-
-def _node_plus_midpoint_gap(f: ConvexFnSpec, a: float, b: float, v: float, weight: float):
-    m1 = node_point(a, b, v / 2.0)
-    m2 = node_point(a, b, (1.0 + v) / 2.0)
-    return _feval(f, node_point(a, b, v)) + 2.0 * weight * convexity_gap(f, m1, m2, 0.5)
+    return _terms(f, a, b, v).gap
 
 
 def sharp_lower(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
@@ -284,8 +290,7 @@ def sharp_lower(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
 
     Sits between f(node) and the midpoint estimate.
     """
-    v = check_weight(v)
-    return _node_plus_midpoint_gap(f, a, b, v, min_weight(v))
+    return _terms(f, a, b, check_weight(v)).lower(min_weight(v))
 
 
 def sharp_upper(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
@@ -293,14 +298,12 @@ def sharp_upper(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
 
     Sits between the trapezoid estimate and the endpoint average.
     """
-    v = check_weight(v)
-    return endpoint_average(f, a, b, v) - min_weight(v) * convexity_gap(f, a, b, 0.5)
+    return _terms(f, a, b, check_weight(v)).upper(min_weight(v))
 
 
 def maxweight_lower(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     """sharp_lower with the larger split weight; dominates midpoint_estimate."""
-    v = check_weight(v)
-    return _node_plus_midpoint_gap(f, a, b, v, max_weight(v))
+    return _terms(f, a, b, check_weight(v)).lower(max_weight(v))
 
 
 def maxweight_upper(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
@@ -309,8 +312,7 @@ def maxweight_upper(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     maxweight_lower and maxweight_upper carry no mutual ordering; the
     difference changes sign between instances.
     """
-    v = check_weight(v)
-    return endpoint_average(f, a, b, v) - max_weight(v) * convexity_gap(f, a, b, 0.5)
+    return _terms(f, a, b, check_weight(v)).upper(max_weight(v))
 
 
 def chain_eval(
@@ -326,17 +328,10 @@ def chain_eval(
     Requires a < b.  A convexity spot check runs on [a, b]; on violation
     the report is still produced but flagged ``certified=False``.
     """
-    v = check_weight(v)
-    require_ordered_interval(f, a, b)
-    values = (
-        _feval(f, node_point(a, b, v)),
-        sharp_lower(f, a, b, v),
-        midpoint_estimate(f, a, b, v),
-        split_integral_avg(f, a, b, v, quad),
-        trapezoid_estimate(f, a, b, v),
-        sharp_upper(f, a, b, v),
-        endpoint_average(f, a, b, v),
-    )
+    c = split_integral_avg(f, a, b, v, quad)  # checks v, then a < b and [a, b]
+    t = _terms(f, a, b, v)
+    w = min_weight(v)
+    values = (t.node, t.lower(w), t.midpoint, c, t.trapezoid, t.upper(w), t.endpoints)
     viol = convexity_violation(f, a, b, samples=17)
     certified = viol <= CONVEXITY_REJECT * _fn_scale(f, a, b)
     return ChainReport.from_values(HH_CHAIN_LABELS, values, tol, certified=certified)
@@ -362,13 +357,12 @@ def gap_sandwich_check(
 
     2 min(v,1-v) gap(a,b,1/2) <= gap(a,b,v) <= 2 max(v,1-v) gap(a,b,1/2).
     """
-    half = convexity_gap(f, a, b, 0.5)
-    mid = convexity_gap(f, a, b, v)
-    lhs = 2.0 * min_weight(v) * half
-    rhs = 2.0 * max_weight(v) * half
-    scale = max(abs(lhs), abs(mid), abs(rhs), _fn_scale(f, a, b))
-    passed = (lhs - tol * scale) <= mid <= (rhs + tol * scale)
-    return SandwichResult(lhs, mid, rhs, passed)
+    t = _terms(f, a, b, v)
+    lhs = 2.0 * min_weight(v) * t.half_gap
+    rhs = 2.0 * max_weight(v) * t.half_gap
+    scale = max(abs(lhs), abs(t.gap), abs(rhs), _fn_scale(f, a, b))
+    passed = (lhs - tol * scale) <= t.gap <= (rhs + tol * scale)
+    return SandwichResult(lhs, t.gap, rhs, passed)
 
 
 def refined_gap_check(
@@ -379,13 +373,8 @@ def refined_gap_check(
     gap(a,b,v) >= min(v,1-v) * (gap(a,b,1/2) + 2 gap(m1,m2,1/2)) >= 0,
     with m1, m2 the midpoints of the two split subintervals.
     """
-    v = check_weight(v)
-    m1 = node_point(a, b, v / 2.0)
-    m2 = node_point(a, b, (1.0 + v) / 2.0)
-    lhs = convexity_gap(f, a, b, v)
-    rhs = min_weight(v) * (
-        convexity_gap(f, a, b, 0.5) + 2.0 * convexity_gap(f, m1, m2, 0.5)
-    )
-    scale = max(abs(lhs), abs(rhs), _fn_scale(f, a, b))
-    passed = lhs >= rhs - tol * scale and rhs >= -tol * scale
-    return RefinedGapResult(lhs, rhs, passed)
+    t = _terms(f, a, b, check_weight(v))
+    rhs = min_weight(v) * (t.half_gap + 2.0 * t.split_gap)
+    scale = max(abs(t.gap), abs(rhs), _fn_scale(f, a, b))
+    passed = t.gap >= rhs - tol * scale and rhs >= -tol * scale
+    return RefinedGapResult(t.gap, rhs, passed)

@@ -8,6 +8,7 @@ reports from disjoint slices merge associatively via :func:`merge_reports`.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -94,8 +95,8 @@ class SuiteReport:
             "suite": self.suite,
             "seed": self.seed,
             "trials": self.trials,
-            "failures": self.failures,
-            "min_slacks": self.min_slacks,
+            "failures": _strict_json(self.failures),
+            "min_slacks": _strict_json(self.min_slacks),
             "wall_ms": self.wall_ms if include_timing else None,
         }
 
@@ -103,18 +104,29 @@ class SuiteReport:
         return json.dumps(self.to_dict(include_timing), indent=2)
 
 
+def _strict_json(value):
+    """``value`` with each non-finite float spelled "nan", "inf" or "-inf"."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    return value
+
+
 def merge_reports(first: SuiteReport, second: SuiteReport) -> SuiteReport:
     if first.suite != second.suite or first.seed != second.seed:
         raise ValueError("reports stem from different suites or seeds")
-    slacks = dict(first.min_slacks)
-    for key, val in second.min_slacks.items():
-        slacks[key] = min(slacks[key], val) if key in slacks else val
+    col = _Collector()
+    for key, val in (*first.min_slacks.items(), *second.min_slacks.items()):
+        col.note(key, val)
     return SuiteReport(
         first.suite,
         first.seed,
         first.trials + second.trials,
         first.failures + second.failures,
-        slacks,
+        col.min_slacks,
         None,
     )
 
@@ -125,8 +137,9 @@ class _Collector:
         self.failures: list[dict] = []
 
     def note(self, key: str, value: float):
+        """Keep the smallest slack of ``key``; NaN ranks below every number."""
         value = float(value)
-        if key not in self.min_slacks or value < self.min_slacks[key]:
+        if key not in self.min_slacks or value < self.min_slacks[key] or math.isnan(value):
             self.min_slacks[key] = value
 
     def fail(self, trial: int, check: str, inputs: dict, **extra):

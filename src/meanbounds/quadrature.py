@@ -48,6 +48,10 @@ class QuadratureError(RuntimeError):
         )
 
 
+class NonFiniteIntegrandError(ArithmeticError, ValueError):
+    """The integrand returned NaN or an infinity: a numeric failure, also a ValueError."""
+
+
 def integrate(fn, lo: float, hi: float, config: QuadConfig | None = None) -> float:
     """Integral of ``fn`` over [lo, hi] to the configured relative tolerance."""
     cfg = config if config is not None else DEFAULT_QUAD
@@ -71,7 +75,7 @@ def integrate(fn, lo: float, hi: float, config: QuadConfig | None = None) -> flo
         if fx.shape != x.shape:
             raise ValueError("integrand must be vectorized over its input array")
         if not np.all(np.isfinite(fx)):
-            raise ValueError("integrand returned non-finite values")
+            raise NonFiniteIntegrandError("integrand returned non-finite values")
         total = float(half * (fx.reshape(n, 7) @ _WEIGHTS).sum())
         if prev is not None:
             err = abs(total - prev)

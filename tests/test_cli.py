@@ -116,6 +116,21 @@ class TestHH:
         payload = json.loads(out)
         assert payload["error"]["type"] == "QuadratureError"
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("sub", ["chain", "c"])
+    def test_nonfinite_integrand_exits_1_with_json_error(self, capsys, sub):
+        code, out, err = run_cli(
+            capsys, "hh", sub, "--f", "exp", "--a", "-1000", "--b", "1000", "--v", "0.3"
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {
+                "type": "NonFiniteIntegrandError",
+                "message": "integrand returned non-finite values",
+            }
+        }
+        assert err == ""
+
 
 class TestBounds:
     @pytest.mark.parametrize("sub", ["thm32", "thm33"])

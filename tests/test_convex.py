@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from meanbounds import bounds as bnd
 from meanbounds import convex as cvx
 from meanbounds import scalar as sc
 from meanbounds.quadrature import QuadConfig
@@ -301,3 +303,85 @@ class TestFunctionRegistry:
         rep = cvx.chain_eval(concave, 0.0, 1.0, 0.5)
         assert not rep.certified
         assert not rep.passed
+
+
+POINT_TERMS = (
+    "endpoint_average",
+    "midpoint_estimate",
+    "trapezoid_estimate",
+    "convexity_gap",
+    "sharp_lower",
+    "sharp_upper",
+    "maxweight_lower",
+    "maxweight_upper",
+)
+
+
+def pointwise_terms(f, a, b, v):
+    """The point terms with f evaluated one point at a time."""
+
+    def fx(x):
+        return float(f.fn(x))
+
+    def gap(lo, hi, w):
+        return (1.0 - w) * fx(lo) + w * fx(hi) - fx(cvx.node_point(lo, hi, w))
+
+    n = cvx.node_point(a, b, v)
+    m1 = cvx.node_point(a, b, v / 2.0)
+    m2 = cvx.node_point(a, b, (1.0 + v) / 2.0)
+    ends = (1.0 - v) * fx(a) + v * fx(b)
+    lo_w, hi_w = sc.min_weight(v), sc.max_weight(v)
+    return {
+        "endpoint_average": ends,
+        "midpoint_estimate": (1.0 - v) * fx(m1) + v * fx(m2),
+        "trapezoid_estimate": 0.5 * (ends + fx(n)),
+        "convexity_gap": ends - fx(n),
+        "sharp_lower": fx(n) + 2.0 * lo_w * gap(m1, m2, 0.5),
+        "sharp_upper": ends - lo_w * gap(a, b, 0.5),
+        "maxweight_lower": fx(n) + 2.0 * hi_w * gap(m1, m2, 0.5),
+        "maxweight_upper": ends - hi_w * gap(a, b, 0.5),
+    }
+
+
+@pytest.mark.parametrize("f", ALL_FNS, ids=lambda f: f.name)
+def test_point_terms_equal_pointwise_evaluation(f):
+    # one vector evaluation of f gives the same bits as one call per point
+    rng = np.random.default_rng(2001)
+    for _ in range(200):
+        a, b = np.sort(np.exp(rng.uniform(-3.0, 3.0, 2)))
+        v = float(rng.choice([0.0, 0.5, 1.0, rng.uniform()]))
+        expected = pointwise_terms(f, float(a), float(b), v)
+        got = {name: getattr(cvx, name)(f, float(a), float(b), v) for name in POINT_TERMS}
+        assert got == expected
+
+
+class TestEvaluationCount:
+    """f.fn is evaluated once for all chain points of a call."""
+
+    @staticmethod
+    def counting_square():
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return SQUARE.fn(t)
+
+        return dataclasses.replace(SQUARE, fn=fn), calls
+
+    @pytest.mark.parametrize(
+        "func, expected",
+        [(getattr(cvx, name), 1) for name in POINT_TERMS]
+        + [
+            (cvx.gap_sandwich_check, 2),
+            (cvx.refined_gap_check, 2),
+            # one for the chain points, 2 x 2 quadrature levels, 3 for the convexity spot check
+            (cvx.chain_eval, 8),
+            (bnd.deriv_gap_bounds, 5),
+            (bnd.curvature_gap_bounds, 5),
+        ],
+        ids=lambda x: getattr(x, "__name__", str(x)),
+    )
+    def test_fn_calls_on_square(self, func, expected):
+        f, calls = self.counting_square()
+        func(f, 1.0, 2.0, 0.3)
+        assert len(calls) == expected

@@ -86,6 +86,22 @@ class TestPartitionInvariance:
         assert merged.min_slacks == full.min_slacks
         assert merged.failures == full.failures
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nan_slacks_merge_in_any_order(self):
+        # exp overflows on this range, so some gap slacks read NaN
+        cfg = harness.SuiteConfig(seed=1, trials=30, a_range=(1.0, 2000.0),
+                                  b_range=(1.0, 2000.0))
+        full = harness.run_scalar_suite(cfg)
+        left = harness.run_scalar_suite(cfg, start=0, count=15)
+        right = harness.run_scalar_suite(cfg, start=15)
+
+        def slacks(rep):
+            return {key: repr(val) for key, val in rep.min_slacks.items()}
+
+        assert "nan" in slacks(full).values()
+        assert slacks(harness.merge_reports(left, right)) == slacks(full)
+        assert slacks(harness.merge_reports(right, left)) == slacks(full)
+
     def test_merge_rejects_mismatched(self):
         a = harness.run_scalar_suite(small_cfg(trials=2))
         b = harness.run_bounds_suite(small_cfg(trials=2))
@@ -124,6 +140,20 @@ class TestFailureRecords:
             assert set(record) == {"trial", "check", "inputs", "error"}
             single = runner(cfg, record["trial"], 1)
             assert record in single.failures
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_reports_are_strict_json(self):
+        cfg = harness.SuiteConfig(seed=1, trials=30, a_range=(1.0, 2000.0),
+                                  b_range=(1.0, 2000.0))
+        rep = harness.run_scalar_suite(cfg)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(rep.to_json(), parse_constant=reject)
+        nan_keys = [key for key, val in rep.min_slacks.items() if val != val]
+        assert nan_keys
+        assert all(payload["min_slacks"][key] == "nan" for key in nan_keys)
 
     def test_min_slacks_keys_present(self):
         rep = harness.run_scalar_suite(small_cfg(trials=12))

@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = means_sub.add_parser("chain", help="five-term mean chain")
     p.add_argument("--chain", choices=("log", "identric"), default="log")
     _add_abv(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float)
     _finish(p, _cmd_means_chain)
 
     hh = top.add_parser("hh", help="convex-function refinement chain")
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = hh_sub.add_parser("chain", help="seven-term chain for a builtin function")
     p.add_argument("--f", choices=FUNCTION_CHOICES, required=True)
     _add_abv(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float)
     _finish(p, _cmd_hh_chain)
     p = hh_sub.add_parser("c", help="split integral average of a builtin function")
     p.add_argument("--f", choices=FUNCTION_CHOICES, required=True)
@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if takes_f:
             p.add_argument("--f", choices=FUNCTION_CHOICES, required=True)
         _add_abv(p)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float)
         _finish(p, _cmd_bounds, which=name)
 
     op = top.add_parser("op", help="operator (SPD matrix) means")
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = op_sub.add_parser("chain", help="five-term operator chain in the Loewner order")
     p.add_argument("--file", required=True, help='JSON file {"A": {...}, "B": {...}}')
     p.add_argument("--v", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float)
     _finish(p, _cmd_op_chain)
     p = op_sub.add_parser("eval", help="evaluate one operator mean")
     p.add_argument("--file", required=True)
@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = verify_sub.add_parser(name)
         p.add_argument("--seed", type=int, default=seed)
         p.add_argument("--trials", type=int, default=trials)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float)
         p.add_argument("--timing", action="store_true",
                        help="include measured wall_ms (breaks byte-for-byte determinism)")
         _finish(p, _cmd_verify, runner=runner)
@@ -140,18 +140,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tol(args, keys=("tol",)) -> dict:
+    """``--tol`` under each of ``keys`` if it was given; otherwise nothing,
+    so the library default holds."""
+    return {} if args.tol is None else dict.fromkeys(keys, args.tol)
+
+
 def _cmd_means_eval(args):
     return {"value": SCALAR_MEANS[args.mean](args.a, args.b, args.v)}
 
 
 def _cmd_means_chain(args):
     fn = sc.logarithmic_chain if args.chain == "log" else sc.identric_chain
-    return fn(args.a, args.b, args.v, tol=args.tol).to_dict()
+    return fn(args.a, args.b, args.v, **_tol(args)).to_dict()
 
 
 def _cmd_hh_chain(args):
     f = cvx.get_builtin(args.f)
-    return cvx.chain_eval(f, args.a, args.b, args.v, tol=args.tol).to_dict()
+    return cvx.chain_eval(f, args.a, args.b, args.v, **_tol(args)).to_dict()
 
 
 def _cmd_hh_c(args):
@@ -161,8 +167,7 @@ def _cmd_hh_c(args):
 def _cmd_bounds(args):
     takes_f, producer = harness.BOUNDS_CHECKS[args.which]
     head = (cvx.get_builtin(args.f),) if takes_f else ()
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    reports = getattr(bnd, producer)(*head, args.a, args.b, args.v, **kwargs)
+    reports = getattr(bnd, producer)(*head, args.a, args.b, args.v, **_tol(args))
     return {
         "reports": [rep.to_dict() for rep in reports],
         "pass": all(rep.passed for rep in reports),
@@ -183,7 +188,7 @@ def _load_matrix_pair(path):
 
 def _cmd_op_chain(args):
     mat_a, mat_b = _load_matrix_pair(args.file)
-    report = ops.operator_chain(mat_a, mat_b, args.v, tol=args.tol)
+    report = ops.operator_chain(mat_a, mat_b, args.v, **_tol(args))
     out = {"dim": mat_a.dim, "v": args.v}
     out.update(report.to_dict())
     return out
@@ -195,10 +200,8 @@ def _cmd_op_eval(args):
 
 
 def _cmd_verify(args):
-    overrides = {"seed": args.seed, "trials": args.trials}
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    return args.runner(harness.SuiteConfig(**overrides)).to_dict(include_timing=args.timing)
+    cfg = harness.SuiteConfig(seed=args.seed, trials=args.trials, **_tol(args, ("tol", "op_tol")))
+    return args.runner(cfg).to_dict(include_timing=args.timing)
 
 
 def _cmd_paper_numbers(args):

@@ -20,8 +20,9 @@ from . import convex as cvx
 from . import operators as ops
 from . import scalar as sc
 from .quadrature import QuadratureError
+from .reports import Report
 
-DEFAULT_FUNCTIONS = ("exp", "neg-log", "square", "quartic", "xlogx")
+DEFAULT_FUNCTIONS = tuple(cvx.BUILTINS)
 
 _U64 = (1 << 64) - 1
 
@@ -78,7 +79,7 @@ class SuiteConfig:
 
 
 @dataclass
-class SuiteReport:
+class SuiteReport(Report):
     suite: str
     seed: int
     trials: int
@@ -91,14 +92,10 @@ class SuiteReport:
         return not self.failures
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "failures": _strict_json(self.failures),
-            "min_slacks": _strict_json(self.min_slacks),
-            "wall_ms": self.wall_ms if include_timing else None,
-        }
+        out = _strict_json(super().to_dict())
+        if not include_timing:
+            out["wall_ms"] = None
+        return out
 
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_dict(include_timing), indent=2)

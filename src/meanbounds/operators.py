@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .reports import ChainReport
+from .reports import ChainReport, Report
 from .scalar import check_weight, log_mean_unit
 
 OPERATOR_CHAIN_LABELS = (
@@ -53,14 +53,14 @@ class SpdMatrix:
 
     __slots__ = ("_m",)
 
-    def __init__(self, entries, tol: float = SYMMETRY_TOL):
+    def __init__(self, entries):
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError(f"entries must form a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         scale = float(np.max(np.abs(m)))
-        if float(np.max(np.abs(m - m.T))) > tol * max(scale, np.finfo(float).tiny):
+        if float(np.max(np.abs(m - m.T))) > SYMMETRY_TOL * max(scale, np.finfo(float).tiny):
             raise ValueError("matrix is not symmetric within tolerance")
         m = _sym(m)
         eigvals = np.linalg.eigvalsh(m)
@@ -97,7 +97,7 @@ class SpdMatrix:
 
 
 @dataclass(frozen=True)
-class LoewnerVerdict:
+class LoewnerVerdict(Report):
     """Outcome of a positive-semidefiniteness test on a difference.
 
     ``holds`` iff ``min_eig_of_difference >= -tol_used`` where tol_used is
@@ -108,13 +108,6 @@ class LoewnerVerdict:
     min_eig_of_difference: float
     tol_used: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "min_eig_of_difference": self.min_eig_of_difference,
-            "tol_used": self.tol_used,
-            "holds": self.holds,
-        }
 
 
 def _as_entries(x) -> np.ndarray:
@@ -233,16 +226,14 @@ class OperatorChainReport:
     def min_eigs(self) -> tuple[float, ...]:
         return tuple(vd.min_eig_of_difference for vd in self.verdicts)
 
-    def to_dict(self, include_terms: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The report without its matrices, each verdict as a nested object."""
+        return {
             "labels": list(self.labels),
             "verdicts": [vd.to_dict() for vd in self.verdicts],
             "tol_used": self.tol_used,
             "pass": self.passed,
         }
-        if include_terms:
-            out["terms"] = [t.tolist() for t in self.terms]
-        return out
 
 
 def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10) -> OperatorChainReport:

@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+
+class Report:
+    """Base of the report dataclasses: ``to_dict`` is the report's fields in
+    declaration order, tuples written as lists and ``passed`` as ``pass``."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            out["pass" if fld.name == "passed" else fld.name] = (
+                list(value) if isinstance(value, tuple) else value
+            )
+        return out
 
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Report):
     """Evaluated terms of an inequality chain with pairwise slacks.
 
     ``slacks[i] = values[i+1] - values[i]``; the chain passes when every
@@ -37,22 +51,9 @@ class ChainReport:
     def scale(self) -> float:
         return max(abs(x) for x in self.values)
 
-    def min_slack(self) -> float:
-        return min(self.slacks)
-
-    def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "values": list(self.values),
-            "slacks": list(self.slacks),
-            "tol_used": self.tol_used,
-            "pass": self.passed,
-            "certified": self.certified,
-        }
-
 
 @dataclass(frozen=True)
-class GapBoundReport:
+class GapBoundReport(Report):
     """A gap quantity together with its proven lower and upper bounds.
 
     Passes when ``lower_bound - tol*scale <= gap <= upper_bound + tol*scale``.
@@ -70,12 +71,10 @@ class GapBoundReport:
     passed: bool
 
     @classmethod
-    def build(cls, name, gap, lower, upper, tol, scale=None):
+    def build(cls, name, gap, lower, upper, tol, scale):
         gap = float(gap)
         lower = float(lower)
         upper = float(upper)
-        if scale is None:
-            scale = max(abs(gap), abs(lower), abs(upper))
         scale = float(scale)
         passed = (lower - tol * scale) <= gap <= (upper + tol * scale)
         return cls(str(name), gap, lower, upper, float(tol), scale, passed)
@@ -85,14 +84,3 @@ class GapBoundReport:
 
     def slack_upper(self) -> float:
         return self.upper_bound - self.gap
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "gap": self.gap,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "tol_used": self.tol_used,
-            "scale": self.scale,
-            "pass": self.passed,
-        }

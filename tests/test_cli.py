@@ -244,6 +244,12 @@ class TestVerify:
         code, payload, _ = run_json(capsys, "verify", "operator", "--trials", "2")
         assert code == 0 and payload["failures"] == []
 
+    def test_operator_tol_reaches_the_chains(self, capsys):
+        code, payload, _ = run_json(capsys, "verify", "operator", "--trials", "1",
+                                    "--tol=-1")
+        assert code == 1
+        assert "op_chain" in {rec["check"] for rec in payload["failures"]}
+
     def test_forced_failure_exits_1(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "scalar", "--trials", "5",
                                     "--tol=-1e-3")

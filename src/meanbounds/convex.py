@@ -262,6 +262,12 @@ def trapezoid_estimate(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     return _terms(f, a, b, v).trapezoid
 
 
+# [(f, key, value)] of the last split average, shared by the two gap bounds of
+# an instance; f is held and matched by identity.  The key adds what == misses
+# and can move bits: the types of a and b (float32) and the signs of a and v.
+_last_split_avg = [(None, None, None)]
+
+
 def split_integral_avg(
     f: ConvexFnSpec, a: float, b: float, v: float, quad: QuadConfig | None = None
 ) -> float:
@@ -274,10 +280,16 @@ def split_integral_avg(
     """
     v = check_weight(v)
     require_ordered_interval(f, a, b)
+    key = (a, b, v, quad, type(a), type(b), math.copysign(1.0, a), math.copysign(1.0, v))
+    held_f, held_key, value = _last_split_avg[0]
+    if held_f is f and held_key == key:
+        return value
     n = node_point(a, b, v)
     first = integrate(lambda t: f.fn(a + v * (b - a) * t), 0.0, 1.0, quad)
     second = integrate(lambda t: f.fn(n + (1.0 - v) * (b - a) * t), 0.0, 1.0, quad)
-    return (1.0 - v) * first + v * second
+    value = (1.0 - v) * first + v * second
+    _last_split_avg[0] = (f, key, value)
+    return value
 
 
 def convexity_gap(f: ConvexFnSpec, a: float, b: float, v: float) -> float:

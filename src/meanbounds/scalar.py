@@ -114,7 +114,7 @@ def log_mean_unit(t, v):
     """
     v = check_weight(v)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(t_arr)) or np.any(t_arr <= 0.0):
+    if not (np.isfinite(t_arr) & (t_arr > 0.0)).all():
         raise ValueError("log_mean_unit needs finite positive arguments")
     if v == 0.0:
         out = np.ones_like(t_arr)
@@ -147,7 +147,7 @@ def identric_unit_log(r):
     with rho = log r; series rho/2 + rho^2/12 below the switch.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(~np.isfinite(r_arr)) or np.any(r_arr <= 0.0):
+    if not (np.isfinite(r_arr) & (r_arr > 0.0)).all():
         raise ValueError("identric_unit_log needs finite positive arguments")
     rho = np.log(r_arr)
     small = np.abs(rho) < H_SWITCH
@@ -182,11 +182,8 @@ def log_weighted_identric(a, b, v) -> float:
     if abs(h) < H_SWITCH:
         return math.log(weighted_arithmetic(a, b, v))
     n = 1.0 + v * (t - 1.0)
-    return (
-        math.log(a)
-        + (1.0 - v) * identric_unit_log(n)
-        + v * (math.log(n) + identric_unit_log(t / n))
-    )
+    left, right = identric_unit_log(np.array([n, t / n])).tolist()
+    return math.log(a) + (1.0 - v) * left + v * (math.log(n) + right)
 
 
 def weighted_identric(a, b, v) -> float:

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -385,3 +388,82 @@ class TestEvaluationCount:
         f, calls = self.counting_square()
         func(f, 1.0, 2.0, 0.3)
         assert len(calls) == expected
+
+
+class TestSplitAverageMemo:
+    """Repeated split averages of one instance are computed once and reused,
+    and any change of f, a, b, v or quad computes afresh."""
+
+    @staticmethod
+    def fresh(f, *args):
+        # a copy of f is a new identity, so nothing memoized can answer
+        return cvx.split_integral_avg(dataclasses.replace(f), *args)
+
+    def test_interleaved_calls_equal_fresh_computations(self):
+        wavy = dataclasses.replace(EXP, fn=lambda t: np.exp(t) + 0.1 * np.square(t))
+        coarse = QuadConfig(rel_tol=1e-6)
+        calls = [
+            (EXP, 1.0, 2.0, 0.3, None),
+            (wavy, 1.0, 2.0, 0.3, None),
+            (EXP, 1.0, 2.0, 0.3, coarse),
+            (EXP, 1.0, 2.0, 0.7, None),
+            (EXP, 1.0, 2.0, 0.3, None),
+            (EXP, 1.0, 2.5, 0.3, None),
+            (EXP, 0.5, 2.0, 0.3, None),
+            (EXP, 1.0, 2.0, 0.3, None),
+        ]
+        expected = [self.fresh(*call) for call in calls]
+        for _ in range(2):
+            assert [cvx.split_integral_avg(*call) for call in calls] == expected
+        assert len(set(expected)) > 4
+
+    def test_float32_endpoints_are_not_taken_for_floats(self):
+        a32, b32 = np.float32(0.1), np.float32(0.7)
+        narrow = self.fresh(EXP, a32, b32, 0.3)
+        wide = self.fresh(EXP, float(a32), float(b32), 0.3)
+        assert narrow != wide  # float32 arithmetic rounds b - a differently
+        assert cvx.split_integral_avg(EXP, a32, b32, 0.3) == narrow
+        assert cvx.split_integral_avg(EXP, float(a32), float(b32), 0.3) == wide
+        assert cvx.split_integral_avg(EXP, a32, b32, 0.3) == narrow
+
+    def test_signed_zeros_are_told_apart(self):
+        # with v = -0.0 the node keeps the sign of a zero a
+        signed = cvx.ConvexFnSpec("signed", lambda t: np.square(t) + np.signbit(t))
+        cases = [(0.0, 1.0, -0.0), (-0.0, 1.0, -0.0), (0.0, 1.0, 0.0), (-0.0, 1.0, 0.0)]
+        expected = [self.fresh(signed, *case) for case in cases]
+        assert len(set(expected)) == 2
+        for i, j in itertools.product(range(len(cases)), repeat=2):
+            assert cvx.split_integral_avg(signed, *cases[i]) == expected[i]
+            assert cvx.split_integral_avg(signed, *cases[j]) == expected[j], (cases[i], cases[j])
+
+    def test_unhashable_spec_field(self):
+        listed = dataclasses.replace(NEG_LOG, domain=[0.0, math.inf])
+        with pytest.raises(TypeError):
+            hash(listed)
+        funcs = (bnd.deriv_gap_bounds, bnd.curvature_gap_bounds)
+        want = [[r.to_dict() for r in func(NEG_LOG, 1.0, 3.0, 0.4)] for func in funcs]
+        got = [[r.to_dict() for r in func(listed, 1.0, 3.0, 0.4)] for func in funcs]
+        assert got == want
+
+    def test_threads_sharing_the_memo_get_their_own_values(self):
+        cases = [(f, 1.0, 2.0 + k, 0.15 * (k + 1)) for k, f in enumerate(ALL_FNS)]
+        expected = [self.fresh(*case) for case in cases]
+        wrong = []
+
+        def work(case, want):
+            for _ in range(100):
+                if cvx.split_integral_avg(*case) != want:
+                    wrong.append(case)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=pair) for pair in zip(cases, expected)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

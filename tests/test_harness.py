@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from meanbounds import convex as cvx
 from meanbounds import harness
 
 
@@ -207,6 +208,25 @@ class TestSuitesPass:
         rep = harness.run_scalar_suite(cfg)
         assert rep.passed, rep.failures[:2]
         assert 0.0 <= rep.min_slacks["hh_chain.3"] < 1e-6
+
+
+class TestIntegrateCalls:
+    """Quadrature runs per trial: the bounds suite's two gap checks share one
+    split average, so each suite integrates twice per trial."""
+
+    @pytest.mark.parametrize("run", [harness.run_bounds_suite, harness.run_scalar_suite],
+                             ids=lambda run: run.__name__)
+    def test_two_integrate_calls_per_trial(self, run, monkeypatch):
+        calls = []
+        integrate = cvx.integrate
+        # forget a split average memoized by an earlier test
+        monkeypatch.setattr(cvx, "_last_split_avg", [(None, None, None)], raising=False)
+        monkeypatch.setattr(cvx, "integrate", lambda *args: calls.append(args) or integrate(*args))
+        cfg = harness.SuiteConfig(seed=42, trials=10)
+        for trial in range(cfg.trials):
+            calls.clear()
+            assert run(cfg, trial, 1).passed
+            assert len(calls) == 2, trial
 
 
 class TestReferenceValues:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from meanbounds import quadrature
 from meanbounds.quadrature import QuadConfig, QuadratureError, integrate
 
 
@@ -68,3 +73,35 @@ def test_rejects_nonfinite_values():
 def test_rejects_nonfinite_limits():
     with pytest.raises(ValueError):
         integrate(np.exp, 0.0, math.inf)
+
+
+class TestAbscissaeMemo:
+    """Abscissae are built once per interval and level; the memo stays bounded."""
+
+    def test_integrand_writing_into_its_input_cannot_corrupt_the_memo(self):
+        def doubling(t):
+            t *= 2.0
+            return t
+
+        integrate(np.exp, 0.0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            integrate(doubling, 0.0, 1.0)
+        code = "import numpy as np; from meanbounds.quadrature import integrate; " \
+               "print(repr(integrate(np.exp, 0.0, 1.0)))"
+        env = dict(os.environ, PYTHONPATH=str(Path(quadrature.__file__).resolve().parents[1]))
+        fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True, timeout=120).stdout.strip()
+        assert repr(integrate(np.exp, 0.0, 1.0)) == fresh
+
+    def test_deep_levels_are_not_kept(self):
+        quadrature._abscissae.cache_clear()
+        step = lambda t: np.where(t < 1.0 / 3.0, 0.0, 1.0)
+        with pytest.raises(QuadratureError):
+            integrate(step, 0.0, 1.0, QuadConfig(rel_tol=1e-14, max_levels=20))
+        # one entry per level up to the cap, none for levels 9-20
+        assert quadrature._abscissae.cache_info().currsize == quadrature._MEMO_MAX_LEVEL + 1
+
+    def test_memo_holds_about_one_megabyte_at_most(self):
+        largest_entry = 7 * (1 << quadrature._MEMO_MAX_LEVEL) * 8
+        assert quadrature._abscissae.cache_info().maxsize == quadrature._MEMO_MAX_ENTRIES
+        assert quadrature._MEMO_MAX_ENTRIES * largest_entry <= 1 << 20

@@ -166,6 +166,56 @@ class TestValidation:
             sc.weighted_logarithmic(math.inf, 1.0, 0.5)
 
 
+class TestKernelTrims:
+    """One kernel call for both identric pieces, one reduction per input check."""
+
+    @staticmethod
+    def two_call_form(a, b, v):
+        # log_weighted_identric with one 0-d identric_unit_log call per piece
+        if v > 0.5:
+            a, b, v = b, a, 1.0 - v
+        t = b / a
+        if abs(math.log(t)) < sc.H_SWITCH:
+            return math.log(sc.weighted_arithmetic(a, b, v))
+        n = 1.0 + v * (t - 1.0)
+        return (
+            math.log(a)
+            + (1.0 - v) * sc.identric_unit_log(n)
+            + v * (math.log(n) + sc.identric_unit_log(t / n))
+        )
+
+    def test_log_weighted_identric_matches_two_call_form(self):
+        rng = np.random.default_rng(2020)
+        near = sc.H_SWITCH * np.array([0.5, 0.99, 0.999999, 1.000001, 1.01, 2.0, 100.0])
+        draws = 0
+        for _ in range(200):
+            a = float(np.exp(rng.uniform(-7.0, 7.0)))
+            hs = np.concatenate([rng.uniform(-9.0, 9.0, 3), near, -near])
+            for h in hs:
+                b = a * math.exp(h)
+                for v in (float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.5, 1.0)), 0.5):
+                    got = sc.log_weighted_identric(a, b, v)
+                    assert type(got) is float
+                    assert got == self.two_call_form(a, b, v), (a, b, v)
+                    draws += 1
+        assert draws >= 1000
+
+    BAD = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [(lambda t: sc.log_mean_unit(t, 0.3), "log_mean_unit needs finite positive arguments"),
+         (sc.identric_unit_log, "identric_unit_log needs finite positive arguments")],
+        ids=["log_mean_unit", "identric_unit_log"],
+    )
+    def test_input_check_messages(self, kernel, message, bad):
+        for arg in (bad, np.float64(bad), np.array(bad), np.array([1.0, bad, 2.0]),
+                    np.array([[2.0], [bad]])):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                kernel(arg)
+
+
 pos = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 wt = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
 

@@ -140,6 +140,10 @@ class _Collector:
             self.min_slacks[key] = value
 
     def fail(self, trial: int, check: str, inputs: dict, **extra):
+        """Record a failed check.  A failure whose numbers are not finite (f
+        overflowed) is a numeric error, raised for the trial loop to record."""
+        if not all(math.isfinite(x) for x in extra.values() if isinstance(x, float)):
+            raise FloatingPointError(f"{check} terms are not finite")
         record = {"trial": trial, "check": check, "inputs": inputs}
         record.update(extra)
         self.failures.append(record)
@@ -358,12 +362,12 @@ def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteRep
         mat_b = random_spd(rng, dim)
         v = _draw_weight(rng, cfg)
         report = ops.operator_chain(mat_a, mat_b, v, tol=cfg.op_tol)
-        for idx, vd in enumerate(report.verdicts, start=1):
-            col.note(f"op_chain.{idx}", vd.min_eig_of_difference)
+        for idx, margin in enumerate(report.margins(), start=1):
+            col.note(f"op_chain.{idx}", margin)
         if not report.passed:
             inputs = {"dim": dim, "v": v, "A": mat_a.entries.tolist(),
                       "B": mat_b.entries.tolist()}
-            col.fail(i, "op_chain", inputs, min_eigs=list(report.min_eigs()))
+            col.fail(i, "op_chain", inputs, margins=list(report.margins()))
     if 0 in indices:
         _representing_grid(col, cfg)
     wall = (time.perf_counter() - t0) * 1e3

@@ -7,15 +7,16 @@ from dataclasses import dataclass, fields
 
 class Report:
     """Base of the report dataclasses: ``to_dict`` is the report's fields in
-    declaration order, tuples written as lists and ``passed`` as ``pass``."""
+    declaration order, tuples written as lists (a report in one as its dict)
+    and ``passed`` as ``pass``; a field declared ``repr=False`` is left out."""
 
     def to_dict(self) -> dict:
         out = {}
-        for fld in fields(self):
+        for fld in [f for f in fields(self) if f.repr]:
             value = getattr(self, fld.name)
-            out["pass" if fld.name == "passed" else fld.name] = (
-                list(value) if isinstance(value, tuple) else value
-            )
+            if isinstance(value, tuple):
+                value = [x.to_dict() if isinstance(x, Report) else x for x in value]
+            out["pass" if fld.name == "passed" else fld.name] = value
         return out
 
 

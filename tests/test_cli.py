@@ -182,7 +182,7 @@ class TestOp:
         assert code == 0
         assert payload["pass"] is True
         assert len(payload["verdicts"]) == 4
-        assert list(payload["verdicts"][0]) == ["min_eig_of_difference", "tol_used", "holds"]
+        assert list(payload["verdicts"][0]) == ["margin", "eigenvalue", "tol_used", "holds"]
 
     def test_eval(self, capsys, pair_file):
         code, payload, _ = run_json(

@@ -143,6 +143,16 @@ class TestFailureRecords:
             assert record in single.failures
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_a_numeric_error_not_a_violation(self):
+        # exp overflows on this range: every check that meets it, the point
+        # gap checks included, records an error rather than a violated inequality
+        cfg = harness.SuiteConfig(seed=1, trials=60, a_range=(1.0, 2000.0),
+                                  b_range=(1.0, 2000.0))
+        rep = harness.run_scalar_suite(cfg)
+        assert {r["check"] for r in rep.failures} == {"hh_chain", "gap_sandwich", "refined_gap"}
+        assert all("error" in r for r in rep.failures)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_reports_are_strict_json(self):
         cfg = harness.SuiteConfig(seed=1, trials=30, a_range=(1.0, 2000.0),
                                   b_range=(1.0, 2000.0))

@@ -213,7 +213,7 @@ class TestOperatorChain:
         for _ in range(50):
             a, b = random_pair(rng, 5)
             rep = ops.operator_chain(a, b, 0.3, tol=1e-10)
-            assert rep.passed, rep.min_eigs()
+            assert rep.passed, rep.margins()
 
     def test_terms_bitwise_symmetric(self):
         rng = np.random.default_rng(10)
@@ -227,6 +227,60 @@ class TestOperatorChain:
         scalar_rep = sc.logarithmic_chain(2.0, 5.0, 0.6)
         assert [t[0, 0] for t in rep.terms] == pytest.approx(list(scalar_rep.values),
                                                              rel=1e-14)
+
+
+class TestSpectralVerdicts:
+    """The chain's verdicts come from the congruence spectrum alone."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_two_eigen_solves_per_chain(self, dim, monkeypatch):
+        a, b = random_pair(np.random.default_rng(dim), dim)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, *args, _solve=solve: calls.append(m) or _solve(m, *args))
+        assert ops.operator_chain(a, b, 0.3).passed
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("tol", [1e-10, -1e-3, -3e-2])
+    def test_verdict_is_the_representing_chain_at_every_eigenvalue(self, tol):
+        # a negative tolerance demands a positive slack, so links fail as well
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for dim in (2, 3, 5, 8):
+            for _ in range(25):
+                a, b = random_pair(rng, dim)
+                v = float(rng.uniform(0.01, 0.99))
+                rep = ops.operator_chain(a, b, v, tol=tol)
+                lam, _ = ops._congruence_spectrum(a, b)
+                chains = [ops.representing_chain(x, v, tol) for x in lam]
+                for k, vd in enumerate(rep.verdicts):
+                    links = [c.slacks[k] >= -c.tol_used * c.scale for c in chains]
+                    assert vd.holds == all(links)
+                    assert vd.holds == (vd.margin >= -vd.tol_used)
+                    assert vd.eigenvalue in lam
+                    outcomes.add(vd.holds)
+        assert outcomes == ({True} if tol > 0 else {True, False})
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_matrix_domain_loewner_agrees(self, dim):
+        # 2000 pairs at the suite's conditioning plus 200 at condition up to
+        # 1e8, each link tested both ways round; pair i is (M_i, M_{i+1})
+        rng = np.random.default_rng(2000 + dim)
+        for cond_half, pairs in ((2.0, 2000), (4.0, 200)):
+            mat_b = harness.random_spd(rng, dim, cond_half)
+            for _ in range(pairs):
+                mat_a, mat_b = mat_b, harness.random_spd(rng, dim, cond_half)
+                v = float(rng.uniform(0.01, 0.99))
+                rep = ops.operator_chain(mat_a, mat_b, v)
+                for k, vd in enumerate(rep.verdicts):
+                    lo, hi = rep.terms[k], rep.terms[k + 1]
+                    assert ops.loewner_leq(lo, hi, rep.tol_used).holds == vd.holds
+                    # reversed, the link fails spectrally at the reported
+                    # eigenvalue, whose slack exceeds its tolerance; both fail
+                    assert vd.margin > vd.tol_used
+                    assert not ops.loewner_leq(hi, lo, rep.tol_used).holds
 
 
 class TestDiagonalReduction:

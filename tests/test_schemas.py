@@ -22,6 +22,7 @@ def _reports():
         scalar.logarithmic_chain(1.0, 2.0, 0.3),
         bounds.logmean_diff_reverse(1.0, 2.0, 0.3)[0],
         operators.loewner_leq(spd, spd),
+        operators.operator_chain(spd, spd, 0.3).verdicts[0],
         suite,
     )
 

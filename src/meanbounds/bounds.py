@@ -1,11 +1,11 @@
 """Derivative-based reverses and two-sided refinements of the chain gaps.
 
 For f with |f'| <= K on [a, b] both central gaps of the seven-term chain
-are bounded above by v(1-v) K (b-a)/2.  With curvature bounds
-m <= f'' <= M they are sandwiched two-sidedly with constants m/6, M/6
-(midpoint side) and m/3, M/3 (trapezoid side) times ((b-a)/2)^2.
-Specialized to f = exp and f = -log these become difference- and
-ratio-type bounds around the weighted logarithmic and identric means.
+are at most v(1-v) K (b-a)/2 (Theorem 3.2).  With m <= f'' <= M they are
+sandwiched with constants m/6, M/6 (midpoint side) and m/3, M/3 (trapezoid
+side) times v(1-v)((b-a)/2)^2 (Theorem 3.3).  The mean-level corollaries
+are these theorems at f = exp on [log a, log b], whose split integral
+average is L_v(a, b), and at f = -log on [a, b], where it is -log I_v(a, b).
 """
 
 from __future__ import annotations
@@ -18,20 +18,21 @@ from .convex import (
     ConvexFnSpec,
     _central_difference,
     _terms,
+    get_builtin,
     require_ordered_interval,
     split_integral_avg,
 )
-from .quadrature import QuadConfig, integrate
+from .quadrature import QuadConfig
 from .reports import GapBoundReport
-from .scalar import (
-    check_pair,
-    check_weight,
-    identric_chain_log_terms,
-    log_chain_terms,
-    log_weighted_identric,
-)
+from .scalar import check_pair, check_weight
 
 DERIV_GRID = 201
+_EXP = get_builtin("exp")
+_NEG_LOG = get_builtin("neg-log")
+_GAP_NAMES = ("integral_minus_midpoint", "trapezoid_minus_integral")
+_LOGMEAN_NAMES = ("logmean_minus_geommix", "avgmix_minus_logmean")
+_IDENTRIC_NAMES = ("log_arithmix_minus_identric", "log_identric_minus_geomix")
+_LOG_FLOOR = 1.0  # -log(x) at a rounded x is off by about eps, so log-domain scales stay >= 1
 
 
 def derivative_bounds(
@@ -74,10 +75,6 @@ def derivative_bounds(
     return big_k, m_raw - 0.01 * abs(m_raw), m_big_raw + 0.01 * abs(m_big_raw)
 
 
-def _resolve_K(f: ConvexFnSpec, a: float, b: float, K) -> float:
-    return float(K) if K is not None else derivative_bounds(f, a, b)[0]
-
-
 def _resolve_mM(f: ConvexFnSpec, a: float, b: float, m, M) -> tuple[float, float]:
     if m is not None and M is not None:
         return float(m), float(M)
@@ -105,7 +102,7 @@ def trapezoid_gap_bounds(
     """Two-sided bound on (f(a)+f(b))/2 minus the integral average."""
     require_ordered_interval(f, a, b)
     m, M = _resolve_mM(f, a, b, m, M)
-    avg = integrate(f.fn, a, b, quad) / (b - a)
+    avg = split_integral_avg(f, a, b, 0.5, quad)
     ends = 0.5 * (float(f.fn(a)) + float(f.fn(b)))
     quarter = ((b - a) / 2.0) ** 2
     scale = max(abs(avg), abs(ends), abs(m) * quarter, abs(M) * quarter)
@@ -126,12 +123,36 @@ def midpoint_gap_bounds(
     """Two-sided bound on the integral average minus f((a+b)/2)."""
     require_ordered_interval(f, a, b)
     m, M = _resolve_mM(f, a, b, m, M)
-    avg = integrate(f.fn, a, b, quad) / (b - a)
+    avg = split_integral_avg(f, a, b, 0.5, quad)
     midv = float(f.fn(0.5 * (a + b)))
     quarter = ((b - a) / 2.0) ** 2
     scale = max(abs(avg), abs(midv), abs(m) * quarter, abs(M) * quarter)
     return GapBoundReport.build(
         "midpoint_gap", avg - midv, m / 6.0 * quarter, M / 6.0 * quarter, tol, scale
+    )
+
+
+def _central_gaps(f, a, b, v, quad, tol, names, windows, bound_scale):
+    # a <= b, v and the derivative bounds already checked; one report per central gap
+    t = _terms(f, a, b, v)
+    c = split_integral_avg(f, a, b, v, quad) if a < b else t.node
+    scale = max(abs(c), abs(t.midpoint), abs(t.trapezoid), bound_scale)
+    return tuple(
+        GapBoundReport.build(name, gap, low, high, tol, scale)
+        for name, gap, (low, high) in zip(names, (c - t.midpoint, t.trapezoid - c), windows)
+    )
+
+
+def _thm32(f, a, b, v, big_k, quad, tol, names=_GAP_NAMES, floor=0.0):
+    bound = v * (1.0 - v) * big_k * (b - a) / 2.0
+    return _central_gaps(f, a, b, v, quad, tol, names, ((0.0, bound),) * 2, max(bound, floor))
+
+
+def _thm33(f, a, b, v, m, M, quad, tol, names=_GAP_NAMES, floor=0.0):
+    factor = v * (1.0 - v) * ((b - a) / 2.0) ** 2
+    windows = ((m / 6.0 * factor, M / 6.0 * factor), (m / 3.0 * factor, M / 3.0 * factor))
+    return _central_gaps(
+        f, a, b, v, quad, tol, names, windows, max(abs(m) * factor, abs(M) * factor, floor)
     )
 
 
@@ -144,22 +165,15 @@ def deriv_gap_bounds(
     K: float | None = None,
     tol: float = 1e-9,
 ) -> tuple[GapBoundReport, GapBoundReport]:
-    """K-bounds on the two central chain gaps.
+    """K-bounds on the two central chain gaps (Theorem 3.2).
 
     Both split_integral_avg - midpoint_estimate and
     trapezoid_estimate - split_integral_avg lie in [0, v(1-v) K (b-a)/2].
     """
     v = check_weight(v)
     require_ordered_interval(f, a, b)
-    big_k = _resolve_K(f, a, b, K)
-    c = split_integral_avg(f, a, b, v, quad)
-    t = _terms(f, a, b, v)
-    bound = v * (1.0 - v) * big_k * (b - a) / 2.0
-    scale = max(abs(c), abs(t.midpoint), abs(t.trapezoid), bound)
-    return (
-        GapBoundReport.build("integral_minus_midpoint", c - t.midpoint, 0.0, bound, tol, scale),
-        GapBoundReport.build("trapezoid_minus_integral", t.trapezoid - c, 0.0, bound, tol, scale),
-    )
+    big_k = float(K) if K is not None else derivative_bounds(f, a, b)[0]
+    return _thm32(f, a, b, v, big_k, quad, tol)
 
 
 def curvature_gap_bounds(
@@ -172,23 +186,10 @@ def curvature_gap_bounds(
     M: float | None = None,
     tol: float = 1e-9,
 ) -> tuple[GapBoundReport, GapBoundReport]:
-    """Two-sided curvature sandwiches for the two central chain gaps."""
+    """Two-sided curvature sandwiches for the two central chain gaps (Theorem 3.3)."""
     v = check_weight(v)
     require_ordered_interval(f, a, b)
-    m, M = _resolve_mM(f, a, b, m, M)
-    c = split_integral_avg(f, a, b, v, quad)
-    t = _terms(f, a, b, v)
-    low, high = c - t.midpoint, t.trapezoid - c
-    factor = v * (1.0 - v) * ((b - a) / 2.0) ** 2
-    scale = max(abs(c), abs(t.midpoint), abs(t.trapezoid), abs(m) * factor, abs(M) * factor)
-    return (
-        GapBoundReport.build(
-            "integral_minus_midpoint", low, m / 6.0 * factor, M / 6.0 * factor, tol, scale
-        ),
-        GapBoundReport.build(
-            "trapezoid_minus_integral", high, m / 3.0 * factor, M / 3.0 * factor, tol, scale
-        ),
-    )
+    return _thm33(f, a, b, v, *_resolve_mM(f, a, b, m, M), quad, tol)
 
 
 def logmean_diff_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -198,13 +199,7 @@ def logmean_diff_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, G
     v(1-v) b log(b/a) / 2; requires b >= a.
     """
     a, b, v = _check_oriented(a, b, v)
-    _, mix, lv, avg, _ = log_chain_terms(a, b, v)
-    bound = v * (1.0 - v) * b * math.log(b / a) / 2.0
-    scale = max(lv, avg, bound)
-    return (
-        GapBoundReport.build("logmean_minus_geommix", lv - mix, 0.0, bound, tol, scale),
-        GapBoundReport.build("avgmix_minus_logmean", avg - lv, 0.0, bound, tol, scale),
-    )
+    return _thm32(_EXP, math.log(a), math.log(b), v, b, None, tol, _LOGMEAN_NAMES)
 
 
 def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -214,17 +209,7 @@ def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport
     analogous /12 sandwich for avgmix - L; requires b >= a.
     """
     a, b, v = _check_oriented(a, b, v)
-    _, mix, lv, avg, _ = log_chain_terms(a, b, v)
-    log2 = math.log(b / a) ** 2
-    lo1 = v * (1.0 - v) * a / 24.0 * log2
-    hi1 = v * (1.0 - v) * b / 24.0 * log2
-    lo2 = v * (1.0 - v) * a / 12.0 * log2
-    hi2 = v * (1.0 - v) * b / 12.0 * log2
-    scale = max(lv, avg, hi2)
-    return (
-        GapBoundReport.build("logmean_minus_geommix", lv - mix, lo1, hi1, tol, scale),
-        GapBoundReport.build("avgmix_minus_logmean", avg - lv, lo2, hi2, tol, scale),
-    )
+    return _thm33(_EXP, math.log(a), math.log(b), v, a, b, None, tol, _LOGMEAN_NAMES)
 
 
 def identric_ratio_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -234,14 +219,7 @@ def identric_ratio_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport,
     requires b >= a.  Gaps and bounds are reported on logarithms.
     """
     a, b, v = _check_oriented(a, b, v)
-    _, geo_log, mix_log, _ = identric_chain_log_terms(a, b, v)
-    iv_log = log_weighted_identric(a, b, v)
-    x = v * (1.0 - v) * (b - a) / (2.0 * a)
-    scale = max(abs(mix_log), abs(iv_log), abs(geo_log), x, 1.0)
-    return (
-        GapBoundReport.build("log_arithmix_minus_identric", mix_log - iv_log, 0.0, x, tol, scale),
-        GapBoundReport.build("log_identric_minus_geomix", iv_log - geo_log, 0.0, x, tol, scale),
-    )
+    return _thm32(_NEG_LOG, a, b, v, 1.0 / a, None, tol, _IDENTRIC_NAMES, _LOG_FLOOR)
 
 
 def identric_ratio_refinement(
@@ -254,15 +232,5 @@ def identric_ratio_refinement(
     the geometric mix in the analogous /12 window; requires b >= a.
     """
     a, b, v = _check_oriented(a, b, v)
-    _, geo_log, mix_log, _ = identric_chain_log_terms(a, b, v)
-    iv_log = log_weighted_identric(a, b, v)
-    sq = v * (1.0 - v) * (b - a) ** 2
-    lo1 = sq / (24.0 * b * b)
-    hi1 = sq / (24.0 * a * a)
-    lo2 = sq / (12.0 * b * b)
-    hi2 = sq / (12.0 * a * a)
-    scale = max(abs(mix_log), abs(iv_log), abs(geo_log), hi2, 1.0)
-    return (
-        GapBoundReport.build("log_arithmix_minus_identric", mix_log - iv_log, lo1, hi1, tol, scale),
-        GapBoundReport.build("log_identric_minus_geomix", iv_log - geo_log, lo2, hi2, tol, scale),
-    )
+    m, M = 1.0 / (b * b), 1.0 / (a * a)
+    return _thm33(_NEG_LOG, a, b, v, m, M, None, tol, _IDENTRIC_NAMES, _LOG_FLOOR)

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadConfig, integrate
+from .quadrature import NonFiniteIntegrandError, QuadConfig, integrate
 from .reports import ChainReport
 from .scalar import check_weight, max_weight, min_weight
 
@@ -122,6 +122,27 @@ BUILTINS: dict[str, ConvexFnSpec] = {
         lambda t: 1.0 / np.asarray(t, dtype=float),
         domain=(0.0, math.inf),
         exact_bounds=_xlogx_bounds,
+    ),
+}
+
+
+def _neg_log_avg(p, q):
+    # -log I(p, q), I the identric mean; h / expm1(h) = 1 / L(1, e^h), L the logarithmic mean
+    h = math.log(q) - math.log(p)
+    return 1.0 - math.log(q) - (h * math.exp(-h) / -math.expm1(-h) if h > 0.0 else 1.0)
+
+
+# Exact integral averages over [p, q], p < q, of the builtins, matched to a spec by
+# the identity of its fn (a spec whose fn has been replaced integrates instead)
+_AVERAGES = {
+    id(BUILTINS["exp"].fn): lambda p, q: float(np.exp(q)) * -math.expm1(p - q) / (q - p),
+    id(BUILTINS["neg-log"].fn): _neg_log_avg,
+    id(BUILTINS["square"].fn): lambda p, q: (p * p + p * q + q * q) / 3.0,
+    id(BUILTINS["quartic"].fn): lambda p, q: (  # (p^4 + p^3 q + ... + q^4) / 5
+        (p * p + q * q) * (p * p + p * q + q * q) - p * p * q * q
+    ) / 5.0,
+    id(BUILTINS["xlogx"].fn): lambda p, q: (
+        0.5 * (q * math.log(q) - p * _neg_log_avg(p, q)) - 0.25 * (q - p)
     ),
 }
 
@@ -262,33 +283,29 @@ def trapezoid_estimate(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
     return _terms(f, a, b, v).trapezoid
 
 
-# [(f, key, value)] of the last split average, shared by the two gap bounds of
-# an instance; f is held and matched by identity.  The key adds what == misses
-# and can move bits: the types of a and b (float32) and the signs of a and v.
-_last_split_avg = [(None, None, None)]
-
-
 def split_integral_avg(
     f: ConvexFnSpec, a: float, b: float, v: float, quad: QuadConfig | None = None
 ) -> float:
-    """v-weighted mix of the two subinterval integral averages of f.
+    """v-weighted mix of the integral averages of f over [a, n] and [n, b].
 
-    Both integrals are evaluated in their unit-interval form
-    int_0^1 f(a + v (b-a) t) dt and int_0^1 f(n + (1-v)(b-a) t) dt, so the
-    quadrature independently confirms the change-of-variables identity
-    with the [a, n] / [n, b] averages.
+    A builtin takes them from its exact closed form (a piece of zero length
+    from f at its point).  Any other f integrates int_0^1 f(a + v (b-a) t) dt
+    and int_0^1 f(n + (1-v)(b-a) t) dt, which confirms the change of variables
+    independently.  A non-finite result raises NonFiniteIntegrandError.
     """
     v = check_weight(v)
     require_ordered_interval(f, a, b)
-    key = (a, b, v, quad, type(a), type(b), math.copysign(1.0, a), math.copysign(1.0, v))
-    held_f, held_key, value = _last_split_avg[0]
-    if held_f is f and held_key == key:
-        return value
     n = node_point(a, b, v)
-    first = integrate(lambda t: f.fn(a + v * (b - a) * t), 0.0, 1.0, quad)
-    second = integrate(lambda t: f.fn(n + (1.0 - v) * (b - a) * t), 0.0, 1.0, quad)
-    value = (1.0 - v) * first + v * second
-    _last_split_avg[0] = (f, key, value)
+    avg = _AVERAGES.get(id(f.fn))
+    if avg is None:
+        first = integrate(lambda t: f.fn(a + v * (b - a) * t), 0.0, 1.0, quad)
+        second = integrate(lambda t: f.fn(n + (1.0 - v) * (b - a) * t), 0.0, 1.0, quad)
+    else:
+        first, second = (avg(p, q) if p < q else float(f.fn(p)) for p, q in ((a, n), (n, b)))
+    # a piece of weight 0 (v at 0 or 1) is left out, so its overflow cannot poison the mix
+    value = sum(w * x for w, x in ((1.0 - v, first), (v, second)) if w)
+    if not math.isfinite(value):
+        raise NonFiniteIntegrandError("integrand returned non-finite values")
     return value
 
 

@@ -1,13 +1,13 @@
 """Adaptive composite Gauss-Legendre quadrature for smooth integrands.
 
 Seven-point panels, panel count doubled per level, convergence judged from
-the difference of consecutive levels.  The integrand must accept a
-read-only ndarray of abscissae and return one value per abscissa.
+the difference of consecutive levels.  The integrand must accept an ndarray
+of abscissae and return one value per abscissa.  Only user-supplied convex
+functions are integrated: the builtins have exact averages in ``convex``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -15,8 +15,6 @@ import numpy as np
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(7)
 _EPS = float(np.finfo(float).eps)
-# abscissae of levels up to 8 are built once per interval: 64 sets of <= 14 KB
-_MEMO_MAX_LEVEL, _MEMO_MAX_ENTRIES = 8, 64
 
 
 @dataclass(frozen=True)
@@ -55,17 +53,6 @@ class NonFiniteIntegrandError(ArithmeticError, ValueError):
     """The integrand returned NaN or an infinity: a numeric failure, also a ValueError."""
 
 
-@functools.lru_cache(maxsize=_MEMO_MAX_ENTRIES)
-def _abscissae(lo: float, hi: float, level: int) -> tuple[np.ndarray, float]:
-    n = 1 << level
-    edges = np.linspace(lo, hi, n + 1)
-    half = 0.5 * (hi - lo) / n
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    x = (centers[:, None] + half * _NODES[None, :]).ravel()
-    x.flags.writeable = False
-    return x, half
-
-
 def integrate(fn, lo: float, hi: float, config: QuadConfig | None = None) -> float:
     """Integral of ``fn`` over [lo, hi] to the configured relative tolerance."""
     cfg = config if config is not None else DEFAULT_QUAD
@@ -80,8 +67,10 @@ def integrate(fn, lo: float, hi: float, config: QuadConfig | None = None) -> flo
     total = math.nan
     err = math.inf
     for level in range(cfg.max_levels + 1):
-        build = _abscissae if level <= _MEMO_MAX_LEVEL else _abscissae.__wrapped__
-        x, half = build(lo, hi, level)
+        n = 1 << level
+        edges = np.linspace(lo, hi, n + 1)
+        half = 0.5 * (hi - lo) / n
+        x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _NODES[None, :]).ravel()
         fx = np.asarray(fn(x), dtype=float)
         if fx.shape != x.shape:
             raise ValueError("integrand must be vectorized over its input array")

@@ -236,32 +236,45 @@ class TestIdentricCorollaries:
 
 
 class TestSpecializationCoherence:
-    def test_cor31_matches_thm32_through_exp(self):
-        rng = np.random.default_rng(17)
+    """cor31/cor33 are thm32/thm33 at exp on [log a, log b], cor32/cor34 at -log on
+    [a, b]: gaps, bounds and tolerance are the theorem's, and so is the scale, which
+    the log-domain cor32/cor34 keep at 1 or more."""
+
+    @staticmethod
+    def same(srep, trep):
+        fields = ("gap", "lower_bound", "upper_bound", "tol_used")
+        assert [getattr(srep, x) for x in fields] == [getattr(trep, x) for x in fields]
+
+    @staticmethod
+    def draws(seed):
+        rng = np.random.default_rng(seed)
         for _ in range(25):
-            a, b = sorted(np.exp(rng.uniform(np.log(0.5), np.log(50.0), 2)))
-            if b / a < 1.0 + 1e-6:
-                continue
-            v = rng.uniform(0.05, 0.95)
-            srep1, srep2 = bnd.logmean_diff_reverse(a, b, v)
-            trep1, trep2 = bnd.deriv_gap_bounds(EXP, math.log(a), math.log(b), v, K=b)
-            assert srep1.gap == pytest.approx(trep1.gap, rel=1e-8, abs=1e-12)
-            assert srep2.gap == pytest.approx(trep2.gap, rel=1e-8, abs=1e-12)
-            assert srep1.upper_bound == pytest.approx(trep1.upper_bound, rel=1e-12)
+            a, b = sorted(np.exp(rng.uniform(np.log(0.5), np.log(50.0), 2)).tolist())
+            if b / a >= 1.0 + 1e-6:
+                yield a, b, float(rng.uniform(0.05, 0.95))
+
+    def test_cor31_matches_thm32_through_exp(self):
+        for a, b, v in self.draws(17):
+            theorem = bnd.deriv_gap_bounds(EXP, math.log(a), math.log(b), v, K=b, tol=1e-12)
+            for srep, trep in zip(bnd.logmean_diff_reverse(a, b, v), theorem):
+                self.same(srep, trep)
+                assert (srep.scale, srep.passed) == (trep.scale, trep.passed)
 
     def test_cor33_matches_thm33_through_exp(self):
-        rng = np.random.default_rng(19)
-        for _ in range(25):
-            a, b = sorted(np.exp(rng.uniform(np.log(0.5), np.log(50.0), 2)))
-            if b / a < 1.0 + 1e-6:
-                continue
-            v = rng.uniform(0.05, 0.95)
-            srep1, srep2 = bnd.logmean_diff_refinement(a, b, v)
-            trep1, trep2 = bnd.curvature_gap_bounds(EXP, math.log(a), math.log(b), v, m=a, M=b)
-            assert srep1.gap == pytest.approx(trep1.gap, rel=1e-8, abs=1e-12)
-            assert srep2.gap == pytest.approx(trep2.gap, rel=1e-8, abs=1e-12)
-            assert srep1.lower_bound == pytest.approx(trep1.lower_bound, rel=1e-12)
-            assert srep1.upper_bound == pytest.approx(trep1.upper_bound, rel=1e-12)
+        for a, b, v in self.draws(19):
+            theorem = bnd.curvature_gap_bounds(EXP, math.log(a), math.log(b), v, m=a, M=b,
+                                               tol=1e-12)
+            for srep, trep in zip(bnd.logmean_diff_refinement(a, b, v), theorem):
+                self.same(srep, trep)
+                assert (srep.scale, srep.passed) == (trep.scale, trep.passed)
+
+    def test_cor32_cor34_match_the_theorems_through_neg_log(self):
+        for a, b, v in self.draws(23):
+            for cor, thm in ((bnd.identric_ratio_reverse, bnd.deriv_gap_bounds),
+                             (bnd.identric_ratio_refinement, bnd.curvature_gap_bounds)):
+                for srep, trep in zip(cor(a, b, v), thm(NEG_LOG, a, b, v, tol=1e-12)):
+                    self.same(srep, trep)
+                    assert srep.scale == max(trep.scale, 1.0) and srep.passed
 
 
 class TestRandomSuites:

@@ -221,22 +221,19 @@ class TestSuitesPass:
 
 
 class TestIntegrateCalls:
-    """Quadrature runs per trial: the bounds suite's two gap checks share one
-    split average, so each suite integrates twice per trial."""
+    """Every builtin has an exact split average, so no suite trial integrates."""
 
     @pytest.mark.parametrize("run", [harness.run_bounds_suite, harness.run_scalar_suite],
                              ids=lambda run: run.__name__)
-    def test_two_integrate_calls_per_trial(self, run, monkeypatch):
+    def test_no_integrate_call_per_trial(self, run, monkeypatch):
         calls = []
         integrate = cvx.integrate
-        # forget a split average memoized by an earlier test
-        monkeypatch.setattr(cvx, "_last_split_avg", [(None, None, None)], raising=False)
         monkeypatch.setattr(cvx, "integrate", lambda *args: calls.append(args) or integrate(*args))
         cfg = harness.SuiteConfig(seed=42, trials=10)
         for trial in range(cfg.trials):
             calls.clear()
             assert run(cfg, trial, 1).passed
-            assert len(calls) == 2, trial
+            assert len(calls) == 0, trial
 
 
 class TestReferenceValues:

@@ -31,6 +31,7 @@ OPERATOR_CHAIN_LABELS = (
 )
 
 SYMMETRY_TOL = 1e-12
+BREAKDOWN = "congruence transform lost positivity; inputs too ill-conditioned"
 
 
 class NumericalBreakdown(RuntimeError):
@@ -44,11 +45,27 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.swapaxes(-1, -2))
 
 
-class SpdMatrix:
-    """Immutable symmetric positive-definite matrix.
+def _spd_faults(m: np.ndarray) -> tuple[np.ndarray, list]:
+    """A stack (..., d, d) symmetrized, and each matrix's fault in C order: None, or why
+    it is not finite, symmetric relative to its largest entry, or positive definite."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m = np.where(finite[..., None, None], m, 0.0)  # checked as zero, kept out of eigvalsh
+    skew = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
+    asym = skew > SYMMETRY_TOL * np.maximum(np.abs(m).max(axis=(-2, -1)), np.finfo(float).tiny)
+    m = _sym(m)
+    low = np.linalg.eigvalsh(m)[..., 0]
+    return m, [
+        "matrix entries must be finite" if not ok
+        else "matrix is not symmetric within tolerance" if bad
+        else None if x > 0.0
+        else f"matrix is not positive definite (min eig {x!r})"
+        for ok, bad, x in zip(finite.flat, asym.flat, low.flat)
+    ]
 
-    Construction validates symmetry (relative to the largest entry) and
-    strict positive-definiteness via the smallest eigenvalue.
+
+class SpdMatrix:
+    """Immutable symmetric positive-definite matrix, the one-matrix case of
+    :func:`_spd_faults`: construction rejects any fault it names.
     """
 
     __slots__ = ("_m",)
@@ -57,15 +74,9 @@ class SpdMatrix:
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError(f"entries must form a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        scale = float(np.max(np.abs(m)))
-        if float(np.max(np.abs(m - m.T))) > SYMMETRY_TOL * max(scale, np.finfo(float).tiny):
-            raise ValueError("matrix is not symmetric within tolerance")
-        m = _sym(m)
-        eigvals = np.linalg.eigvalsh(m)
-        if eigvals[0] <= 0.0:
-            raise ValueError(f"matrix is not positive definite (min eig {eigvals[0]!r})")
+        m, (fault,) = _spd_faults(m)
+        if fault:
+            raise ValueError(fault)
         m.setflags(write=False)
         self._m = m
 
@@ -139,18 +150,14 @@ def _check_operands(a: SpdMatrix, b: SpdMatrix, v) -> float:
     return v
 
 
-def _congruence_spectrum(a: SpdMatrix, b: SpdMatrix):
-    """Eigen-data of A^{-1/2} B A^{-1/2} plus the frame A^{1/2} V."""
-    lam_a, u = np.linalg.eigh(a.entries)
-    root = (u * np.sqrt(lam_a)) @ u.T
-    inv_root = (u / np.sqrt(lam_a)) @ u.T
-    inner = _sym(inv_root @ b.entries @ inv_root)
-    lam, v = np.linalg.eigh(inner)
-    if lam[0] <= 0.0:
-        raise NumericalBreakdown(
-            "congruence transform lost positivity; inputs too ill-conditioned"
-        )
-    return lam, root @ v
+def _congruence_spectrum(a: np.ndarray, b: np.ndarray):
+    """Eigen-data of A^{-1/2} B A^{-1/2} plus the frame A^{1/2} V for stacks
+    (..., d, d) of pairs, and a flag for each pair whose congruence lost positivity."""
+    lam_a, u = np.linalg.eigh(a)
+    sqrt_a, ut = np.sqrt(lam_a)[..., None, :], u.swapaxes(-1, -2)
+    inv_root = (u / sqrt_a) @ ut
+    lam, v = np.linalg.eigh(_sym(inv_root @ b @ inv_root))
+    return lam, (u * sqrt_a) @ ut @ v, ~(lam[..., 0] > 0.0)
 
 
 def _from_representing(frame: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -172,7 +179,9 @@ def _lift(a: SpdMatrix, b: SpdMatrix, v, representing) -> SpdMatrix:
         return SpdMatrix(a.entries)
     if v == 1.0:
         return SpdMatrix(b.entries)
-    lam, frame = _congruence_spectrum(a, b)
+    lam, frame, broken = _congruence_spectrum(a.entries, b.entries)
+    if broken:
+        raise NumericalBreakdown(BREAKDOWN)
     mean = _from_representing(frame, representing(lam, v))
     try:
         return SpdMatrix(mean)
@@ -237,9 +246,6 @@ class OperatorChainReport(Report):
     tol_used: float
     passed: bool
 
-    def margins(self) -> tuple[float, ...]:
-        return tuple(vd.margin for vd in self.verdicts)
-
 
 def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10) -> OperatorChainReport:
     """Five-term operator chain in the Loewner order.
@@ -250,27 +256,36 @@ def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10) -> Operato
     inertia the verdicts are the representing chain's links on Lambda.
     """
     v = _check_operands(a, b, v)
-    lam, frame = _congruence_spectrum(a, b)
+    lam, frame, broken = _congruence_spectrum(a.entries, b.entries)
+    if broken:
+        raise NumericalBreakdown(BREAKDOWN)
     values = np.array(_representing_terms(lam, v))
     terms = tuple(_from_representing(frame, values))
-    slack = values[1:] - values[:-1]
-    allowed = tol * np.abs(values).max(axis=0)
-    worst = (slack + allowed).argmin(axis=1)
-    margins = slack[np.arange(len(slack)), worst].tolist()
-    points, tols = lam[worst].tolist(), allowed[worst].tolist()
-    verdicts = tuple(SpectralVerdict(m, x, t, m >= -t) for m, x, t in zip(margins, points, tols))
+    links = zip(*_chain_links(values, lam, tol))
+    verdicts = tuple(SpectralVerdict(m, x, t, m >= -t) for m, x, t in links)
     passed = all(vd.holds for vd in verdicts)
     return OperatorChainReport(OPERATOR_CHAIN_LABELS, terms, verdicts, tol, passed)
+
+
+def _chain_links(values, lam, tol):
+    """Per link of five-term chain values (..., 5, d) on points (..., d): the margin,
+    point and tolerance where slack plus tolerance is least, as lists of shape (..., 4)."""
+    slack = values[..., 1:, :] - values[..., :-1, :]
+    allowed = np.broadcast_to(tol * np.abs(values).max(axis=-2, keepdims=True), slack.shape)
+    worst = (slack + allowed).argmin(axis=-1)[..., None]
+    return [np.take_along_axis(np.broadcast_to(x, slack.shape), worst, -1)[..., 0].tolist()
+            for x in (slack, lam[..., None, :], allowed)]
 
 
 def _representing_terms(t, v):
     """The five scalar chain terms at argument t (vectorized)."""
     t = np.asarray(t, dtype=float)
+    geo = t**v
     return (
-        t**v,
+        geo,
         (1.0 - v) * t ** (v / 2.0) + v * t ** ((1.0 + v) / 2.0),
         log_mean_unit(t, v),
-        0.5 * (t**v + (1.0 - v) + v * t),
+        0.5 * (geo + (1.0 - v) + v * t),
         (1.0 - v) + v * t,
     )
 

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from meanbounds import convex as cvx
 from meanbounds import harness
+from meanbounds import operators as ops
 
 
 def small_cfg(**overrides):
@@ -234,6 +236,97 @@ class TestIntegrateCalls:
             calls.clear()
             assert run(cfg, trial, 1).passed
             assert len(calls) == 0, trial
+
+
+def reference_operator_slice(cfg, start, count):
+    """The operator suite's chains trial by trial through the public one-pair
+    API: (min_slacks of the op_chain keys, failure records)."""
+    mins, failures = {}, []
+    for i in range(start, start + count):
+        rng = np.random.default_rng(cfg.seed ^ i)
+        dim = cfg.dims[i // cfg.trials]
+        mat_a, mat_b = harness.random_spd(rng, dim), harness.random_spd(rng, dim)
+        v = float(rng.uniform(*cfg.v_range))
+        rep = ops.operator_chain(mat_a, mat_b, v, tol=cfg.op_tol)
+        margins = [vd.margin for vd in rep.verdicts]
+        for idx, margin in enumerate(margins, start=1):
+            mins[f"op_chain.{idx}"] = min(mins.get(f"op_chain.{idx}", np.inf), margin)
+        if not rep.passed:
+            inputs = {"dim": dim, "v": v, "A": mat_a.entries.tolist(),
+                      "B": mat_b.entries.tolist()}
+            failures.append({"trial": i, "check": "op_chain", "inputs": inputs,
+                             "margins": margins})
+    return mins, failures
+
+
+class TestOperatorBatch:
+    """A slice's trials of one dimension run as one batch of stacked calls."""
+
+    @pytest.mark.parametrize("op_tol", [1e-10, -3e-2])
+    @pytest.mark.parametrize("start,count", [(0, 10), (7, 6), (21, 19)])
+    def test_slice_matches_reference_loop(self, start, count, op_tol):
+        # 10 trials per dimension: (7, 6) crosses from dim 2 into dim 3 and
+        # (21, 19) from dim 5 into dim 8
+        cfg = harness.SuiteConfig(seed=9001, trials=10, op_tol=op_tol)
+        rep = harness.run_operator_suite(cfg, start, count)
+        mins, failures = reference_operator_slice(cfg, start, count)
+        got = {key: val for key, val in rep.min_slacks.items() if key.startswith("op_chain")}
+        assert got == mins
+        assert rep.failures == failures
+        assert bool(failures) == (op_tol < 0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    @pytest.mark.parametrize("count", [1, 7, 20])
+    def test_lapack_calls_per_slice(self, dim, count, monkeypatch):
+        calls = {"qr": 0, "eigvalsh": 0, "eigh": 0}
+        for name in calls:
+            solve = getattr(np.linalg, name)
+
+            def counted(m, *args, _name=name, _solve=solve):
+                calls[_name] += 1
+                return _solve(m, *args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        cfg = harness.SuiteConfig(seed=5, trials=20, dims=(dim,))
+        assert harness.run_operator_suite(cfg, 20 - count, count).passed
+        assert calls == {"qr": 1, "eigvalsh": 1, "eigh": 2}
+
+    @pytest.mark.parametrize("kind,error", [
+        ("invalid", "A: matrix entries must be finite"),
+        ("breakdown", ops.BREAKDOWN),
+        ("linalg", "eigh did not converge"),
+    ])
+    def test_broken_trial_becomes_its_record(self, kind, error, monkeypatch):
+        cfg = harness.SuiteConfig(seed=11, trials=12, dims=(3,))
+        bad = 5
+        draw = harness._operator_draw
+
+        def broken_draw(cfg, index, dim):
+            gauss, exps, v = draw(cfg, index, dim)
+            if index == bad and kind == "invalid":
+                gauss = (np.full((dim, dim), np.nan), gauss[1])
+            elif index == bad:
+                # A near 1e10 I, B near 1e-320 I: both valid, but the
+                # congruence A^{-1/2} B A^{-1/2} underflows to zero
+                exps = (np.full(dim, 10.0), np.full(dim, -320.0))
+            return gauss, exps, v
+
+        def eigh(m, *args, _eigh=np.linalg.eigh):
+            if np.abs(m).max() > 1e9:
+                raise np.linalg.LinAlgError("eigh did not converge")
+            return _eigh(m, *args)
+
+        clean = harness.merge_reports(harness.run_operator_suite(cfg, 1, bad - 1),
+                                      harness.run_operator_suite(cfg, bad + 1, 11 - bad))
+        monkeypatch.setattr(harness, "_operator_draw", broken_draw)
+        if kind == "linalg":
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+        rep = harness.run_operator_suite(cfg, 1, 11)
+        [record] = rep.failures
+        assert record["trial"] == bad and record["check"] == "op_chain"
+        assert record["error"].startswith(error)
+        assert set(record["inputs"]) == {"dim", "v", "A", "B"}
+        assert rep.min_slacks == clean.min_slacks
 
 
 class TestReferenceValues:

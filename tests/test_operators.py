@@ -47,6 +47,16 @@ class TestSpdMatrix:
         with pytest.raises(ValueError):
             ops.SpdMatrix.from_dict({"dim": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]})
 
+    def test_stacked_check_names_each_fault(self):
+        stack = np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, 0.5], [0.0, 1.0]],
+                          [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]])
+        entries, faults = ops._spd_faults(stack.reshape(2, 2, 2, 2))
+        assert entries.shape == (2, 2, 2, 2)
+        assert faults[0] is None
+        assert "symmetric" in faults[1]
+        assert "positive definite" in faults[2]
+        assert "finite" in faults[3]
+
     def test_from_dict_missing_keys(self):
         with pytest.raises(ValueError):
             ops.SpdMatrix.from_dict({"rows": [[1.0]]})
@@ -213,7 +223,7 @@ class TestOperatorChain:
         for _ in range(50):
             a, b = random_pair(rng, 5)
             rep = ops.operator_chain(a, b, 0.3, tol=1e-10)
-            assert rep.passed, rep.margins()
+            assert rep.passed, rep.verdicts
 
     def test_terms_bitwise_symmetric(self):
         rng = np.random.default_rng(10)
@@ -253,7 +263,7 @@ class TestSpectralVerdicts:
                 a, b = random_pair(rng, dim)
                 v = float(rng.uniform(0.01, 0.99))
                 rep = ops.operator_chain(a, b, v, tol=tol)
-                lam, _ = ops._congruence_spectrum(a, b)
+                lam = ops._congruence_spectrum(a.entries, b.entries)[0]
                 chains = [ops.representing_chain(x, v, tol) for x in lam]
                 for k, vd in enumerate(rep.verdicts):
                     links = [c.slacks[k] >= -c.tol_used * c.scale for c in chains]

@@ -310,25 +310,24 @@ def run_bounds_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteRepor
     return _run_trials("bounds", cfg, start, count, checks, oriented=True)
 
 
-def _spd_stack(gauss: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Q diag(10^exps) Q^T, symmetrized, for stacks of Gaussian draws (..., d, d)
-    and exponents (..., d): one QR, Q's signs fixed so that diag(R) > 0."""
-    q, r = np.linalg.qr(gauss)
+def _spd_stack(rngs, dim: int, log10_cond_half: float = 2.0) -> np.ndarray:
+    """Q diag(10^U(-c, c)) Q^T from each generator: one stacked QR, signs so diag(R) > 0."""
+    gauss, exps = zip(*((rng.standard_normal((dim, dim)),
+                         rng.uniform(-log10_cond_half, log10_cond_half, dim)) for rng in rngs))
+    q, r = np.linalg.qr(np.array(gauss))
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    return ops._sym((q * 10.0 ** exps[..., None, :]) @ q.swapaxes(-1, -2))
+    return ops._sym((q * 10.0 ** np.array(exps)[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-def _spd_draw(rng: np.random.Generator, dim: int, log10_cond_half: float = 2.0):
-    return rng.standard_normal((dim, dim)), rng.uniform(-log10_cond_half, log10_cond_half, dim)
-
-
-def random_spd(rng: np.random.Generator, dim: int, log10_cond_half: float = 2.0) -> ops.SpdMatrix:
+def random_spd(rng, dim: int, log10_cond_half: float = 2.0) -> ops.SpdMatrix:
     """Random SPD matrix Q diag(lambda) Q^T with log-uniform spectrum.
 
     Eigenvalues are drawn from 10^U(-c, c) with c = log10_cond_half, so
-    the condition number ranges up to 10^(2c).
+    the condition number ranges up to 10^(2c).  Given a list of generators,
+    it draws one matrix from each and returns them as one stack.
     """
-    return ops.SpdMatrix(_spd_stack(*_spd_draw(rng, dim, log10_cond_half)))
+    stack = _spd_stack(rng if isinstance(rng, list) else [rng], dim, log10_cond_half)
+    return ops.SpdMatrix(stack if isinstance(rng, list) else stack[0])
 
 
 def _representing_grid(col: _Collector, cfg: SuiteConfig):
@@ -353,53 +352,39 @@ def _representing_grid(col: _Collector, cfg: SuiteConfig):
         col.fail(-1, "logmean_gm", {"t": float(ts[worst])}, slack=float(slack[worst]))
 
 
-def _operator_draw(cfg: SuiteConfig, index: int, dim: int):
-    """Trial ``index``'s draws of its two random_spd calls (A, B), then its weight."""
-    rng = _trial_rng(cfg.seed, index)
-    return (*zip(_spd_draw(rng, dim), _spd_draw(rng, dim)), _draw_weight(rng, cfg))
-
-
-def _op_fail(col: _Collector, index: int, dim: int, v: float, pair, **extra):
-    inputs = {"dim": dim, "v": v, "A": pair[0].tolist(), "B": pair[1].tolist()}
-    col.fail(index, "op_chain", inputs, **extra)
-
-
 def _operator_block(col: _Collector, cfg: SuiteConfig, dim: int, block: list):
-    """One dimension's trials, each step one stacked call.  If a matrix fails
-    validation, a congruence breaks down or a step raises ValueError (LinAlgError
-    among them), the trials rerun one by one and the failing one gets a record."""
-    gauss, exps, weights = zip(*(_operator_draw(cfg, i, dim) for i in block))
-    pairs = _spd_stack(np.array(gauss), np.array(exps))
+    """One dimension's trials as one stack of pairs.  If the stack raises, its
+    trials rerun one by one and the failing one gets a record with the error."""
+    rngs = [_trial_rng(cfg.seed, i) for i in block]
     try:
-        checked, faults = ops._spd_faults(pairs)
-        if any(faults):
-            raise ValueError(next(f"{'AB'[k % 2]}: {f}" for k, f in enumerate(faults) if f))
-        lam, _, broken = ops._congruence_spectrum(checked[:, 0], checked[:, 1])
-        if broken.any():
-            raise ops.NumericalBreakdown(ops.BREAKDOWN)
-        values = np.array([ops._representing_terms(x, v) for x, v in zip(lam, weights)])
+        mat_a, mat_b = random_spd(rngs, dim), random_spd(rngs, dim)
+        weights = [_draw_weight(rng, cfg) for rng in rngs]
+        reports = ops.operator_chain(mat_a, mat_b, weights, tol=cfg.op_tol)
     except (ValueError, ops.NumericalBreakdown) as exc:  # LinAlgError is a ValueError
-        if len(block) == 1:
-            return _op_fail(col, block[0], dim, weights[0], pairs[0], error=str(exc))
-        for i in block:
-            _operator_block(col, cfg, dim, [i])
-        return
-    links = zip(*ops._chain_links(values, lam, cfg.op_tol))
-    for i, v, pair, (margins, _, tols) in zip(block, weights, pairs, links):
+        if len(block) > 1:
+            for i in block:
+                _operator_block(col, cfg, dim, [i])
+            return
+        rng = _trial_rng(cfg.seed, block[0])
+        a, b = _spd_stack([rng, rng], dim)  # A, then B, then the weight, as drawn above
+        inputs = {"dim": dim, "v": _draw_weight(rng, cfg), "A": a.tolist(), "B": b.tolist()}
+        return col.fail(block[0], "op_chain", inputs, error=str(exc))
+    for i, v, a, b, report in zip(block, weights, mat_a.entries, mat_b.entries, reports):
+        margins = [vd.margin for vd in report.verdicts]
         for idx, margin in enumerate(margins, start=1):
             col.note(f"op_chain.{idx}", margin)
-        if not all(m >= -t for m, t in zip(margins, tols)):
-            _op_fail(col, i, dim, v, pair, margins=margins)
+        if not report.passed:
+            inputs = {"dim": dim, "v": v, "A": a.tolist(), "B": b.tolist()}
+            col.fail(i, "op_chain", inputs, margins=margins)
 
 
 def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
     """Operator chains on random SPD pairs for every configured dimension,
     plus the representing-function and helper-inequality grids.
 
-    Each dimension's trials in the slice run as one batch: one stacked QR,
-    one validating eigvalsh and two eigh for all their pairs.  A trial that
-    fails validation, breaks down or raises LinAlgError becomes a failure
-    record.  The grid checks run once, attached to the slice containing trial 0.
+    Each dimension's trials in a slice run as one stack: two random_spd and one
+    operator_chain call, whatever their number; a trial that raises becomes a
+    failure record.  The grid checks run once, attached to the slice containing trial 0.
     """
     t0 = time.perf_counter()
     col = _Collector()

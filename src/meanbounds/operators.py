@@ -31,7 +31,6 @@ OPERATOR_CHAIN_LABELS = (
 )
 
 SYMMETRY_TOL = 1e-12
-BREAKDOWN = "congruence transform lost positivity; inputs too ill-conditioned"
 
 
 class NumericalBreakdown(RuntimeError):
@@ -45,44 +44,34 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.swapaxes(-1, -2))
 
 
-def _spd_faults(m: np.ndarray) -> tuple[np.ndarray, list]:
-    """A stack (..., d, d) symmetrized, and each matrix's fault in C order: None, or why
-    it is not finite, symmetric relative to its largest entry, or positive definite."""
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    m = np.where(finite[..., None, None], m, 0.0)  # checked as zero, kept out of eigvalsh
-    skew = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
-    asym = skew > SYMMETRY_TOL * np.maximum(np.abs(m).max(axis=(-2, -1)), np.finfo(float).tiny)
-    m = _sym(m)
-    low = np.linalg.eigvalsh(m)[..., 0]
-    return m, [
-        "matrix entries must be finite" if not ok
-        else "matrix is not symmetric within tolerance" if bad
-        else None if x > 0.0
-        else f"matrix is not positive definite (min eig {x!r})"
-        for ok, bad, x in zip(finite.flat, asym.flat, low.flat)
-    ]
-
-
 class SpdMatrix:
-    """Immutable symmetric positive-definite matrix, the one-matrix case of
-    :func:`_spd_faults`: construction rejects any fault it names.
+    """Immutable symmetric positive-definite matrix, or a stack (n, d, d) of them.
+
+    Construction validates each matrix's symmetry (relative to its largest
+    entry) and strict positive-definiteness via its smallest eigenvalue.
     """
 
     __slots__ = ("_m",)
 
     def __init__(self, entries):
         m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1] or m.shape[-1] == 0:
             raise ValueError(f"entries must form a square matrix, got shape {m.shape}")
-        m, (fault,) = _spd_faults(m)
-        if fault:
-            raise ValueError(fault)
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        scale = np.maximum(np.abs(m).max(axis=(-2, -1)), np.finfo(float).tiny)
+        if (np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale).any():
+            raise ValueError("matrix is not symmetric within tolerance")
+        m = _sym(m)
+        low = np.linalg.eigvalsh(m).min()
+        if low <= 0.0:
+            raise ValueError(f"matrix is not positive definite (min eig {low!r})")
         m.setflags(write=False)
         self._m = m
 
     @property
     def dim(self) -> int:
-        return self._m.shape[0]
+        return self._m.shape[-1]
 
     @property
     def entries(self) -> np.ndarray:
@@ -122,9 +111,7 @@ class LoewnerVerdict(Report):
 
 
 def _as_entries(x) -> np.ndarray:
-    if isinstance(x, SpdMatrix):
-        return x.entries
-    m = np.asarray(x, dtype=float)
+    m = x.entries if isinstance(x, SpdMatrix) else np.asarray(x, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -151,18 +138,21 @@ def _check_operands(a: SpdMatrix, b: SpdMatrix, v) -> float:
 
 
 def _congruence_spectrum(a: np.ndarray, b: np.ndarray):
-    """Eigen-data of A^{-1/2} B A^{-1/2} plus the frame A^{1/2} V for stacks
-    (..., d, d) of pairs, and a flag for each pair whose congruence lost positivity."""
+    """Eigen-data of A^{-1/2} B A^{-1/2} plus the frame A^{1/2} V, for pairs or stacks."""
     lam_a, u = np.linalg.eigh(a)
     sqrt_a, ut = np.sqrt(lam_a)[..., None, :], u.swapaxes(-1, -2)
     inv_root = (u / sqrt_a) @ ut
     lam, v = np.linalg.eigh(_sym(inv_root @ b @ inv_root))
-    return lam, (u * sqrt_a) @ ut @ v, ~(lam[..., 0] > 0.0)
+    if (lam[..., 0] <= 0.0).any():
+        raise NumericalBreakdown(
+            "congruence transform lost positivity; inputs too ill-conditioned"
+        )
+    return lam, (u * sqrt_a) @ ut @ v
 
 
 def _from_representing(frame: np.ndarray, values: np.ndarray) -> np.ndarray:
     """F diag(values) F^T, or a stack of them for a stack of value rows."""
-    return _sym((frame * values[..., None, :]) @ frame.T)
+    return _sym((frame * values[..., None, :]) @ frame.swapaxes(-1, -2))
 
 
 def weighted_arithmetic(a: SpdMatrix, b: SpdMatrix, v) -> SpdMatrix:
@@ -179,9 +169,7 @@ def _lift(a: SpdMatrix, b: SpdMatrix, v, representing) -> SpdMatrix:
         return SpdMatrix(a.entries)
     if v == 1.0:
         return SpdMatrix(b.entries)
-    lam, frame, broken = _congruence_spectrum(a.entries, b.entries)
-    if broken:
-        raise NumericalBreakdown(BREAKDOWN)
+    lam, frame = _congruence_spectrum(a.entries, b.entries)
     mean = _from_representing(frame, representing(lam, v))
     try:
         return SpdMatrix(mean)
@@ -247,34 +235,31 @@ class OperatorChainReport(Report):
     passed: bool
 
 
-def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10) -> OperatorChainReport:
+def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10):
     """Five-term operator chain in the Loewner order.
 
     geometric <= (1-v) geo(v/2) + v geo((1+v)/2) <= logarithmic
               <= (geometric + arithmetic)/2 <= arithmetic.
     Each term is F g_k(Lambda) F^T for one frame F, so by Sylvester's law of
     inertia the verdicts are the representing chain's links on Lambda.
+    Stacks ``a``, ``b`` of n pairs and n weights ``v`` give the n pairs' reports.
     """
-    v = _check_operands(a, b, v)
-    lam, frame, broken = _congruence_spectrum(a.entries, b.entries)
-    if broken:
-        raise NumericalBreakdown(BREAKDOWN)
-    values = np.array(_representing_terms(lam, v))
-    terms = tuple(_from_representing(frame, values))
-    links = zip(*_chain_links(values, lam, tol))
-    verdicts = tuple(SpectralVerdict(m, x, t, m >= -t) for m, x, t in links)
-    passed = all(vd.holds for vd in verdicts)
-    return OperatorChainReport(OPERATOR_CHAIN_LABELS, terms, verdicts, tol, passed)
-
-
-def _chain_links(values, lam, tol):
-    """Per link of five-term chain values (..., 5, d) on points (..., d): the margin,
-    point and tolerance where slack plus tolerance is least, as lists of shape (..., 4)."""
-    slack = values[..., 1:, :] - values[..., :-1, :]
-    allowed = np.broadcast_to(tol * np.abs(values).max(axis=-2, keepdims=True), slack.shape)
-    worst = (slack + allowed).argmin(axis=-1)[..., None]
-    return [np.take_along_axis(np.broadcast_to(x, slack.shape), worst, -1)[..., 0].tolist()
-            for x in (slack, lam[..., None, :], allowed)]
+    stacked = a.entries.ndim == 3
+    weights = [_check_operands(a, b, w) for w in (v if stacked else [v])]
+    lam, frame = _congruence_spectrum(*(m.entries.reshape(-1, a.dim, a.dim) for m in (a, b)))
+    values = np.array([_representing_terms(x, w) for x, w in zip(lam, weights, strict=True)])
+    slack = values[:, 1:] - values[:, :-1]
+    allowed = tol * np.abs(values).max(axis=1)
+    worst = (slack + allowed[:, None]).argmin(axis=-1)
+    pair = np.arange(len(values))[:, None]
+    links = zip(slack[pair, np.arange(4), worst].tolist(), lam[pair, worst].tolist(),
+                allowed[pair, worst].tolist())
+    reports = []
+    for terms, link in zip(_from_representing(frame[:, None], values), links):
+        verdicts = tuple(SpectralVerdict(m, x, t, m >= -t) for m, x, t in zip(*link))
+        reports.append(OperatorChainReport(OPERATOR_CHAIN_LABELS, tuple(terms), verdicts, tol,
+                                           all(vd.holds for vd in verdicts)))
+    return tuple(reports) if stacked else reports[0]
 
 
 def _representing_terms(t, v):

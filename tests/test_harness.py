@@ -289,27 +289,37 @@ class TestOperatorBatch:
             monkeypatch.setattr(np.linalg, name, counted)
         cfg = harness.SuiteConfig(seed=5, trials=20, dims=(dim,))
         assert harness.run_operator_suite(cfg, 20 - count, count).passed
-        assert calls == {"qr": 1, "eigvalsh": 1, "eigh": 2}
+        assert calls == {"qr": 2, "eigvalsh": 2, "eigh": 2}
 
     @pytest.mark.parametrize("kind,error", [
-        ("invalid", "A: matrix entries must be finite"),
-        ("breakdown", ops.BREAKDOWN),
+        ("invalid", "matrix entries must be finite"),
+        ("breakdown", "congruence transform lost positivity"),
         ("linalg", "eigh did not converge"),
     ])
     def test_broken_trial_becomes_its_record(self, kind, error, monkeypatch):
         cfg = harness.SuiteConfig(seed=11, trials=12, dims=(3,))
         bad = 5
-        draw = harness._operator_draw
+        trial_rng = harness._trial_rng
 
-        def broken_draw(cfg, index, dim):
-            gauss, exps, v = draw(cfg, index, dim)
-            if index == bad and kind == "invalid":
-                gauss = (np.full((dim, dim), np.nan), gauss[1])
-            elif index == bad:
-                # A near 1e10 I, B near 1e-320 I: both valid, but the
-                # congruence A^{-1/2} B A^{-1/2} underflows to zero
-                exps = (np.full(dim, 10.0), np.full(dim, -320.0))
-            return gauss, exps, v
+        class BrokenRng:
+            """Trial ``bad``'s generator: its matrices are NaN ("invalid"), or
+            A is near 1e10 I and B near 1e-320 I.  Both are then valid, but the
+            congruence A^{-1/2} B A^{-1/2} underflows to zero."""
+
+            def __init__(self, rng):
+                self.rng, self.exps = rng, iter([10.0, -320.0])
+
+            def standard_normal(self, shape):
+                gauss = self.rng.standard_normal(shape)
+                return np.full(shape, np.nan) if kind == "invalid" else gauss
+
+            def uniform(self, lo, hi, size=None):
+                x = self.rng.uniform(lo, hi, size)
+                return x if size is None or kind == "invalid" else np.full(size, next(self.exps))
+
+        def broken_rng(seed, index):
+            rng = trial_rng(seed, index)
+            return BrokenRng(rng) if index == bad else rng
 
         def eigh(m, *args, _eigh=np.linalg.eigh):
             if np.abs(m).max() > 1e9:
@@ -318,7 +328,7 @@ class TestOperatorBatch:
 
         clean = harness.merge_reports(harness.run_operator_suite(cfg, 1, bad - 1),
                                       harness.run_operator_suite(cfg, bad + 1, 11 - bad))
-        monkeypatch.setattr(harness, "_operator_draw", broken_draw)
+        monkeypatch.setattr(harness, "_trial_rng", broken_rng)
         if kind == "linalg":
             monkeypatch.setattr(np.linalg, "eigh", eigh)
         rep = harness.run_operator_suite(cfg, 1, 11)

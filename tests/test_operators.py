@@ -47,15 +47,15 @@ class TestSpdMatrix:
         with pytest.raises(ValueError):
             ops.SpdMatrix.from_dict({"dim": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]})
 
-    def test_stacked_check_names_each_fault(self):
-        stack = np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, 0.5], [0.0, 1.0]],
-                          [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]])
-        entries, faults = ops._spd_faults(stack.reshape(2, 2, 2, 2))
-        assert entries.shape == (2, 2, 2, 2)
-        assert faults[0] is None
-        assert "symmetric" in faults[1]
-        assert "positive definite" in faults[2]
-        assert "finite" in faults[3]
+    def test_stack_checks_each_matrix_on_its_own_scale(self):
+        good = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert ops.SpdMatrix([1e6 * good, np.eye(2)]).dim == 2
+        for bad in ([[1.0, 0.5], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                    [[1.0, 0.0], [0.0, math.inf]]):
+            with pytest.raises(ValueError):
+                ops.SpdMatrix([1e6 * good, bad])
+        with pytest.raises(ValueError):
+            ops.matrix_function(ops.SpdMatrix([good, good]), np.sqrt)
 
     def test_from_dict_missing_keys(self):
         with pytest.raises(ValueError):
@@ -224,6 +224,20 @@ class TestOperatorChain:
             a, b = random_pair(rng, 5)
             rep = ops.operator_chain(a, b, 0.3, tol=1e-10)
             assert rep.passed, rep.verdicts
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_stack_gives_each_pairs_report(self, dim):
+        rngs = [np.random.default_rng(seed) for seed in range(6)]
+        stack_a, stack_b = harness.random_spd(rngs, dim), harness.random_spd(rngs, dim)
+        weights = [float(rng.uniform(0.01, 0.99)) for rng in rngs]
+        reports = ops.operator_chain(stack_a, stack_b, weights)
+        assert len(reports) == len(rngs)
+        for a, b, v, rep in zip(stack_a.entries, stack_b.entries, weights, reports):
+            one = ops.operator_chain(spd(a), spd(b), v)
+            assert rep.to_dict() == one.to_dict()
+            assert all(np.array_equal(x, y) for x, y in zip(rep.terms, one.terms))
+        with pytest.raises(ValueError):
+            ops.operator_chain(stack_a, stack_b, weights[:-1])
 
     def test_terms_bitwise_symmetric(self):
         rng = np.random.default_rng(10)

@@ -30,6 +30,7 @@ from . import harness
 from . import operators as ops
 from . import scalar as sc
 from .quadrature import QuadratureError
+from .reports import chain_links
 
 FUNCTION_CHOICES = tuple(sorted(cvx.BUILTINS))
 
@@ -226,20 +227,14 @@ def _cmd_scan(args):
     v_grid = _parse_grid(args.v, "v", positive=False)
     if np.any(v_grid < 0.0) or np.any(v_grid > 1.0):
         raise ValueError(f"--v grid must stay inside [0, 1]: {args.v!r}")
-    chain_fn = sc.logarithmic_chain if args.chain == "log" else sc.identric_chain
-    rows = []
-    for a in a_grid:
-        for b in b_grid:
-            for v in v_grid:
-                rep = chain_fn(float(a), float(b), float(v))
-                row = {"a": float(a), "b": float(b), "v": float(v)}
-                row.update(zip(rep.labels, rep.values))
-                row.update(
-                    (f"slack_{k}", s) for k, s in enumerate(rep.slacks, start=1)
-                )
-                row["pass"] = rep.passed
-                rows.append(row)
-    return {"rows": rows}
+    labels, terms = ((sc.LOG_CHAIN_LABELS, sc.log_chain_terms) if args.chain == "log"
+                     else (sc.IDENTRIC_CHAIN_LABELS, sc.identric_chain_terms))
+    a, b, v = (x.ravel() for x in np.meshgrid(a_grid, b_grid, v_grid, indexing="ij"))
+    values = terms(a, b, v)
+    slacks, _, holds = chain_links(values, sc.CHAIN_TOL)
+    keys = ("a", "b", "v", *labels, *(f"slack_{k}" for k in range(1, len(labels))), "pass")
+    columns = (a, b, v, *values, *slacks, np.logical_and.reduce(holds))
+    return {"rows": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]}
 
 
 def _csv_cell(value):

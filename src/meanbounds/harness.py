@@ -21,7 +21,7 @@ from . import convex as cvx
 from . import operators as ops
 from . import scalar as sc
 from .quadrature import QuadratureError
-from .reports import Report
+from .reports import Report, chain_links
 
 DEFAULT_FUNCTIONS = tuple(cvx.BUILTINS)
 
@@ -207,11 +207,12 @@ class _Trial(NamedTuple):
     inputs: dict
 
 
-def _run_trials(suite: str, cfg: SuiteConfig, start, count, checks, oriented: bool):
+def _run_trials(suite: str, cfg: SuiteConfig, start, count, checks, oriented: bool, chains=()):
     """Trial loop shared by the scalar and bounds suites.
 
-    Trial i draws (a, b, v) and takes the builtin ``cfg.functions[i % n]``;
-    each (key, check) in ``checks`` then runs as ``check(col, key, trial, tol)``.
+    Trial i draws (a, b, v) and takes the builtin ``cfg.functions[i % n]``.  Each
+    mean chain in ``chains`` runs once over the slice (:func:`_chain_slice`), then
+    each (key, check) in ``checks`` as ``check(col, key, trial, tol)`` per trial.
     A trial's inputs are valid by construction, so a check raising
     QuadratureError, ArithmeticError or ValueError has failed numerically: it
     becomes a failure record of that trial and the remaining checks still
@@ -219,8 +220,8 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, checks, oriented: bo
     """
     t0 = time.perf_counter()
     col = _Collector()
-    indices = _slice(cfg.trials, start, count)
-    for i in indices:
+    trials = []
+    for i in _slice(cfg.trials, start, count):
         rng = _trial_rng(cfg.seed, i)
         a, b = _draw_pair(rng, cfg)
         v = _draw_weight(rng, cfg)
@@ -228,22 +229,43 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, checks, oriented: bo
         lo, hi = min(a, b), max(a, b)
         inputs = {"a": lo, "b": hi} if oriented else {"a": a, "b": b}
         inputs.update(v=v, f=fname)
-        trial = _Trial(i, a, b, lo, hi, v, cvx.get_builtin(fname), inputs)
+        trials.append(_Trial(i, a, b, lo, hi, v, cvx.get_builtin(fname), inputs))
+    for key in chains if trials else ():
+        _chain_slice(col, key, trials, cfg.tol)
+    for t in trials:
         for key, check in checks:
             try:
-                check(col, key, trial, cfg.tol)
+                check(col, key, t, cfg.tol)
             except (QuadratureError, ArithmeticError, ValueError) as exc:
-                col.fail(i, key, inputs, error=str(exc))
+                col.fail(t.index, key, t.inputs, error=str(exc))
+    col.failures.sort(key=lambda record: record["trial"])  # stable: check order stays
     wall = (time.perf_counter() - t0) * 1e3
-    return SuiteReport(suite, cfg.seed, len(indices), col.failures, col.min_slacks, wall)
+    return SuiteReport(suite, cfg.seed, len(trials), col.failures, col.min_slacks, wall)
 
 
-def _log_chain(col, key, t, tol):
-    col.chain(key, sc.logarithmic_chain(t.a, t.b, t.v, tol=tol), t.index, t.inputs)
-
-
-def _identric_chain(col, key, t, tol):
-    col.chain(key, sc.identric_chain(t.a, t.b, t.v, tol=tol), t.index, t.inputs)
+def _chain_slice(col, key, trials, tol):
+    """A mean chain over the slice's trials as one array call, its min_slacks
+    from column minima.  If the call raises or a row is not finite, the check
+    reruns trial by trial through the chain's 0-d view instead."""
+    terms, view = ((sc.log_chain_terms, sc.logarithmic_chain) if key == "log_chain"
+                   else (sc.identric_chain_terms, sc.identric_chain))
+    try:
+        values = terms(*(np.array([getattr(t, x) for t in trials]) for x in "abv"))
+        finite = np.isfinite(values).all()
+    except (ArithmeticError, ValueError):
+        finite = False
+    if not finite:
+        for t in trials:
+            try:
+                col.chain(key, view(t.a, t.b, t.v, tol=tol), t.index, t.inputs)
+            except (ArithmeticError, ValueError) as exc:
+                col.fail(t.index, key, t.inputs, error=str(exc))
+        return
+    slacks, _, holds = (np.array(x) for x in chain_links(values, tol))
+    for idx, low in enumerate(slacks.min(axis=1).tolist(), start=1):
+        col.note(f"{key}.{idx}", low)
+    for pos in np.flatnonzero(~holds.all(axis=0)).tolist():
+        col.fail(trials[pos].index, key, trials[pos].inputs, slacks=slacks[:, pos].tolist())
 
 
 def _hh_chain(col, key, t, tol):
@@ -268,8 +290,6 @@ def _refined_gap(col, key, t, tol):
 
 
 _SCALAR_CHECKS = (
-    ("log_chain", _log_chain),
-    ("identric_chain", _identric_chain),
     ("hh_chain", _hh_chain),
     ("gap_sandwich", _gap_sandwich),
     ("refined_gap", _refined_gap),
@@ -298,9 +318,10 @@ def _bounds_check(col, key, t, tol):
 
 
 def run_scalar_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
-    """Mean chains, the seven-term chain cycling the builtin functions,
-    and both convexity-gap checks on randomized (a, b, v) draws."""
-    return _run_trials("scalar", cfg, start, count, _SCALAR_CHECKS, oriented=False)
+    """Mean chains (once over the slice's arrays), the seven-term chain cycling
+    the builtin functions and both convexity-gap checks on (a, b, v) draws."""
+    return _run_trials("scalar", cfg, start, count, _SCALAR_CHECKS, oriented=False,
+                       chains=("log_chain", "identric_chain"))
 
 
 def run_bounds_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
@@ -335,13 +356,11 @@ def _representing_grid(col: _Collector, cfg: SuiteConfig):
         np.log10(OPERATOR_GRID_RANGE[0]), np.log10(OPERATOR_GRID_RANGE[1]), OPERATOR_GRID_POINTS
     )
     for v in OPERATOR_GRID_WEIGHTS:
-        terms = ops._representing_terms(ts, float(v))
-        scale = np.maximum.reduce([np.abs(x) for x in terms])
-        for idx in range(4):
-            slack = terms[idx + 1] - terms[idx]
+        slacks, allowed, holds = chain_links(sc.log_chain_terms(1.0, ts, v), cfg.tol)
+        for idx, (slack, ok) in enumerate(zip(slacks, holds)):
             col.note(f"representing.{idx + 1}", float(np.min(slack)))
-            worst = int(np.argmin(slack + cfg.tol * scale))
-            if slack[worst] < -cfg.tol * scale[worst]:
+            if not ok.all():
+                worst = int(np.argmin(slack + allowed))
                 col.fail(-1, f"representing.{idx + 1}",
                          {"t": float(ts[worst]), "v": float(v)}, slack=float(slack[worst]))
     lhs = sc.log_mean_unit(np.square(ts), 0.5)

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .reports import ChainReport, Report
-from .scalar import check_weight, log_mean_unit
+from .reports import ChainReport, Report, chain_links
+from .scalar import check_weight, log_chain_terms, log_mean_unit
 
 OPERATOR_CHAIN_LABELS = (
     "geometric",
@@ -245,47 +245,29 @@ def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10):
     Stacks ``a``, ``b`` of n pairs and n weights ``v`` give the n pairs' reports.
     """
     stacked = a.entries.ndim == 3
-    weights = [_check_operands(a, b, w) for w in (v if stacked else [v])]
+    weights = np.array([_check_operands(a, b, w) for w in (v if stacked else [v])])
     lam, frame = _congruence_spectrum(*(m.entries.reshape(-1, a.dim, a.dim) for m in (a, b)))
-    values = np.array([_representing_terms(x, w) for x, w in zip(lam, weights, strict=True)])
-    slack = values[:, 1:] - values[:, :-1]
-    allowed = tol * np.abs(values).max(axis=1)
-    worst = (slack + allowed[:, None]).argmin(axis=-1)
-    pair = np.arange(len(values))[:, None]
-    links = zip(slack[pair, np.arange(4), worst].tolist(), lam[pair, worst].tolist(),
-                allowed[pair, worst].tolist())
+    values = log_chain_terms(1.0, lam, weights[:, None])
+    slack, allowed, holds = (np.array(x) for x in chain_links(values, tol))
+    worst = (slack + allowed).argmin(axis=-1)
+    link, pair = np.arange(4)[:, None], np.arange(len(weights))
+    links = zip(slack[link, pair, worst].T.tolist(), lam[pair, worst].T.tolist(),
+                allowed[pair, worst].T.tolist(), holds.all(axis=-1).T.tolist())
     reports = []
-    for terms, link in zip(_from_representing(frame[:, None], values), links):
-        verdicts = tuple(SpectralVerdict(m, x, t, m >= -t) for m, x, t in zip(*link))
+    for terms, link in zip(_from_representing(frame[:, None], np.stack(values, 1)), links):
+        verdicts = tuple(SpectralVerdict(*vd) for vd in zip(*link))
         reports.append(OperatorChainReport(OPERATOR_CHAIN_LABELS, tuple(terms), verdicts, tol,
                                            all(vd.holds for vd in verdicts)))
     return tuple(reports) if stacked else reports[0]
-
-
-def _representing_terms(t, v):
-    """The five scalar chain terms at argument t (vectorized)."""
-    t = np.asarray(t, dtype=float)
-    geo = t**v
-    return (
-        geo,
-        (1.0 - v) * t ** (v / 2.0) + v * t ** ((1.0 + v) / 2.0),
-        log_mean_unit(t, v),
-        0.5 * (geo + (1.0 - v) + v * t),
-        (1.0 - v) + v * t,
-    )
 
 
 def representing_chain(t: float, v, tol: float = 1e-12) -> ChainReport:
     """Scalar chain underlying the operator chain, at the point t > 0.
 
     t^v <= (1-v) t^{v/2} + v t^{(1+v)/2} <= L_v(1,t)
-        <= (t^v + (1-v) + v t)/2 <= (1-v) + v t.
+        <= (t^v + (1-v) + v t)/2 <= (1-v) + v t: the logarithmic chain at (1, t).
     """
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be finite and positive, got {t}")
-    v = check_weight(v)
-    return ChainReport.from_values(OPERATOR_CHAIN_LABELS, _representing_terms(t, v), tol)
+    return ChainReport.from_values(OPERATOR_CHAIN_LABELS, log_chain_terms(1.0, t, v), tol)
 
 
 class PointCheck(NamedTuple):

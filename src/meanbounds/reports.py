@@ -3,6 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
+
+import numpy as np
+
+
+def chain_links(values, tol):
+    """Links of a chain given as its terms, numbers or arrays of one shape: the
+    slacks values[k+1] - values[k], the allowance tol * max_k |values[k]|, and for
+    each slack whether it is at least -allowance.  Terms are never stacked (k, n)."""
+    floor = -tol * reduce(np.maximum, map(np.abs, values))
+    slacks = [y - x for x, y in zip(values, values[1:])]
+    return slacks, -floor, [s >= floor for s in slacks]
 
 
 class Report:
@@ -43,10 +55,8 @@ class ChainReport(Report):
         values = tuple(float(x) for x in values)
         if len(labels) != len(values) or len(values) < 2:
             raise ValueError("need one label per value and at least two values")
-        slacks = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-        scale = max(abs(x) for x in values)
-        passed = all(s >= -tol * scale for s in slacks)
-        return cls(labels, values, slacks, float(tol), passed, certified)
+        slacks, _, holds = chain_links(values, tol)
+        return cls(labels, values, tuple(slacks), float(tol), bool(all(holds)), certified)
 
     @property
     def scale(self) -> float:

@@ -1,11 +1,16 @@
-"""Weighted two-argument means and their inequality chains.
+"""Weighted two-argument means and their inequality chains, array-first.
 
 All four means (arithmetic, geometric, logarithmic, identric) take a
 weight ``v`` in [0, 1], are homogeneous of degree one and interpolate
 between their arguments: ``M(a, b, 0) = a`` and ``M(a, b, 1) = b``.
-Everything is evaluated in the log domain wherever an exponential of the
-inputs would otherwise appear, so arguments spanning several decades
-neither overflow nor lose the symmetry ``M(a, b, v) = M(b, a, 1 - v)``.
+Every function broadcasts over ``a``, ``b`` and ``v``; scalar arguments are
+the 0-d case and return floats.  The logarithmic and identric means are
+evaluated in the log domain, so arguments spanning several decades neither
+overflow nor lose the symmetry ``M(a, b, v) = M(b, a, 1 - v)``.
+
+Every transcendental step is a numpy ufunc on ndarrays (``np.power``, not
+``**``, which on numpy scalars takes libm's ``pow``), so a 0-d call agrees
+bit for bit with the same point of an array call.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .reports import ChainReport
 # series branch; the quadratic term is ~1e-16 relative there, so the two
 # branches agree to machine precision across the switch.
 H_SWITCH = 1e-8
+
+CHAIN_TOL = 1e-12  # relative tolerance of the mean chains' links
 
 LOG_CHAIN_LABELS = (
     "geometric",
@@ -65,24 +72,56 @@ def max_weight(v) -> float:
     return max(v, 1.0 - v)
 
 
-def weighted_arithmetic(a, b, v) -> float:
-    """(1-v)*a + v*b."""
-    a, b = check_pair(a, b)
-    v = check_weight(v)
+def _args(a, b, v) -> list[np.ndarray]:
+    """(a, b, v) as float arrays, checked: a and b finite and positive, v in [0, 1].
+    Every point is valid iff the extremes are; a bad one raises as the scalar checks do."""
+    a, b, v = (np.asarray(x, dtype=float) for x in (a, b, v))
+    for pick in (np.ndarray.min, np.ndarray.max):
+        check_pair(pick(a), pick(b))
+        check_weight(pick(v))
+    return [a, b, v]
+
+
+def _float_if_0d(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _arithmetic(a, b, v):
     return (1.0 - v) * a + v * b
 
 
-def weighted_geometric(a, b, v) -> float:
-    """a**(1-v) * b**v, evaluated as exp((1-v) log a + v log b)."""
-    a, b = check_pair(a, b)
-    v = check_weight(v)
-    if a == b:
-        return a
-    if v == 0.0:
-        return a
-    if v == 1.0:
-        return b
-    return math.exp((1.0 - v) * math.log(a) + v * math.log(b))
+def _geometric(a, b, v):
+    return np.where(a == b, a, np.power(a, 1.0 - v) * np.power(b, v))
+
+
+def _logarithmic(a, b, v):
+    return np.where(v == 1.0, b, a * log_mean_unit(b / a, v))
+
+
+def _log_identric(a, b, v):
+    # at the smaller weight w the node n = a + w (b - a) splits [a, b]; no b/a is formed
+    mirror = v > 0.5
+    a, b, w = np.where(mirror, b, a), np.where(mirror, a, b), np.where(mirror, 1.0 - v, v)
+    log_a, log_b, log_n = np.log(a), np.log(b), np.log(_arithmetic(a, b, w))
+    rho = log_n - log_a
+    full = log_n + (1.0 - w) * (_identric_rho(rho) - rho) + w * _identric_rho(log_b - log_n)
+    return np.where(np.abs(log_b - log_a) < H_SWITCH, log_n, full)
+
+
+def _identric(a, b, v):
+    # the arithmetic mean near a == b, and exactly a or b at v = 0 or 1
+    plain = (np.abs(np.log(b) - np.log(a)) < H_SWITCH) | (v == 0.0) | (v == 1.0)
+    return np.where(plain, _arithmetic(a, b, v), np.exp(_log_identric(a, b, v)))
+
+
+def weighted_arithmetic(a, b, v):
+    """(1-v)*a + v*b."""
+    return _float_if_0d(_arithmetic(*_args(a, b, v)))
+
+
+def weighted_geometric(a, b, v):
+    """a**(1-v) * b**v, exactly a where a == b."""
+    return _float_if_0d(_geometric(*_args(a, b, v)))
 
 
 def _log_mean_unit_formula(h, v):
@@ -94,50 +133,43 @@ def _log_mean_unit_series(h, v):
     return 1.0 + v * h + v * (1.0 + 2.0 * v) * h * h / 6.0
 
 
-def _logmean_kernel(t_arr, v):
-    # assumes 0 < v <= 1/2, where no term amplifies cancellation error
-    h = np.log(t_arr)
-    small = np.abs(h) < H_SWITCH
-    main = _log_mean_unit_formula(np.where(small, 1.0, h), v)
-    return np.where(small, _log_mean_unit_series(h, v), main)
-
-
 def log_mean_unit(t, v):
-    """Weighted logarithmic mean of 1 and t.
+    """Weighted logarithmic mean of 1 and t, broadcast over ``t`` and ``v``.
 
     For h = log t this is
         [((1-v)/v) expm1(v h) + (v/(1-v)) (expm1(h) - expm1(v h))] / h,
     with the series 1 + v h + v(1+2v) h^2/6 used for |h| < H_SWITCH.
-    Weights above 1/2 route through L_v(1, t) = t L_{1-v}(1, 1/t), which
-    keeps the expm1 difference well conditioned near the weight endpoints.
-    Accepts a scalar or an ndarray ``t``; ``v`` is a scalar weight.
+    Per element, weights above 1/2 route through L_v(1, t) = t L_{1-v}(1, 1/t),
+    which keeps the expm1 difference well conditioned near the weight
+    endpoints, and v = 0 and v = 1 give 1 and t.
     """
-    v = check_weight(v)
-    t_arr = np.asarray(t, dtype=float)
-    if not (np.isfinite(t_arr) & (t_arr > 0.0)).all():
+    t = np.asarray(t, dtype=float)
+    if not (t.min() > 0.0 and t.max() < np.inf):
         raise ValueError("log_mean_unit needs finite positive arguments")
-    if v == 0.0:
-        out = np.ones_like(t_arr)
-    elif v == 1.0:
-        out = t_arr.copy()
-    elif v <= 0.5:
-        out = _logmean_kernel(t_arr, v)
-    else:
-        out = t_arr * _logmean_kernel(1.0 / t_arr, 1.0 - v)
-    if t_arr.ndim == 0:
-        return float(out)
-    return out
+    _, t, v = _args(1.0, t, v)
+    mirror, end = v > 0.5, (v == 0.0) | (v == 1.0)
+    w = np.where(end, 0.5, np.where(mirror, 1.0 - v, v))
+    x = np.broadcast_to(t, np.broadcast_shapes(t.shape, v.shape)).copy()
+    h = np.log(np.divide(1.0, t, out=x, where=mirror))
+    small = np.abs(h) < H_SWITCH
+    unit = _log_mean_unit_formula(np.where(small, 1.0, h), w)
+    if small.any():
+        unit = np.where(small, _log_mean_unit_series(h, w), unit)
+    unit = np.where(end, 1.0, unit)  # L_0(1, t) = 1, and t at v = 1 once mirrored
+    return _float_if_0d(np.where(mirror, unit * t, unit))
 
 
-def weighted_logarithmic(a, b, v) -> float:
+def weighted_logarithmic(a, b, v):
     """Weighted logarithmic mean, a * L_v(1, b/a)."""
-    a, b = check_pair(a, b)
-    v = check_weight(v)
-    if v == 0.0:
-        return a
-    if v == 1.0:
-        return b
-    return a * log_mean_unit(b / a, v)
+    return _float_if_0d(_logarithmic(*_args(a, b, v)))
+
+
+def _identric_rho(rho):
+    # log I(1, e^rho) = rho / (-expm1(-rho)) - 1; series rho/2 + rho^2/12 below the switch.
+    # Below rho = -700, where expm1 would overflow, it is -1 to double precision.
+    small = np.abs(rho) < H_SWITCH
+    safe = np.where(small, 1.0, np.maximum(rho, -700.0))
+    return np.where(small, rho / 2.0 + rho * rho / 12.0, safe / (-np.expm1(-safe)) - 1.0)
 
 
 def identric_unit_log(r):
@@ -146,100 +178,62 @@ def identric_unit_log(r):
     Equals r log r / (r - 1) - 1, computed as rho / (-expm1(-rho)) - 1
     with rho = log r; series rho/2 + rho^2/12 below the switch.
     """
-    r_arr = np.asarray(r, dtype=float)
-    if not (np.isfinite(r_arr) & (r_arr > 0.0)).all():
+    r = np.asarray(r, dtype=float)
+    if not (np.isfinite(r) & (r > 0.0)).all():
         raise ValueError("identric_unit_log needs finite positive arguments")
-    rho = np.log(r_arr)
-    small = np.abs(rho) < H_SWITCH
-    rho_safe = np.where(small, 1.0, rho)
-    main = rho_safe / (-np.expm1(-rho_safe)) - 1.0
-    series = rho / 2.0 + rho * rho / 12.0
-    out = np.where(small, series, main)
-    if r_arr.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_0d(_identric_rho(np.log(r)))
 
 
-def log_weighted_identric(a, b, v) -> float:
+def log_weighted_identric(a, b, v):
     """log of the weighted identric mean.
 
     The node n = a + v(b-a) splits [a, b]; the weighted identric mean is
     the v-weighted geometric mix of the classical identric means of the
-    two pieces, which keeps every intermediate on the scale of log(b/a).
+    two pieces, each taken from rho = log n - log a or log b - log n, so
+    every intermediate stays on the scale of log(b/a) and b/a is never formed.
     """
-    a, b = check_pair(a, b)
-    v = check_weight(v)
-    if v == 0.0:
-        return math.log(a)
-    if v == 1.0:
-        return math.log(b)
-    if v > 0.5:
-        # exact mirror symmetry; evaluating at the smaller weight makes the
-        # two orientations share one computation
-        a, b, v = b, a, 1.0 - v
-    t = b / a
-    h = math.log(t)
-    if abs(h) < H_SWITCH:
-        return math.log(weighted_arithmetic(a, b, v))
-    n = 1.0 + v * (t - 1.0)
-    left, right = identric_unit_log(np.array([n, t / n])).tolist()
-    return math.log(a) + (1.0 - v) * left + v * (math.log(n) + right)
+    return _float_if_0d(_log_identric(*_args(a, b, v)))
 
 
-def weighted_identric(a, b, v) -> float:
+def weighted_identric(a, b, v):
     """Weighted identric mean."""
-    a, b = check_pair(a, b)
-    v = check_weight(v)
-    if v == 0.0:
-        return a
-    if v == 1.0:
-        return b
-    if abs(math.log(b / a)) < H_SWITCH:
-        return weighted_arithmetic(a, b, v)
-    return math.exp(log_weighted_identric(a, b, v))
+    return _float_if_0d(_identric(*_args(a, b, v)))
 
 
-def log_chain_terms(a, b, v) -> tuple[float, ...]:
-    """The five terms of :func:`logarithmic_chain`, in chain order."""
-    geo = weighted_geometric(a, b, v)
-    ari = weighted_arithmetic(a, b, v)
-    mix = (1.0 - v) * weighted_geometric(a, b, v / 2.0) + v * weighted_geometric(
-        a, b, (1.0 + v) / 2.0
-    )
-    return geo, mix, weighted_logarithmic(a, b, v), 0.5 * (ari + geo), ari
+def log_chain_terms(a, b, v) -> tuple:
+    """The five terms of :func:`logarithmic_chain`, each of the broadcast shape."""
+    a, b, v = _args(a, b, v)
+    log_mean = _logarithmic(a, b, v)  # first, so its temporaries are gone before the rest
+    geo = _geometric(a, b, v)
+    mix = (1.0 - v) * _geometric(a, b, v / 2.0) + v * _geometric(a, b, (1.0 + v) / 2.0)
+    avg = 0.5 * (geo + (1.0 - v) * a + v * b)
+    return geo, mix, log_mean, avg, _arithmetic(a, b, v)
 
 
-def identric_chain_log_terms(a, b, v) -> tuple[float, float, float, float]:
-    """(geometric, log of the second term, log of the fourth term, arithmetic)
-    of :func:`identric_chain`; the two middle terms are formed as logarithms."""
-    geo = weighted_geometric(a, b, v)
-    ari = weighted_arithmetic(a, b, v)
-    n1 = weighted_arithmetic(a, b, v / 2.0)
-    n2 = weighted_arithmetic(a, b, (1.0 + v) / 2.0)
-    mix_log = (1.0 - v) * math.log(n1) + v * math.log(n2)
-    return geo, 0.5 * (math.log(geo) + math.log(ari)), mix_log, ari
+def identric_chain_terms(a, b, v) -> tuple:
+    """The five terms of :func:`identric_chain`; the 2nd and 4th are formed as logarithms."""
+    a, b, v = _args(a, b, v)
+    geo, ari = _geometric(a, b, v), _arithmetic(a, b, v)
+    geo_ari = np.exp(0.5 * (np.log(geo) + np.log(ari)))
+    mix = np.exp((1.0 - v) * np.log(_arithmetic(a, b, v / 2.0))
+                 + v * np.log(_arithmetic(a, b, (1.0 + v) / 2.0)))
+    return geo, geo_ari, _identric(a, b, v), mix, ari
 
 
-def logarithmic_chain(a, b, v, tol=1e-12) -> ChainReport:
-    """Five-term chain around the weighted logarithmic mean.
+def logarithmic_chain(a, b, v, tol=CHAIN_TOL) -> ChainReport:
+    """Five-term chain around the weighted logarithmic mean, at one point.
 
     geometric <= split geometric mix <= logarithmic
               <= average of arithmetic and geometric <= arithmetic.
     Weight endpoints are accepted; there the chain collapses to equalities.
     """
-    a, b = check_pair(a, b)
-    v = check_weight(v)
     return ChainReport.from_values(LOG_CHAIN_LABELS, log_chain_terms(a, b, v), tol)
 
 
-def identric_chain(a, b, v, tol=1e-12) -> ChainReport:
-    """Five-term chain around the weighted identric mean.
+def identric_chain(a, b, v, tol=CHAIN_TOL) -> ChainReport:
+    """Five-term chain around the weighted identric mean, at one point.
 
     geometric <= geometric mean of (geometric, arithmetic) <= identric
               <= v-weighted geometric mix of the split nodes <= arithmetic.
     """
-    a, b = check_pair(a, b)
-    v = check_weight(v)
-    geo, geo_ari_log, mix_log, ari = identric_chain_log_terms(a, b, v)
-    values = (geo, math.exp(geo_ari_log), weighted_identric(a, b, v), math.exp(mix_log), ari)
-    return ChainReport.from_values(IDENTRIC_CHAIN_LABELS, values, tol)
+    return ChainReport.from_values(IDENTRIC_CHAIN_LABELS, identric_chain_terms(a, b, v), tol)

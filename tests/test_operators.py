@@ -351,7 +351,7 @@ class TestRepresentingChain:
     def test_grid_monotone(self):
         ts = np.logspace(-4, 4, 2000)
         for v in (0.01, 0.25, 0.5, 0.75, 0.99):
-            terms = ops._representing_terms(ts, v)
+            terms = sc.log_chain_terms(1.0, ts, v)
             scale = np.maximum.reduce([np.abs(x) for x in terms])
             for i in range(4):
                 slack = terms[i + 1] - terms[i]

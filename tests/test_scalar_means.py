@@ -171,17 +171,18 @@ class TestKernelTrims:
 
     @staticmethod
     def two_call_form(a, b, v):
-        # log_weighted_identric with one 0-d identric_unit_log call per piece
+        # log_weighted_identric with one 0-d kernel call per piece, each
+        # piece's rho a difference of logs
         if v > 0.5:
             a, b, v = b, a, 1.0 - v
-        t = b / a
-        if abs(math.log(t)) < sc.H_SWITCH:
-            return math.log(sc.weighted_arithmetic(a, b, v))
-        n = 1.0 + v * (t - 1.0)
-        return (
-            math.log(a)
-            + (1.0 - v) * sc.identric_unit_log(n)
-            + v * (math.log(n) + sc.identric_unit_log(t / n))
+        log_a, log_b, log_n = np.log(a), np.log(b), np.log((1.0 - v) * a + v * b)
+        if abs(log_b - log_a) < sc.H_SWITCH:
+            return float(log_n)
+        rho = log_n - log_a
+        return float(
+            log_n
+            + (1.0 - v) * (sc._identric_rho(np.array(rho)) - rho)
+            + v * sc._identric_rho(np.array(log_b - log_n))
         )
 
     def test_log_weighted_identric_matches_two_call_form(self):

@@ -30,7 +30,6 @@ from . import harness
 from . import operators as ops
 from . import scalar as sc
 from .quadrature import QuadratureError
-from .reports import chain_links
 
 FUNCTION_CHOICES = tuple(sorted(cvx.BUILTINS))
 
@@ -227,13 +226,11 @@ def _cmd_scan(args):
     v_grid = _parse_grid(args.v, "v", positive=False)
     if np.any(v_grid < 0.0) or np.any(v_grid > 1.0):
         raise ValueError(f"--v grid must stay inside [0, 1]: {args.v!r}")
-    labels, terms = ((sc.LOG_CHAIN_LABELS, sc.log_chain_terms) if args.chain == "log"
-                     else (sc.IDENTRIC_CHAIN_LABELS, sc.identric_chain_terms))
+    chain = sc.logarithmic_chain if args.chain == "log" else sc.identric_chain
     a, b, v = (x.ravel() for x in np.meshgrid(a_grid, b_grid, v_grid, indexing="ij"))
-    values = terms(a, b, v)
-    slacks, _, holds = chain_links(values, sc.CHAIN_TOL)
-    keys = ("a", "b", "v", *labels, *(f"slack_{k}" for k in range(1, len(labels))), "pass")
-    columns = (a, b, v, *values, *slacks, np.logical_and.reduce(holds))
+    rep = chain(a, b, v)
+    keys = ("a", "b", "v", *rep.labels, *(f"slack_{k}" for k in range(1, len(rep.labels))), "pass")
+    columns = (a, b, v, *rep.values, *rep.slacks, rep.passed)
     return {"rows": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]}
 
 
@@ -277,7 +274,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.handler(args)
+        with np.errstate(all="ignore"):  # non-finite results raise where they are checked
+            payload = args.handler(args)
     except (QuadratureError, ArithmeticError, ops.NumericalBreakdown) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1

@@ -21,7 +21,7 @@ from . import convex as cvx
 from . import operators as ops
 from . import scalar as sc
 from .quadrature import QuadratureError
-from .reports import Report, chain_links
+from .reports import Report
 
 DEFAULT_FUNCTIONS = tuple(cvx.BUILTINS)
 
@@ -101,6 +101,32 @@ class SuiteReport(Report):
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_dict(include_timing), indent=2)
 
+    def _note(self, key: str, value: float):
+        """Keep the smallest slack of ``key``; NaN ranks below every number."""
+        value = float(value)
+        if key not in self.min_slacks or value < self.min_slacks[key] or math.isnan(value):
+            self.min_slacks[key] = value
+
+    def _fail(self, trial: int, check: str, inputs: dict, **extra):
+        """Record a failed check.  A failure whose numbers are not finite (f
+        overflowed) is a numeric error, raised for the trial loop to record."""
+        if not all(math.isfinite(x) for x in extra.values() if isinstance(x, float)):
+            raise FloatingPointError(f"{check} terms are not finite")
+        self.failures.append({"trial": trial, "check": check, "inputs": inputs, **extra})
+
+    def _chain(self, key: str, report, trial: int, inputs: dict):
+        for idx, slack in enumerate(report.slacks, start=1):
+            self._note(f"{key}.{idx}", slack)
+        if not report.passed:
+            self._fail(trial, key, inputs, slacks=list(report.slacks))
+
+    def _gap(self, key: str, report, trial: int, inputs: dict):
+        self._note(f"{key}.lower", report.slack_lower())
+        self._note(f"{key}.upper", report.slack_upper())
+        if not report.passed:
+            self._fail(trial, key, inputs, gap=report.gap,
+                       lower_bound=report.lower_bound, upper_bound=report.upper_bound)
+
 
 def _strict_json(value):
     """``value`` with each non-finite float spelled "nan", "inf" or "-inf"."""
@@ -116,51 +142,11 @@ def _strict_json(value):
 def merge_reports(first: SuiteReport, second: SuiteReport) -> SuiteReport:
     if first.suite != second.suite or first.seed != second.seed:
         raise ValueError("reports stem from different suites or seeds")
-    col = _Collector()
+    out = SuiteReport(first.suite, first.seed, first.trials + second.trials,
+                      first.failures + second.failures)
     for key, val in (*first.min_slacks.items(), *second.min_slacks.items()):
-        col.note(key, val)
-    return SuiteReport(
-        first.suite,
-        first.seed,
-        first.trials + second.trials,
-        first.failures + second.failures,
-        col.min_slacks,
-        None,
-    )
-
-
-class _Collector:
-    def __init__(self):
-        self.min_slacks: dict[str, float] = {}
-        self.failures: list[dict] = []
-
-    def note(self, key: str, value: float):
-        """Keep the smallest slack of ``key``; NaN ranks below every number."""
-        value = float(value)
-        if key not in self.min_slacks or value < self.min_slacks[key] or math.isnan(value):
-            self.min_slacks[key] = value
-
-    def fail(self, trial: int, check: str, inputs: dict, **extra):
-        """Record a failed check.  A failure whose numbers are not finite (f
-        overflowed) is a numeric error, raised for the trial loop to record."""
-        if not all(math.isfinite(x) for x in extra.values() if isinstance(x, float)):
-            raise FloatingPointError(f"{check} terms are not finite")
-        record = {"trial": trial, "check": check, "inputs": inputs}
-        record.update(extra)
-        self.failures.append(record)
-
-    def chain(self, key: str, report, trial: int, inputs: dict):
-        for idx, slack in enumerate(report.slacks, start=1):
-            self.note(f"{key}.{idx}", slack)
-        if not report.passed:
-            self.fail(trial, key, inputs, slacks=list(report.slacks))
-
-    def gap(self, key: str, report, trial: int, inputs: dict):
-        self.note(f"{key}.lower", report.slack_lower())
-        self.note(f"{key}.upper", report.slack_upper())
-        if not report.passed:
-            self.fail(trial, key, inputs, gap=report.gap,
-                      lower_bound=report.lower_bound, upper_bound=report.upper_bound)
+        out._note(key, val)
+    return out
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -212,14 +198,13 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, checks, oriented: bo
 
     Trial i draws (a, b, v) and takes the builtin ``cfg.functions[i % n]``.  Each
     mean chain in ``chains`` runs once over the slice (:func:`_chain_slice`), then
-    each (key, check) in ``checks`` as ``check(col, key, trial, tol)`` per trial.
+    each (key, check) in ``checks`` as ``check(rep, key, trial, tol)`` per trial.
     A trial's inputs are valid by construction, so a check raising
     QuadratureError, ArithmeticError or ValueError has failed numerically: it
     becomes a failure record of that trial and the remaining checks still
     run.  Failure inputs hold the drawn (a, b), or (lo, hi) when ``oriented``.
     """
     t0 = time.perf_counter()
-    col = _Collector()
     trials = []
     for i in _slice(cfg.trials, start, count):
         rng = _trial_rng(cfg.seed, i)
@@ -230,63 +215,59 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, checks, oriented: bo
         inputs = {"a": lo, "b": hi} if oriented else {"a": a, "b": b}
         inputs.update(v=v, f=fname)
         trials.append(_Trial(i, a, b, lo, hi, v, cvx.get_builtin(fname), inputs))
+    rep = SuiteReport(suite, cfg.seed, len(trials))
     for key in chains if trials else ():
-        _chain_slice(col, key, trials, cfg.tol)
+        _chain_slice(rep, key, trials, cfg.tol)
     for t in trials:
         for key, check in checks:
             try:
-                check(col, key, t, cfg.tol)
+                check(rep, key, t, cfg.tol)
             except (QuadratureError, ArithmeticError, ValueError) as exc:
-                col.fail(t.index, key, t.inputs, error=str(exc))
-    col.failures.sort(key=lambda record: record["trial"])  # stable: check order stays
-    wall = (time.perf_counter() - t0) * 1e3
-    return SuiteReport(suite, cfg.seed, len(trials), col.failures, col.min_slacks, wall)
+                rep._fail(t.index, key, t.inputs, error=str(exc))
+    rep.failures.sort(key=lambda record: record["trial"])  # stable: check order stays
+    rep.wall_ms = (time.perf_counter() - t0) * 1e3
+    return rep
 
 
-def _chain_slice(col, key, trials, tol):
+def _chain_slice(rep, key, trials, tol):
     """A mean chain over the slice's trials as one array call, its min_slacks
-    from column minima.  If the call raises or a row is not finite, the check
-    reruns trial by trial through the chain's 0-d view instead."""
-    terms, view = ((sc.log_chain_terms, sc.logarithmic_chain) if key == "log_chain"
-                   else (sc.identric_chain_terms, sc.identric_chain))
+    from array minima.  If the call raises, it reruns trial by trial instead."""
+    chain = sc.logarithmic_chain if key == "log_chain" else sc.identric_chain
     try:
-        values = terms(*(np.array([getattr(t, x) for t in trials]) for x in "abv"))
-        finite = np.isfinite(values).all()
+        report = chain(*(np.array([getattr(t, x) for t in trials]) for x in "abv"), tol=tol)
     except (ArithmeticError, ValueError):
-        finite = False
-    if not finite:
         for t in trials:
             try:
-                col.chain(key, view(t.a, t.b, t.v, tol=tol), t.index, t.inputs)
+                rep._chain(key, chain(t.a, t.b, t.v, tol=tol), t.index, t.inputs)
             except (ArithmeticError, ValueError) as exc:
-                col.fail(t.index, key, t.inputs, error=str(exc))
+                rep._fail(t.index, key, t.inputs, error=str(exc))
         return
-    slacks, _, holds = (np.array(x) for x in chain_links(values, tol))
-    for idx, low in enumerate(slacks.min(axis=1).tolist(), start=1):
-        col.note(f"{key}.{idx}", low)
-    for pos in np.flatnonzero(~holds.all(axis=0)).tolist():
-        col.fail(trials[pos].index, key, trials[pos].inputs, slacks=slacks[:, pos].tolist())
+    for idx, slack in enumerate(report.slacks, start=1):
+        rep._note(f"{key}.{idx}", slack.min())
+    for pos in np.flatnonzero(~report.passed).tolist():
+        rep._fail(trials[pos].index, key, trials[pos].inputs,
+                  slacks=[slack[pos].item() for slack in report.slacks])
 
 
-def _hh_chain(col, key, t, tol):
+def _hh_chain(rep, key, t, tol):
     if t.hi - t.lo >= MIN_GAP:
-        col.chain(key, cvx.chain_eval(t.f, t.lo, t.hi, t.v, tol=tol), t.index, t.inputs)
+        rep._chain(key, cvx.chain_eval(t.f, t.lo, t.hi, t.v, tol=tol), t.index, t.inputs)
 
 
-def _gap_sandwich(col, key, t, tol):
+def _gap_sandwich(rep, key, t, tol):
     res = cvx.gap_sandwich_check(t.f, t.lo, t.hi, t.v, tol=tol)
-    col.note(f"{key}.lower", res.mid - res.lhs)
-    col.note(f"{key}.upper", res.rhs - res.mid)
+    rep._note(f"{key}.lower", res.mid - res.lhs)
+    rep._note(f"{key}.upper", res.rhs - res.mid)
     if not res.passed:
-        col.fail(t.index, key, t.inputs, lhs=res.lhs, mid=res.mid, rhs=res.rhs)
+        rep._fail(t.index, key, t.inputs, lhs=res.lhs, mid=res.mid, rhs=res.rhs)
 
 
-def _refined_gap(col, key, t, tol):
+def _refined_gap(rep, key, t, tol):
     res = cvx.refined_gap_check(t.f, t.lo, t.hi, t.v, tol=tol)
-    col.note(f"{key}.refined", res.lhs - res.rhs)
-    col.note(f"{key}.nonneg", res.rhs)
+    rep._note(f"{key}.refined", res.lhs - res.rhs)
+    rep._note(f"{key}.nonneg", res.rhs)
     if not res.passed:
-        col.fail(t.index, key, t.inputs, lhs=res.lhs, rhs=res.rhs)
+        rep._fail(t.index, key, t.inputs, lhs=res.lhs, rhs=res.rhs)
 
 
 _SCALAR_CHECKS = (
@@ -308,13 +289,13 @@ BOUNDS_CHECKS = {
 }
 
 
-def _bounds_check(col, key, t, tol):
+def _bounds_check(rep, key, t, tol):
     takes_f, producer = BOUNDS_CHECKS[key]
     if takes_f and t.hi - t.lo < MIN_GAP:
         return
     head = (t.f,) if takes_f else ()
-    for rep in getattr(bnd, producer)(*head, t.lo, t.hi, t.v, tol=tol):
-        col.gap(f"{key}.{rep.name}", rep, t.index, t.inputs)
+    for gap in getattr(bnd, producer)(*head, t.lo, t.hi, t.v, tol=tol):
+        rep._gap(f"{key}.{gap.name}", gap, t.index, t.inputs)
 
 
 def run_scalar_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
@@ -351,27 +332,27 @@ def random_spd(rng, dim: int, log10_cond_half: float = 2.0) -> ops.SpdMatrix:
     return ops.SpdMatrix(stack if isinstance(rng, list) else stack[0])
 
 
-def _representing_grid(col: _Collector, cfg: SuiteConfig):
-    ts = np.logspace(
-        np.log10(OPERATOR_GRID_RANGE[0]), np.log10(OPERATOR_GRID_RANGE[1]), OPERATOR_GRID_POINTS
-    )
+def _representing_grid(rep: SuiteReport, cfg: SuiteConfig):
+    ts = np.logspace(*np.log10(OPERATOR_GRID_RANGE), OPERATOR_GRID_POINTS)
     for v in OPERATOR_GRID_WEIGHTS:
-        slacks, allowed, holds = chain_links(sc.log_chain_terms(1.0, ts, v), cfg.tol)
-        for idx, (slack, ok) in enumerate(zip(slacks, holds)):
-            col.note(f"representing.{idx + 1}", float(np.min(slack)))
-            if not ok.all():
+        chain = ops.representing_chain(ts, v, cfg.tol)
+        for idx, slack in enumerate(chain.slacks, start=1):
+            rep._note(f"representing.{idx}", slack.min())
+            if not chain.passed.all():  # then each failing link names its worst point
+                allowed = cfg.tol * chain.scale
                 worst = int(np.argmin(slack + allowed))
-                col.fail(-1, f"representing.{idx + 1}",
-                         {"t": float(ts[worst]), "v": float(v)}, slack=float(slack[worst]))
-    lhs = sc.log_mean_unit(np.square(ts), 0.5)
-    slack = lhs - ts
-    col.note("logmean_gm", float(np.min(slack)))
-    worst = int(np.argmin(slack + cfg.tol * np.maximum(1.0, ts)))
-    if slack[worst] < -cfg.tol * max(1.0, ts[worst]):
-        col.fail(-1, "logmean_gm", {"t": float(ts[worst])}, slack=float(slack[worst]))
+                if slack[worst] < -allowed[worst]:
+                    rep._fail(-1, f"representing.{idx}",
+                              {"t": float(ts[worst]), "v": float(v)}, slack=float(slack[worst]))
+    gm = ops.logmean_gm_check(ts, cfg.tol)
+    slack = gm.lhs - ts
+    rep._note("logmean_gm", slack.min())
+    if not gm.passed.all():
+        worst = int(np.argmin(np.where(gm.passed, np.inf, slack)))
+        rep._fail(-1, "logmean_gm", {"t": float(ts[worst])}, slack=float(slack[worst]))
 
 
-def _operator_block(col: _Collector, cfg: SuiteConfig, dim: int, block: list):
+def _operator_block(rep: SuiteReport, cfg: SuiteConfig, dim: int, block: list):
     """One dimension's trials as one stack of pairs.  If the stack raises, its
     trials rerun one by one and the failing one gets a record with the error."""
     rngs = [_trial_rng(cfg.seed, i) for i in block]
@@ -382,19 +363,19 @@ def _operator_block(col: _Collector, cfg: SuiteConfig, dim: int, block: list):
     except (ValueError, ops.NumericalBreakdown) as exc:  # LinAlgError is a ValueError
         if len(block) > 1:
             for i in block:
-                _operator_block(col, cfg, dim, [i])
+                _operator_block(rep, cfg, dim, [i])
             return
         rng = _trial_rng(cfg.seed, block[0])
         a, b = _spd_stack([rng, rng], dim)  # A, then B, then the weight, as drawn above
         inputs = {"dim": dim, "v": _draw_weight(rng, cfg), "A": a.tolist(), "B": b.tolist()}
-        return col.fail(block[0], "op_chain", inputs, error=str(exc))
+        return rep._fail(block[0], "op_chain", inputs, error=str(exc))
     for i, v, a, b, report in zip(block, weights, mat_a.entries, mat_b.entries, reports):
         margins = [vd.margin for vd in report.verdicts]
         for idx, margin in enumerate(margins, start=1):
-            col.note(f"op_chain.{idx}", margin)
+            rep._note(f"op_chain.{idx}", margin)
         if not report.passed:
             inputs = {"dim": dim, "v": v, "A": a.tolist(), "B": b.tolist()}
-            col.fail(i, "op_chain", inputs, margins=margins)
+            rep._fail(i, "op_chain", inputs, margins=margins)
 
 
 def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
@@ -406,36 +387,35 @@ def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteRep
     failure record.  The grid checks run once, attached to the slice containing trial 0.
     """
     t0 = time.perf_counter()
-    col = _Collector()
     indices = _slice(cfg.trials * len(cfg.dims), start, count)
+    rep = SuiteReport("operator", cfg.seed, len(indices))
     for dim, block in itertools.groupby(indices, lambda i: cfg.dims[i // cfg.trials]):
-        _operator_block(col, cfg, dim, list(block))
+        _operator_block(rep, cfg, dim, list(block))
     if 0 in indices:
-        _representing_grid(col, cfg)
-    wall = (time.perf_counter() - t0) * 1e3
-    return SuiteReport("operator", cfg.seed, len(indices), col.failures, col.min_slacks, wall)
+        _representing_grid(rep, cfg)
+    rep.wall_ms = (time.perf_counter() - t0) * 1e3
+    return rep
 
 
 def reference_value_check() -> SuiteReport:
     """Recompute the two reference values of the max-weight bound difference
     (f = exp, v = 1/4) and the sign change they witness."""
     t0 = time.perf_counter()
-    col = _Collector()
+    rep = SuiteReport("paper-numbers", 0, len(REFERENCE_DIFFS))
     f = cvx.get_builtin("exp")
     diffs = []
     for (a, b), expected, tol_abs in REFERENCE_DIFFS:
         diff = cvx.maxweight_lower(f, a, b, 0.25) - cvx.maxweight_upper(f, a, b, 0.25)
         diffs.append(diff)
         tag = f"{a:g}_{b:g}"
-        col.note(f"diff_{tag}", diff)
+        rep._note(f"diff_{tag}", diff)
         margin = tol_abs - abs(diff - expected)
-        col.note(f"margin_{tag}", margin)
+        rep._note(f"margin_{tag}", margin)
         if margin < 0.0:
-            col.fail(0, f"reference_{tag}", {"a": a, "b": b, "v": 0.25, "f": "exp"},
+            rep._fail(0, f"reference_{tag}", {"a": a, "b": b, "v": 0.25, "f": "exp"},
                      computed=diff, expected=expected, tol=tol_abs)
-    col.note("sign_flip", 1.0 if diffs[0] * diffs[1] < 0.0 else -1.0)
+    rep._note("sign_flip", 1.0 if diffs[0] * diffs[1] < 0.0 else -1.0)
     if not diffs[0] * diffs[1] < 0.0:
-        col.fail(0, "sign_flip", {"diffs": diffs})
-    wall = (time.perf_counter() - t0) * 1e3
-    return SuiteReport("paper-numbers", 0, len(REFERENCE_DIFFS), col.failures,
-                       col.min_slacks, wall)
+        rep._fail(0, "sign_flip", {"diffs": diffs})
+    rep.wall_ms = (time.perf_counter() - t0) * 1e3
+    return rep

@@ -12,15 +12,14 @@ Loewner-order eigenvalue tests are not corrupted by roundoff.
 
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .reports import ChainReport, Report, chain_links
-from .scalar import check_weight, log_chain_terms, log_mean_unit
+from .reports import ChainReport, Report
+from .scalar import check_weight, log_mean_unit, logarithmic_chain
 
 OPERATOR_CHAIN_LABELS = (
     "geometric",
@@ -247,27 +246,28 @@ def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10):
     stacked = a.entries.ndim == 3
     weights = np.array([_check_operands(a, b, w) for w in (v if stacked else [v])])
     lam, frame = _congruence_spectrum(*(m.entries.reshape(-1, a.dim, a.dim) for m in (a, b)))
-    values = log_chain_terms(1.0, lam, weights[:, None])
-    slack, allowed, holds = (np.array(x) for x in chain_links(values, tol))
+    chain = logarithmic_chain(1.0, lam, weights[:, None], tol)
+    slack, allowed = np.array(chain.slacks), tol * chain.scale
     worst = (slack + allowed).argmin(axis=-1)
     link, pair = np.arange(4)[:, None], np.arange(len(weights))
-    links = zip(slack[link, pair, worst].T.tolist(), lam[pair, worst].T.tolist(),
-                allowed[pair, worst].T.tolist(), holds.all(axis=-1).T.tolist())
+    margin, bound = slack[link, pair, worst], allowed[pair, worst]
+    links = zip(margin.T.tolist(), lam[pair, worst].T.tolist(), bound.T.tolist(),
+                (margin >= -bound).T.tolist())
     reports = []
-    for terms, link in zip(_from_representing(frame[:, None], np.stack(values, 1)), links):
+    for terms, link in zip(_from_representing(frame[:, None], np.stack(chain.values, 1)), links):
         verdicts = tuple(SpectralVerdict(*vd) for vd in zip(*link))
         reports.append(OperatorChainReport(OPERATOR_CHAIN_LABELS, tuple(terms), verdicts, tol,
                                            all(vd.holds for vd in verdicts)))
     return tuple(reports) if stacked else reports[0]
 
 
-def representing_chain(t: float, v, tol: float = 1e-12) -> ChainReport:
-    """Scalar chain underlying the operator chain, at the point t > 0.
+def representing_chain(t, v, tol: float = 1e-12) -> ChainReport:
+    """Scalar chain underlying the operator chain, at t > 0 (broadcast over t, v).
 
     t^v <= (1-v) t^{v/2} + v t^{(1+v)/2} <= L_v(1,t)
         <= (t^v + (1-v) + v t)/2 <= (1-v) + v t: the logarithmic chain at (1, t).
     """
-    return ChainReport.from_values(OPERATOR_CHAIN_LABELS, log_chain_terms(1.0, t, v), tol)
+    return replace(logarithmic_chain(1.0, t, v, tol), labels=OPERATOR_CHAIN_LABELS)
 
 
 class PointCheck(NamedTuple):
@@ -276,15 +276,17 @@ class PointCheck(NamedTuple):
     passed: bool
 
 
-def logmean_gm_check(x: float, tol: float = 1e-12) -> PointCheck:
-    """Check (x^2 - 1)/log(x^2) >= x for x > 0.
+def logmean_gm_check(x, tol: float = 1e-12) -> PointCheck:
+    """Check (x^2 - 1)/log(x^2) >= x for x > 0, broadcast over ``x``.
 
     The left side is the logarithmic mean of x^2 and 1, the right side
-    their geometric mean; equality at x = 1 is taken by limit.
+    their geometric mean; equality at x = 1 is taken by limit.  An array
+    ``x`` gives arrays of sides and verdicts.
     """
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"x must be finite and positive, got {x}")
-    lhs = float(log_mean_unit(x * x, 0.5))
-    passed = lhs >= x - tol * max(1.0, x)
-    return PointCheck(lhs, x, passed)
+    x = np.asarray(x, dtype=float)
+    bad = x[~((x > 0.0) & (x < np.inf))]
+    if bad.size:
+        raise ValueError(f"x must be finite and positive, got {bad[0]}")
+    lhs = log_mean_unit(x * x, 0.5)
+    passed = lhs >= x - tol * np.maximum(1.0, x)
+    return PointCheck(lhs, x, passed) if x.ndim else PointCheck(lhs, float(x), bool(passed))

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import reduce
+from math import isfinite
 
 import numpy as np
 
 
 def chain_links(values, tol):
     """Links of a chain given as its terms, numbers or arrays of one shape: the
-    slacks values[k+1] - values[k], the allowance tol * max_k |values[k]|, and for
-    each slack whether it is at least -allowance.  Terms are never stacked (k, n)."""
-    floor = -tol * reduce(np.maximum, map(np.abs, values))
+    slacks values[k+1] - values[k], and for each whether it is at least
+    -tol * max_k |values[k]|.  Terms are never stacked (k, n).  A term that
+    overflowed or is NaN makes that allowance non-finite, which would let every
+    link hold: that raises FloatingPointError."""
+    floor = -tol * reduce(np.maximum, map(abs, values))
+    finite = abs(floor) < np.inf
+    if not (finite.all() if finite.ndim else finite):
+        raise FloatingPointError("chain terms are not finite")
     slacks = [y - x for x, y in zip(values, values[1:])]
-    return slacks, -floor, [s >= floor for s in slacks]
+    return slacks, [s >= floor for s in slacks]
 
 
 class Report:
@@ -34,33 +41,39 @@ class Report:
 
 @dataclass(frozen=True)
 class ChainReport(Report):
-    """Evaluated terms of an inequality chain with pairwise slacks.
+    """Evaluated terms of an inequality chain with pairwise slacks, at one point
+    or at each point of arrays of one shape.
 
     ``slacks[i] = values[i+1] - values[i]``; the chain passes when every
     slack is at least ``-tol_used * scale`` with ``scale = max |values|``.
+    Built from arrays, ``values`` and ``slacks`` are tuples of arrays and
+    ``passed`` and ``scale`` are arrays, per point; ``to_dict`` is for one point.
     ``certified`` is lowered when the input failed a convexity spot check,
     in which case the numbers are still reported but carry no guarantee.
     """
 
     labels: tuple[str, ...]
-    values: tuple[float, ...]
-    slacks: tuple[float, ...]
+    values: tuple
+    slacks: tuple
     tol_used: float
     passed: bool
     certified: bool = True
 
     @classmethod
     def from_values(cls, labels, values, tol, certified=True):
-        labels = tuple(labels)
-        values = tuple(float(x) for x in values)
+        labels, values = tuple(labels), tuple(values)
         if len(labels) != len(values) or len(values) < 2:
             raise ValueError("need one label per value and at least two values")
-        slacks, _, holds = chain_links(values, tol)
-        return cls(labels, values, tuple(slacks), float(tol), bool(all(holds)), certified)
+        arrays = getattr(values[0], "ndim", 0) > 0
+        values = values if arrays else tuple(float(x) for x in values)
+        slacks, holds = chain_links(values, tol)
+        passed = reduce(operator.and_, holds)
+        return cls(labels, values, tuple(slacks), float(tol),
+                   passed if arrays else bool(passed), certified)
 
     @property
-    def scale(self) -> float:
-        return max(abs(x) for x in self.values)
+    def scale(self):
+        return reduce(np.maximum, map(abs, self.values))
 
 
 @dataclass(frozen=True)
@@ -83,10 +96,10 @@ class GapBoundReport(Report):
 
     @classmethod
     def build(cls, name, gap, lower, upper, tol, scale):
-        gap = float(gap)
-        lower = float(lower)
-        upper = float(upper)
-        scale = float(scale)
+        """Raises FloatingPointError on a non-finite number, which would pass vacuously."""
+        gap, lower, upper, scale = float(gap), float(lower), float(upper), float(scale)
+        if not (isfinite(gap) and isfinite(lower) and isfinite(upper) and isfinite(scale)):
+            raise FloatingPointError(f"{name}: gap, bounds or scale are not finite")
         passed = (lower - tol * scale) <= gap <= (upper + tol * scale)
         return cls(str(name), gap, lower, upper, float(tol), scale, passed)
 

@@ -4,9 +4,10 @@ All four means (arithmetic, geometric, logarithmic, identric) take a
 weight ``v`` in [0, 1], are homogeneous of degree one and interpolate
 between their arguments: ``M(a, b, 0) = a`` and ``M(a, b, 1) = b``.
 Every function broadcasts over ``a``, ``b`` and ``v``; scalar arguments are
-the 0-d case and return floats.  The logarithmic and identric means are
-evaluated in the log domain, so arguments spanning several decades neither
-overflow nor lose the symmetry ``M(a, b, v) = M(b, a, 1 - v)``.
+the 0-d case and return floats (the chains return one ``ChainReport``, of
+arrays or of floats).  The logarithmic and identric means are evaluated in
+the log domain, so arguments spanning several decades neither overflow nor
+lose the symmetry ``M(a, b, v) = M(b, a, 1 - v)``.
 
 Every transcendental step is a numpy ufunc on ndarrays (``np.power``, not
 ``**``, which on numpy scalars takes libm's ``pow``), so a 0-d call agrees
@@ -200,40 +201,33 @@ def weighted_identric(a, b, v):
     return _float_if_0d(_identric(*_args(a, b, v)))
 
 
-def log_chain_terms(a, b, v) -> tuple:
-    """The five terms of :func:`logarithmic_chain`, each of the broadcast shape."""
-    a, b, v = _args(a, b, v)
-    log_mean = _logarithmic(a, b, v)  # first, so its temporaries are gone before the rest
-    geo = _geometric(a, b, v)
-    mix = (1.0 - v) * _geometric(a, b, v / 2.0) + v * _geometric(a, b, (1.0 + v) / 2.0)
-    avg = 0.5 * (geo + (1.0 - v) * a + v * b)
-    return geo, mix, log_mean, avg, _arithmetic(a, b, v)
-
-
-def identric_chain_terms(a, b, v) -> tuple:
-    """The five terms of :func:`identric_chain`; the 2nd and 4th are formed as logarithms."""
-    a, b, v = _args(a, b, v)
-    geo, ari = _geometric(a, b, v), _arithmetic(a, b, v)
-    geo_ari = np.exp(0.5 * (np.log(geo) + np.log(ari)))
-    mix = np.exp((1.0 - v) * np.log(_arithmetic(a, b, v / 2.0))
-                 + v * np.log(_arithmetic(a, b, (1.0 + v) / 2.0)))
-    return geo, geo_ari, _identric(a, b, v), mix, ari
-
-
 def logarithmic_chain(a, b, v, tol=CHAIN_TOL) -> ChainReport:
-    """Five-term chain around the weighted logarithmic mean, at one point.
+    """Five-term chain around the weighted logarithmic mean, broadcast over a, b, v.
 
     geometric <= split geometric mix <= logarithmic
               <= average of arithmetic and geometric <= arithmetic.
     Weight endpoints are accepted; there the chain collapses to equalities.
     """
-    return ChainReport.from_values(LOG_CHAIN_LABELS, log_chain_terms(a, b, v), tol)
+    a, b, v = _args(a, b, v)
+    log_mean = _logarithmic(a, b, v)  # first, so its temporaries are gone before the rest
+    geo = _geometric(a, b, v)
+    mix = (1.0 - v) * _geometric(a, b, v / 2.0) + v * _geometric(a, b, (1.0 + v) / 2.0)
+    avg = 0.5 * (geo + (1.0 - v) * a + v * b)
+    terms = (geo, mix, log_mean, avg, _arithmetic(a, b, v))
+    return ChainReport.from_values(LOG_CHAIN_LABELS, terms, tol)
 
 
 def identric_chain(a, b, v, tol=CHAIN_TOL) -> ChainReport:
-    """Five-term chain around the weighted identric mean, at one point.
+    """Five-term chain around the weighted identric mean, broadcast over a, b, v.
 
     geometric <= geometric mean of (geometric, arithmetic) <= identric
               <= v-weighted geometric mix of the split nodes <= arithmetic.
+    The 2nd and 4th terms are formed as logarithms.
     """
-    return ChainReport.from_values(IDENTRIC_CHAIN_LABELS, identric_chain_terms(a, b, v), tol)
+    a, b, v = _args(a, b, v)
+    geo, ari = _geometric(a, b, v), _arithmetic(a, b, v)
+    geo_ari = np.exp(0.5 * (np.log(geo) + np.log(ari)))
+    mix = np.exp((1.0 - v) * np.log(_arithmetic(a, b, v / 2.0))
+                 + v * np.log(_arithmetic(a, b, (1.0 + v) / 2.0)))
+    terms = (geo, geo_ari, _identric(a, b, v), mix, ari)
+    return ChainReport.from_values(IDENTRIC_CHAIN_LABELS, terms, tol)

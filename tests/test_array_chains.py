@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 from meanbounds import cli, harness
+from meanbounds import convex as cvx
 from meanbounds import operators as ops
 from meanbounds import scalar as sc
+from meanbounds.quadrature import QuadratureError
+from meanbounds.reports import ChainReport, GapBoundReport, chain_links
 
 EPS = np.finfo(float).eps
 
@@ -60,7 +63,7 @@ def test_terms_within_mpmath_budgets():
     rng = np.random.default_rng(2001)
     a, b = 10.0 ** rng.uniform(-6.0, 6.0, (2, 400))  # |log10(b/a)| <= 12
     v = rng.uniform(0.0, 1.0, 400)
-    got = np.array([*sc.log_chain_terms(a, b, v), sc.log_weighted_identric(a, b, v)]).T
+    got = np.array([*sc.logarithmic_chain(a, b, v).values, sc.log_weighted_identric(a, b, v)]).T
     worst = dict.fromkeys(BUDGETS, 0.0)
     for row, point in zip(got.tolist(), zip(a.tolist(), b.tolist(), v.tolist())):
         for name, x, exact in zip(BUDGETS, row, oracle(*point)):
@@ -85,7 +88,8 @@ class TestArrayMeans:
         assert type(mean(1.0, 2.0, 0.3)) is float
 
     def test_broadcasts(self):
-        out = sc.log_chain_terms(1.0, np.array([[0.5, 2.0, 3.0]]), np.array([[0.2], [0.7]]))
+        t, v = np.array([[0.5, 2.0, 3.0]]), np.array([[0.2], [0.7]])
+        out = sc.logarithmic_chain(1.0, t, v).values
         assert [x.shape for x in out] == [(2, 3)] * 5
         assert tuple(x[1, 2] for x in out) == sc.logarithmic_chain(1.0, 3.0, 0.7).values
 
@@ -104,9 +108,46 @@ class TestArrayMeans:
         with pytest.raises(ValueError, match="^mean arguments must be finite and positive"):
             sc.weighted_geometric(np.array([1.0, -2.0]), 3.0, 0.5)
         with pytest.raises(ValueError, match=r"^weight must lie in \[0, 1\], got 1.5$"):
-            sc.log_chain_terms(1.0, 2.0, np.array([0.5, 1.5]))
+            sc.logarithmic_chain(1.0, 2.0, np.array([0.5, 1.5])).values
         with pytest.raises(ValueError, match=r"^weight must lie in \[0, 1\], got nan$"):
             sc.log_mean_unit(2.0, np.array([0.5, math.nan]))
+
+
+class TestChainReport:
+    """One report type covers one point (floats) and arrays (per point)."""
+
+    def test_array_report_is_the_0d_reports(self):
+        rng = np.random.default_rng(11)
+        a, b = 10.0 ** rng.uniform(-3.0, 3.0, (2, 200))
+        v = rng.uniform(0.0, 1.0, 200)
+        for chain in (sc.logarithmic_chain, sc.identric_chain):
+            for tol in (1e-12, -1e-3):  # a negative tolerance fails some points
+                rep = chain(a, b, v, tol)
+                assert rep.passed.shape == a.shape and rep.tol_used == tol
+                points = [chain(x, y, w, tol) for x, y, w in zip(a, b, v)]
+                assert np.array(rep.values).T.tolist() == [list(p.values) for p in points]
+                assert np.array(rep.slacks).T.tolist() == [list(p.slacks) for p in points]
+                assert rep.passed.tolist() == [p.passed for p in points]
+                assert rep.scale.tolist() == [p.scale for p in points]
+        assert type(points[0].passed) is bool and type(points[0].values[0]) is float
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_term_raises(self, bad):
+        with pytest.raises(FloatingPointError, match="^chain terms are not finite$"):
+            ChainReport.from_values("pqr", (1.0, 2.0, bad), 1e-12)
+        with pytest.raises(FloatingPointError):
+            chain_links((np.ones(3), np.array([2.0, bad, 2.0])), 1e-12)
+        with pytest.raises(FloatingPointError, match="^g: gap, bounds or scale are not finite$"):
+            GapBoundReport.build("g", 0.1, 0.0, bad, 1e-9, 1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_chain_raises(self):
+        # the 4th term's inner sum geo + (1 - v) a + v b overflows
+        with pytest.raises(FloatingPointError):
+            sc.logarithmic_chain(1.6e308, 1.7e308, 0.5)
+        with pytest.raises(FloatingPointError):
+            sc.logarithmic_chain(np.array([1.0, 1.6e308]), 1.7e308, 0.5)
+        assert sc.identric_chain(1.6e308, 1.7e308, 0.5).passed
 
 
 class TestWideIdentric:
@@ -145,32 +186,51 @@ def test_scan_rows_equal_the_0d_chains(chain, capsys):
 
 
 def reference_scalar_slice(cfg, start, count):
-    """The scalar suite trial by trial, both mean chains through the public
-    0-d chains: (min_slacks, failures)."""
-    col = harness._Collector()
-    views = (("log_chain", sc.logarithmic_chain), ("identric_chain", sc.identric_chain))
+    """The scalar suite trial by trial through the public chains and checks,
+    collected in a SuiteReport: (min_slacks, failures)."""
+    rep = harness.SuiteReport("scalar", cfg.seed, count)
     for i in range(start, start + count):
         rng = harness._trial_rng(cfg.seed, i)
         a, b = harness._draw_pair(rng, cfg)
         v = harness._draw_weight(rng, cfg)
         fname = cfg.functions[i % len(cfg.functions)]
+        f, lo, hi, tol = cvx.get_builtin(fname), min(a, b), max(a, b), cfg.tol
         inputs = {"a": a, "b": b, "v": v, "f": fname}
-        trial = harness._Trial(i, a, b, min(a, b), max(a, b), v,
-                               harness.cvx.get_builtin(fname), inputs)
-        for key, view in views:
+
+        def gap_sandwich():
+            res = cvx.gap_sandwich_check(f, lo, hi, v, tol=tol)
+            rep._note("gap_sandwich.lower", res.mid - res.lhs)
+            rep._note("gap_sandwich.upper", res.rhs - res.mid)
+            if not res.passed:
+                rep._fail(i, "gap_sandwich", inputs, lhs=res.lhs, mid=res.mid, rhs=res.rhs)
+
+        def refined_gap():
+            res = cvx.refined_gap_check(f, lo, hi, v, tol=tol)
+            rep._note("refined_gap.refined", res.lhs - res.rhs)
+            rep._note("refined_gap.nonneg", res.rhs)
+            if not res.passed:
+                rep._fail(i, "refined_gap", inputs, lhs=res.lhs, rhs=res.rhs)
+
+        checks = {
+            "log_chain": lambda: rep._chain("log_chain", sc.logarithmic_chain(a, b, v, tol),
+                                            i, inputs),
+            "identric_chain": lambda: rep._chain("identric_chain",
+                                                 sc.identric_chain(a, b, v, tol), i, inputs),
+            "hh_chain": lambda: hi - lo < harness.MIN_GAP or rep._chain(
+                "hh_chain", cvx.chain_eval(f, lo, hi, v, tol=tol), i, inputs),
+            "gap_sandwich": gap_sandwich,
+            "refined_gap": refined_gap,
+        }
+        for key, check in checks.items():
             try:
-                col.chain(key, view(a, b, v, tol=cfg.tol), i, inputs)
-            except (ArithmeticError, ValueError) as exc:
-                col.fail(i, key, inputs, error=str(exc))
-        for key, check in harness._SCALAR_CHECKS:
-            try:
-                check(col, key, trial, cfg.tol)
-            except (harness.QuadratureError, ArithmeticError, ValueError) as exc:
-                col.fail(i, key, inputs, error=str(exc))
-    return col.min_slacks, col.failures
+                check()
+            except (QuadratureError, ArithmeticError, ValueError) as exc:
+                rep._fail(i, key, inputs, error=str(exc))
+    return rep.min_slacks, rep.failures
 
 
 WIDE = dict(a_range=(1e-300, 1e-290), b_range=(1e290, 1e300))
+NEAR_MAX = dict(a_range=(1.5e308, 1.79e308), b_range=(1.5e308, 1.79e308))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -181,6 +241,7 @@ WIDE = dict(a_range=(1e-300, 1e-290), b_range=(1e290, 1e300))
     ({"tol": -1e-3}, 5, 20),  # a negative tolerance makes the chains fail: records compared
     ({"seed": 5, "trials": 10, **WIDE}, 0, 10),  # b/a overflows at every trial
     ({"seed": 5, "a_range": (1e-300, 1.0), "b_range": (1.0, 1e300)}, 0, 40),  # at some
+    ({"seed": 3, **NEAR_MAX}, 0, 40),  # a chain term overflows at every trial
 ])
 def test_scalar_slice_equals_trial_by_trial_reference(overrides, start, count):
     cfg = harness.SuiteConfig(**{"seed": 42, "trials": 60, **overrides})
@@ -189,6 +250,17 @@ def test_scalar_slice_equals_trial_by_trial_reference(overrides, start, count):
     assert rep.failures == failures
     assert {key: repr(x) for key, x in rep.min_slacks.items()} == \
         {key: repr(x) for key, x in mins.items()}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_near_max_slice_records_an_error_not_infinite_slacks():
+    cfg = harness.SuiteConfig(seed=3, trials=40, **NEAR_MAX)
+    rep = harness.run_scalar_suite(cfg)
+    log_chain = [r for r in rep.failures if r["check"] == "log_chain"]
+    assert [r["trial"] for r in log_chain] == list(range(40))
+    assert all(r["error"] == "chain terms are not finite" for r in log_chain)
+    assert not any(key.startswith("log_chain") for key in rep.min_slacks)
+    assert all(math.isfinite(rep.min_slacks[f"identric_chain.{k}"]) for k in range(1, 5))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

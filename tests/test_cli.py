@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,18 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so nothing filters its warnings."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "meanbounds.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=False)
+
+
+def reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 def run_json(capsys, *argv):
@@ -130,6 +146,23 @@ class TestHH:
             }
         }
         assert err == ""
+
+
+class TestNumericStderr:
+    """No numpy warning reaches stderr; overflow is an error, not a verdict."""
+
+    def test_wide_pair_log_mean_writes_one_stderr_line(self):
+        proc = run_process("means", "eval", "--mean", "log", "--a", "1e-300", "--b", "1e300",
+                           "--v", "0.3")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "meanbounds: error: log_mean_unit needs finite positive arguments"]
+
+    def test_near_max_chain_exits_1_with_strict_json(self):
+        proc = run_process("means", "chain", "--a", "1.6e308", "--b", "1.7e308", "--v", "0.5")
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout, parse_constant=reject_constant) == {
+            "error": {"type": "FloatingPointError", "message": "chain terms are not finite"}}
 
 
 class TestBounds:
@@ -295,6 +328,13 @@ class TestScan:
                     assert row_csv[key] == ("true" if val else "false")
                 else:
                     assert float(row_csv[key]) == val
+
+    def test_overflowing_point_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--a", "1:1.6e308:2", "--b", "1.7e308:1.7e308:1",
+                                 "--v", "0.5:0.5:1")
+        assert (code, err) == (1, "")
+        assert json.loads(out, parse_constant=reject_constant)["error"]["type"] == \
+            "FloatingPointError"
 
     def test_empty_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--a", "2:1:3")

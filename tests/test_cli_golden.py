@@ -1,4 +1,5 @@
-"""Golden CLI outputs: every subcommand in JSON and CSV, plus exit-2 inputs.
+"""Golden CLI outputs: every subcommand in JSON and CSV, plus exit-2 inputs
+and numeric failures (exit 1).
 
 Each case's recorded stdout lives in ``fixtures/cli/<case>.out``; its exit
 code and, for exit-2 cases, the ``meanbounds: error:`` line live in
@@ -76,6 +77,11 @@ ERROR_CASES = (
     ("err-scan-empty-grid", ("scan", "--a", "2:1:3")),
     ("err-scan-nonpositive-grid", ("scan", "--b", "0:1:3")),
     ("err-scan-weight-grid", ("scan", "--v", "0.5:1.5:3")),
+    # numeric failures, exit 1: a chain term and a reverse's bound overflow
+    ("err-means-chain-near-max", ("means", "chain", "--a", "1.6e308", "--b", "1.7e308",
+                                  "--v", "0.5")),
+    ("err-cor32-wide-pair", ("bounds", "cor32", "--a", "1e-300", "--b", "1e300",
+                             "--v", "0.3")),
 )
 
 

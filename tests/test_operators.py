@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -348,10 +349,17 @@ class TestRepresentingChain:
         chain = sc.logarithmic_chain(1.0, 3.7, 0.31)
         assert rep.values == pytest.approx(list(chain.values), rel=1e-13)
 
+    @pytest.mark.parametrize("t, v", [(1.0, 0.42), (2.0, 0.25), (1e-3, 0.99), (3.7, 0.31),
+                                      (5.0, 0.0), (5.0, 1.0)])
+    def test_is_the_log_chain_at_one(self, t, v):
+        rep, chain = ops.representing_chain(t, v), sc.logarithmic_chain(1.0, t, v)
+        assert rep.labels == ops.OPERATOR_CHAIN_LABELS != chain.labels
+        assert dataclasses.replace(rep, labels=chain.labels) == chain
+
     def test_grid_monotone(self):
         ts = np.logspace(-4, 4, 2000)
         for v in (0.01, 0.25, 0.5, 0.75, 0.99):
-            terms = sc.log_chain_terms(1.0, ts, v)
+            terms = sc.logarithmic_chain(1.0, ts, v).values
             scale = np.maximum.reduce([np.abs(x) for x in terms])
             for i in range(4):
                 slack = terms[i + 1] - terms[i]
@@ -377,6 +385,26 @@ class TestHelperInequality:
         res = ops.logmean_gm_check(0.1)
         assert res.lhs == pytest.approx(-0.99 / math.log(0.01), rel=1e-14)
         assert res.passed
+
+    def test_broadcast_equals_point_calls(self):
+        xs = np.concatenate([np.logspace(-4, 4, 301), [1.0, 1.0 + 1e-9]])
+        outcomes = set()
+        for tol in (1e-12, -1e-3):
+            res = ops.logmean_gm_check(xs, tol)
+            points = [ops.logmean_gm_check(x, tol) for x in xs]
+            assert res.lhs.tolist() == [p.lhs for p in points]
+            assert res.rhs.tolist() == [p.rhs for p in points]
+            assert res.passed.tolist() == [p.passed for p in points]
+            assert {type(x) for p in points for x in p} == {float, bool}
+            outcomes.update(res.passed.tolist())
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_x_in_an_array(self, bad):
+        with pytest.raises(ValueError, match=f"^x must be finite and positive, got {bad}$"):
+            ops.logmean_gm_check(np.array([2.0, bad, 0.5]))
+        with pytest.raises(ValueError, match=f"^x must be finite and positive, got {bad}$"):
+            ops.logmean_gm_check(bad)
 
     def test_grid(self):
         xs = np.logspace(-4, 4, 5000)

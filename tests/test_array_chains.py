@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from meanbounds import bounds as bnd
 from meanbounds import cli, harness
 from meanbounds import convex as cvx
 from meanbounds import operators as ops
@@ -247,6 +248,61 @@ def test_scalar_slice_equals_trial_by_trial_reference(overrides, start, count):
     cfg = harness.SuiteConfig(**{"seed": 42, "trials": 60, **overrides})
     rep = harness.run_scalar_suite(cfg, start, count)
     mins, failures = reference_scalar_slice(cfg, start, count)
+    assert rep.failures == failures
+    assert {key: repr(x) for key, x in rep.min_slacks.items()} == \
+        {key: repr(x) for key, x in mins.items()}
+
+
+BOUNDS_PRODUCERS = {  # key -> (takes f, public producer)
+    "thm32": (True, bnd.deriv_gap_bounds),
+    "thm33": (True, bnd.curvature_gap_bounds),
+    "cor31": (False, bnd.logmean_diff_reverse),
+    "cor32": (False, bnd.identric_ratio_reverse),
+    "cor33": (False, bnd.logmean_diff_refinement),
+    "cor34": (False, bnd.identric_ratio_refinement),
+}
+
+
+def reference_bounds_slice(cfg, start, count):
+    """The bounds suite trial by trial through the public producers, collected
+    in a SuiteReport: (min_slacks, failures)."""
+    rep = harness.SuiteReport("bounds", cfg.seed, count)
+    for i in range(start, start + count):
+        rng = harness._trial_rng(cfg.seed, i)
+        a, b = harness._draw_pair(rng, cfg)
+        v = harness._draw_weight(rng, cfg)
+        fname = cfg.functions[i % len(cfg.functions)]
+        f, lo, hi = cvx.get_builtin(fname), min(a, b), max(a, b)
+        inputs = {"a": lo, "b": hi, "v": v, "f": fname}
+        for key, (takes_f, producer) in BOUNDS_PRODUCERS.items():
+            if takes_f and hi - lo < harness.MIN_GAP:
+                continue
+            try:
+                for gap in producer(*((f,) if takes_f else ()), lo, hi, v, tol=cfg.tol):
+                    name = f"{key}.{gap.name}"
+                    rep._note(f"{name}.lower", gap.slack_lower())
+                    rep._note(f"{name}.upper", gap.slack_upper())
+                    if not gap.passed:
+                        rep._fail(i, name, inputs, gap=gap.gap, lower_bound=gap.lower_bound,
+                                  upper_bound=gap.upper_bound)
+            except (QuadratureError, ArithmeticError, ValueError) as exc:
+                rep._fail(i, key, inputs, error=str(exc))
+    return rep.min_slacks, rep.failures
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("overrides, start, count", [
+    ({}, 0, 40),
+    ({}, 13, 20),
+    ({}, 7, 0),  # an empty slice
+    ({"tol": -1e-3}, 5, 20),  # a negative tolerance makes the bounds fail: records compared
+    ({"seed": 1, "trials": 30, "a_range": (1.0, 2000.0), "b_range": (1.0, 2000.0)}, 0, 30),
+])
+def test_bounds_slice_equals_trial_by_trial_reference(overrides, start, count):
+    # the last case is the exp-overflow range: exp's derivative bounds and gaps overflow
+    cfg = harness.SuiteConfig(**{"seed": 42, "trials": 40, **overrides})
+    rep = harness.run_bounds_suite(cfg, start, count)
+    mins, failures = reference_bounds_slice(cfg, start, count)
     assert rep.failures == failures
     assert {key: repr(x) for key, x in rep.min_slacks.items()} == \
         {key: repr(x) for key, x in mins.items()}

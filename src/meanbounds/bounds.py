@@ -6,17 +6,22 @@ sandwiched with constants m/6, M/6 (midpoint side) and m/3, M/3 (trapezoid
 side) times v(1-v)((b-a)/2)^2 (Theorem 3.3).  The mean-level corollaries
 are these theorems at f = exp on [log a, log b], whose split integral
 average is L_v(a, b), and at f = -log on [a, b], where it is -log I_v(a, b).
+
+Every function broadcasts over ``a``, ``b`` and ``v``; scalar arguments are the
+0-d case, whose reports hold floats, and array reports hold arrays, per point.
 """
 
 from __future__ import annotations
 
-import math
+from functools import reduce
 
 import numpy as np
 
+from . import scalar as sc
 from .convex import (
     ConvexFnSpec,
     _central_difference,
+    _split_avg,
     _terms,
     get_builtin,
     require_ordered_interval,
@@ -24,7 +29,6 @@ from .convex import (
 )
 from .quadrature import QuadConfig
 from .reports import GapBoundReport
-from .scalar import check_pair, check_weight
 
 DERIV_GRID = 201
 _EXP = get_builtin("exp")
@@ -35,12 +39,7 @@ _IDENTRIC_NAMES = ("log_arithmix_minus_identric", "log_identric_minus_geomix")
 _LOG_FLOOR = 1.0  # -log(x) at a rounded x is off by about eps, so log-domain scales stay >= 1
 
 
-def derivative_bounds(
-    f: ConvexFnSpec,
-    a: float,
-    b: float,
-    allow_finite_differences: bool = True,
-) -> tuple[float, float, float]:
+def derivative_bounds(f: ConvexFnSpec, a, b, allow_finite_differences: bool = True) -> tuple:
     """(K, m, M) = (sup |f'|, inf f'', sup f'') over [a, b].
 
     Uses the exact closed-form bounds for builtins; otherwise samples the
@@ -48,9 +47,9 @@ def derivative_bounds(
     pads K and M up, m down, by 1% so downstream sandwich checks stay
     conservative.
     """
-    lo, hi = (a, b) if a <= b else (b, a)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     if f.exact_bounds is not None:
-        return f.exact_bounds(lo, hi)
+        return tuple(map(sc._float_if_0d, f.exact_bounds(lo, hi)))
     xs = np.linspace(lo, hi, DERIV_GRID)
     if f.deriv1 is not None:
         d1 = np.asarray(f.deriv1(xs), dtype=float)
@@ -69,74 +68,60 @@ def derivative_bounds(
         ) / (h * h)
     else:
         raise ValueError(f"{f.name!r} has no deriv2 and finite differences are disabled")
-    big_k = 1.01 * float(np.max(np.abs(d1)))
-    m_raw = float(np.min(d2))
-    m_big_raw = float(np.max(d2))
-    return big_k, m_raw - 0.01 * abs(m_raw), m_big_raw + 0.01 * abs(m_big_raw)
+    d1, d2, _ = np.broadcast_arrays(d1, d2, xs)  # a derivative may return a constant
+    big_k, m_raw, m_big_raw = 1.01 * np.abs(d1).max(axis=0), d2.min(axis=0), d2.max(axis=0)
+    bounds = (big_k, m_raw - 0.01 * abs(m_raw), m_big_raw + 0.01 * abs(m_big_raw))
+    return tuple(map(sc._float_if_0d, bounds))
 
 
-def _resolve_mM(f: ConvexFnSpec, a: float, b: float, m, M) -> tuple[float, float]:
-    if m is not None and M is not None:
-        return float(m), float(M)
-    _, m_est, m_big_est = derivative_bounds(f, a, b)
-    return (float(m) if m is not None else m_est, float(M) if M is not None else m_big_est)
+def _resolve_mM(f: ConvexFnSpec, a, b, m, M) -> tuple:
+    if m is None or M is None:
+        _, m_est, m_big_est = derivative_bounds(f, a, b)
+    return (m_est if m is None else float(m)), (m_big_est if M is None else float(M))
 
 
 def _check_oriented(a, b, v):
-    v = check_weight(v)
-    a, b = check_pair(a, b)
-    if a > b:
+    v = sc.check_weight(v)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    sc.check_pair(a.min(), b.max())  # with a <= b below, every point is valid iff these are
+    if not (a <= b).all():
         raise ValueError(f"these bounds require b >= a, got ({a}, {b})")
     return a, b, v
 
 
-def trapezoid_gap_bounds(
-    f: ConvexFnSpec,
-    a: float,
-    b: float,
-    quad: QuadConfig | None = None,
-    m: float | None = None,
-    M: float | None = None,
-    tol: float = 1e-9,
-) -> GapBoundReport:
+def trapezoid_gap_bounds(f: ConvexFnSpec, a, b, quad: QuadConfig | None = None,
+                         m: float | None = None, M: float | None = None,
+                         tol: float = 1e-9) -> GapBoundReport:
     """Two-sided bound on (f(a)+f(b))/2 minus the integral average."""
-    require_ordered_interval(f, a, b)
+    a, b = require_ordered_interval(f, a, b)
     m, M = _resolve_mM(f, a, b, m, M)
     avg = split_integral_avg(f, a, b, 0.5, quad)
-    ends = 0.5 * (float(f.fn(a)) + float(f.fn(b)))
-    quarter = ((b - a) / 2.0) ** 2
-    scale = max(abs(avg), abs(ends), abs(m) * quarter, abs(M) * quarter)
-    return GapBoundReport.build(
-        "trapezoid_gap", ends - avg, m / 3.0 * quarter, M / 3.0 * quarter, tol, scale
-    )
+    ends = 0.5 * (f.fn(a) + f.fn(b))
+    quarter = np.square((b - a) / 2.0)
+    scale = reduce(np.maximum, (abs(avg), abs(ends), abs(m) * quarter, abs(M) * quarter))
+    return GapBoundReport.build("trapezoid_gap", ends - avg, m / 3.0 * quarter,
+                                M / 3.0 * quarter, tol, scale)
 
 
-def midpoint_gap_bounds(
-    f: ConvexFnSpec,
-    a: float,
-    b: float,
-    quad: QuadConfig | None = None,
-    m: float | None = None,
-    M: float | None = None,
-    tol: float = 1e-9,
-) -> GapBoundReport:
+def midpoint_gap_bounds(f: ConvexFnSpec, a, b, quad: QuadConfig | None = None,
+                        m: float | None = None, M: float | None = None,
+                        tol: float = 1e-9) -> GapBoundReport:
     """Two-sided bound on the integral average minus f((a+b)/2)."""
-    require_ordered_interval(f, a, b)
+    a, b = require_ordered_interval(f, a, b)
     m, M = _resolve_mM(f, a, b, m, M)
     avg = split_integral_avg(f, a, b, 0.5, quad)
-    midv = float(f.fn(0.5 * (a + b)))
-    quarter = ((b - a) / 2.0) ** 2
-    scale = max(abs(avg), abs(midv), abs(m) * quarter, abs(M) * quarter)
-    return GapBoundReport.build(
-        "midpoint_gap", avg - midv, m / 6.0 * quarter, M / 6.0 * quarter, tol, scale
-    )
+    midv = f.fn(0.5 * (a + b))
+    quarter = np.square((b - a) / 2.0)
+    scale = reduce(np.maximum, (abs(avg), abs(midv), abs(m) * quarter, abs(M) * quarter))
+    return GapBoundReport.build("midpoint_gap", avg - midv, m / 6.0 * quarter,
+                                M / 6.0 * quarter, tol, scale)
 
 
 def _central_gaps(f, a, b, v, quad, tol, names, windows, bound_scale):
     # a <= b, v and the derivative bounds already checked; one report per central gap
-    t = _terms(f, a, b, v)
-    c = split_integral_avg(f, a, b, v, quad) if a < b else t.node
-    scale = max(abs(c), abs(t.midpoint), abs(t.trapezoid), bound_scale)
+    t = _terms(f, a, b, v, check=False)
+    c = np.where(a < b, _split_avg(f, a, b, v, quad), t.node)
+    scale = reduce(np.maximum, (abs(c), abs(t.midpoint), abs(t.trapezoid), bound_scale))
     return tuple(
         GapBoundReport.build(name, gap, low, high, tol, scale)
         for name, gap, (low, high) in zip(names, (c - t.midpoint, t.trapezoid - c), windows)
@@ -145,50 +130,37 @@ def _central_gaps(f, a, b, v, quad, tol, names, windows, bound_scale):
 
 def _thm32(f, a, b, v, big_k, quad, tol, names=_GAP_NAMES, floor=0.0):
     bound = v * (1.0 - v) * big_k * (b - a) / 2.0
-    return _central_gaps(f, a, b, v, quad, tol, names, ((0.0, bound),) * 2, max(bound, floor))
-
-
-def _thm33(f, a, b, v, m, M, quad, tol, names=_GAP_NAMES, floor=0.0):
-    factor = v * (1.0 - v) * ((b - a) / 2.0) ** 2
-    windows = ((m / 6.0 * factor, M / 6.0 * factor), (m / 3.0 * factor, M / 3.0 * factor))
     return _central_gaps(
-        f, a, b, v, quad, tol, names, windows, max(abs(m) * factor, abs(M) * factor, floor)
+        f, a, b, v, quad, tol, names, ((0.0, bound),) * 2, np.maximum(bound, floor)
     )
 
 
-def deriv_gap_bounds(
-    f: ConvexFnSpec,
-    a: float,
-    b: float,
-    v: float,
-    quad: QuadConfig | None = None,
-    K: float | None = None,
-    tol: float = 1e-9,
-) -> tuple[GapBoundReport, GapBoundReport]:
+def _thm33(f, a, b, v, m, M, quad, tol, names=_GAP_NAMES, floor=0.0):
+    factor = v * (1.0 - v) * np.square((b - a) / 2.0)
+    windows = ((m / 6.0 * factor, M / 6.0 * factor), (m / 3.0 * factor, M / 3.0 * factor))
+    bound_scale = reduce(np.maximum, (abs(m) * factor, abs(M) * factor, floor))
+    return _central_gaps(f, a, b, v, quad, tol, names, windows, bound_scale)
+
+
+def deriv_gap_bounds(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
+                     K: float | None = None, tol: float = 1e-9) -> tuple[GapBoundReport, ...]:
     """K-bounds on the two central chain gaps (Theorem 3.2).
 
     Both split_integral_avg - midpoint_estimate and
     trapezoid_estimate - split_integral_avg lie in [0, v(1-v) K (b-a)/2].
     """
-    v = check_weight(v)
-    require_ordered_interval(f, a, b)
+    v = sc.check_weight(v)
+    a, b = require_ordered_interval(f, a, b)
     big_k = float(K) if K is not None else derivative_bounds(f, a, b)[0]
     return _thm32(f, a, b, v, big_k, quad, tol)
 
 
-def curvature_gap_bounds(
-    f: ConvexFnSpec,
-    a: float,
-    b: float,
-    v: float,
-    quad: QuadConfig | None = None,
-    m: float | None = None,
-    M: float | None = None,
-    tol: float = 1e-9,
-) -> tuple[GapBoundReport, GapBoundReport]:
+def curvature_gap_bounds(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
+                         m: float | None = None, M: float | None = None,
+                         tol: float = 1e-9) -> tuple[GapBoundReport, ...]:
     """Two-sided curvature sandwiches for the two central chain gaps (Theorem 3.3)."""
-    v = check_weight(v)
-    require_ordered_interval(f, a, b)
+    v = sc.check_weight(v)
+    a, b = require_ordered_interval(f, a, b)
     return _thm33(f, a, b, v, *_resolve_mM(f, a, b, m, M), quad, tol)
 
 
@@ -199,7 +171,7 @@ def logmean_diff_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, G
     v(1-v) b log(b/a) / 2; requires b >= a.
     """
     a, b, v = _check_oriented(a, b, v)
-    return _thm32(_EXP, math.log(a), math.log(b), v, b, None, tol, _LOGMEAN_NAMES)
+    return _thm32(_EXP, np.log(a), np.log(b), v, b, None, tol, _LOGMEAN_NAMES)
 
 
 def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -209,7 +181,7 @@ def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport
     analogous /12 sandwich for avgmix - L; requires b >= a.
     """
     a, b, v = _check_oriented(a, b, v)
-    return _thm33(_EXP, math.log(a), math.log(b), v, a, b, None, tol, _LOGMEAN_NAMES)
+    return _thm33(_EXP, np.log(a), np.log(b), v, a, b, None, tol, _LOGMEAN_NAMES)
 
 
 def identric_ratio_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:

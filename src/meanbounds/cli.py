@@ -24,7 +24,6 @@ import sys
 
 import numpy as np
 
-from . import bounds as bnd
 from . import convex as cvx
 from . import harness
 from . import operators as ops
@@ -91,9 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bounds_p = top.add_parser("bounds", help="gap bounds and mean reverses/refinements")
     bounds_sub = bounds_p.add_subparsers(dest="subcommand", required=True)
-    for name, (takes_f, _) in harness.BOUNDS_CHECKS.items():
+    for name in harness.BOUNDS_CHECKS:
         p = bounds_sub.add_parser(name)
-        if takes_f:
+        if harness.CHECKS[name][2]:  # takes a convex function
             p.add_argument("--f", choices=FUNCTION_CHOICES, required=True)
         _add_abv(p)
         p.add_argument("--tol", type=float)
@@ -165,9 +164,8 @@ def _cmd_hh_c(args):
 
 
 def _cmd_bounds(args):
-    takes_f, producer = harness.BOUNDS_CHECKS[args.which]
-    head = (cvx.get_builtin(args.f),) if takes_f else ()
-    reports = getattr(bnd, producer)(*head, args.a, args.b, args.v, **_tol(args))
+    produce = harness._producer(args.which, getattr(args, "f", None))
+    reports = produce(args.a, args.b, args.v, **_tol(args))
     return {
         "reports": [rep.to_dict() for rep in reports],
         "pass": all(rep.passed for rep in reports),

@@ -1,4 +1,4 @@
-"""Refinement chains for convex functions on an interval.
+"""Refinement chains for convex functions on an interval, array-first.
 
 The weight v splits [a, b] at the node n = a + v(b - a).  Around the
 v-weighted average of the two subinterval integral means sit two cheap
@@ -11,19 +11,26 @@ The full seven-term chain evaluated by :func:`chain_eval` is
 
     f(node) <= sharp_lower <= midpoint_estimate <= split_integral_avg
             <= trapezoid_estimate <= sharp_upper <= endpoint_average.
+
+Every function broadcasts over ``a``, ``b`` and ``v``, and scalar arguments
+are the 0-d case: they give floats, and one result (a report) of floats where
+arrays give one of arrays.  A bad point raises as it would alone.  The builtins
+have numpy closed-form split averages and are convex by proof; any other spec
+integrates point by point and ``chain_eval`` spot-checks its convexity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .quadrature import NonFiniteIntegrandError, QuadConfig, integrate
 from .reports import ChainReport
-from .scalar import check_weight, max_weight, min_weight
+from .scalar import _float_if_0d, check_weight
 
 HH_CHAIN_LABELS = (
     "node_value",
@@ -71,7 +78,10 @@ class ConvexFnSpec:
 
 
 def _exp_bounds(a, b):
-    return math.exp(b), math.exp(a), math.exp(b)
+    exp_a, exp_b = np.exp(a), np.exp(b)
+    if not np.isfinite(exp_b).all():  # K = M = e^b is out of range: math.exp's error
+        raise OverflowError("math range error")
+    return exp_b, exp_a, exp_b
 
 
 def _neg_log_bounds(a, b):
@@ -79,16 +89,16 @@ def _neg_log_bounds(a, b):
 
 
 def _square_bounds(a, b):
-    return 2.0 * max(abs(a), abs(b)), 2.0, 2.0
+    return 2.0 * np.maximum(abs(a), abs(b)), 2.0, 2.0
 
 
 def _quartic_bounds(a, b):
-    m = 0.0 if a < 0.0 < b else 12.0 * min(a * a, b * b)
-    return 4.0 * max(abs(a), abs(b)) ** 3, m, 12.0 * max(a * a, b * b)
+    m = np.where((a < 0.0) & (0.0 < b), 0.0, 12.0 * np.minimum(a * a, b * b))
+    return 4.0 * np.power(np.maximum(abs(a), abs(b)), 3.0), m, 12.0 * np.maximum(a * a, b * b)
 
 
 def _xlogx_bounds(a, b):
-    return max(abs(math.log(a) + 1.0), abs(math.log(b) + 1.0)), 1.0 / b, 1.0 / a
+    return np.maximum(abs(np.log(a) + 1.0), abs(np.log(b) + 1.0)), 1.0 / b, 1.0 / a
 
 
 BUILTINS: dict[str, ConvexFnSpec] = {
@@ -128,21 +138,32 @@ BUILTINS: dict[str, ConvexFnSpec] = {
 
 def _neg_log_avg(p, q):
     # -log I(p, q), I the identric mean; h / expm1(h) = 1 / L(1, e^h), L the logarithmic mean
-    h = math.log(q) - math.log(p)
-    return 1.0 - math.log(q) - (h * math.exp(-h) / -math.expm1(-h) if h > 0.0 else 1.0)
+    log_q = np.log(q)
+    h = log_q - np.log(p)
+    return 1.0 - log_q - np.where(h > 0.0, h * np.exp(-h) / -np.expm1(-h), 1.0)
+
+
+def _scaled(degree, form):
+    # the average ``form`` of t**degree on p and q divided by 2**e, e the exponent of the
+    # larger end, times 2**(degree e): exact, and finite wherever the average is representable
+    def average(p, q):
+        e = np.frexp(np.maximum(abs(p), abs(q)))[1]
+        return np.ldexp(form(np.ldexp(p, -e), np.ldexp(q, -e)), degree * e)
+
+    return average
 
 
 # Exact integral averages over [p, q], p < q, of the builtins, matched to a spec by
 # the identity of its fn (a spec whose fn has been replaced integrates instead)
 _AVERAGES = {
-    id(BUILTINS["exp"].fn): lambda p, q: float(np.exp(q)) * -math.expm1(p - q) / (q - p),
+    id(BUILTINS["exp"].fn): lambda p, q: np.exp(q) * -np.expm1(p - q) / (q - p),
     id(BUILTINS["neg-log"].fn): _neg_log_avg,
-    id(BUILTINS["square"].fn): lambda p, q: (p * p + p * q + q * q) / 3.0,
-    id(BUILTINS["quartic"].fn): lambda p, q: (  # (p^4 + p^3 q + ... + q^4) / 5
+    id(BUILTINS["square"].fn): _scaled(2, lambda p, q: (p * p + p * q + q * q) / 3.0),
+    id(BUILTINS["quartic"].fn): _scaled(4, lambda p, q: (  # (p^4 + p^3 q + ... + q^4) / 5
         (p * p + q * q) * (p * p + p * q + q * q) - p * p * q * q
-    ) / 5.0,
+    ) / 5.0),
     id(BUILTINS["xlogx"].fn): lambda p, q: (
-        0.5 * (q * math.log(q) - p * _neg_log_avg(p, q)) - 0.25 * (q - p)
+        0.5 * (q * np.log(q) - p * _neg_log_avg(p, q)) - 0.25 * (q - p)
     ),
 }
 
@@ -154,31 +175,37 @@ def get_builtin(name: str) -> ConvexFnSpec:
         raise KeyError(f"unknown builtin function {name!r}; choose from {sorted(BUILTINS)}")
 
 
-def _require_interval(f: ConvexFnSpec, a: float, b: float):
-    if not (math.isfinite(a) and math.isfinite(b)):
+def _interval(f: ConvexFnSpec, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as float arrays, checked finite and inside f's domain."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())  # NaN if any point is NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("interval endpoints must be finite")
-    if not f.contains(a, b):
+    if not f.contains(lo, hi):
         raise ValueError(f"[{a}, {b}] not inside the domain of {f.name!r}")
+    return a, b
 
 
-def require_ordered_interval(f: ConvexFnSpec, a: float, b: float):
-    """Reject [a, b] unless a < b, both ends are finite and inside f's domain."""
-    if not a < b:
+def require_ordered_interval(f: ConvexFnSpec, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Reject [a, b] unless a < b, both ends are finite and inside f's domain;
+    return a and b as float arrays."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (a < b).all():
         raise ValueError(f"need a < b, got ({a}, {b})")
-    _require_interval(f, a, b)
+    return _interval(f, a, b)
 
 
-def convexity_violation(f: ConvexFnSpec, a: float, b: float, samples: int = 33) -> float:
+def convexity_violation(f: ConvexFnSpec, a, b, samples: int = 33):
     """Worst midpoint-convexity violation f((x+y)/2) - (f(x)+f(y))/2 on a grid.
 
     Nonpositive (up to roundoff) for a convex function.  The returned value
     is not normalized; compare against CONVEXITY_REJECT * max(1, |f|).
     """
-    _require_interval(f, a, b)
-    xs = np.linspace(min(a, b), max(a, b), samples)
+    a, b = _interval(f, a, b)
+    xs = np.linspace(np.minimum(a, b), np.maximum(a, b), samples)
     fx = np.asarray(f.fn(xs), dtype=float)
     mids = np.asarray(f.fn(0.5 * (xs[:, None] + xs[None, :])), dtype=float)
-    return float(np.max(mids - 0.5 * (fx[:, None] + fx[None, :])))
+    return _float_if_0d(np.max(mids - 0.5 * (fx[:, None] + fx[None, :]), axis=(0, 1)))
 
 
 def _central_difference(fn: Callable, xs: np.ndarray) -> np.ndarray:
@@ -187,9 +214,13 @@ def _central_difference(fn: Callable, xs: np.ndarray) -> np.ndarray:
     return (np.asarray(fn(xs + h), float) - np.asarray(fn(xs - h), float)) / (2.0 * h)
 
 
-def _fn_scale(f: ConvexFnSpec, a: float, b: float, samples: int = 9) -> float:
-    xs = np.linspace(min(a, b), max(a, b), samples)
-    return max(1.0, float(np.max(np.abs(np.asarray(f.fn(xs), dtype=float)))))
+def _fn_scale(f: ConvexFnSpec, a, b, samples: int = 9):
+    # max(1, max |f|) on the grid np.linspace(lo, hi, samples), built as linspace builds it;
+    # a NaN sample is passed over, as by max(1, nan)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    xs = np.multiply.outer(np.arange(samples), (hi - lo) / (samples - 1)) + lo
+    xs[-1] = hi
+    return np.fmax(1.0, np.max(np.abs(np.asarray(f.fn(xs), dtype=float)), axis=0))
 
 
 def make_convex_fn(
@@ -228,64 +259,96 @@ def make_convex_fn(
     return spec
 
 
-def node_point(a: float, b: float, v: float) -> float:
+def node_point(a, b, v):
     return a + v * (b - a)
 
 
-class _Terms(NamedTuple):
-    node: float  # f(n), n = node_point(a, b, v)
-    midpoint: float
-    trapezoid: float
-    endpoints: float
-    gap: float  # convexity gap(a, b, v)
-    half_gap: float  # gap(a, b, 1/2)
-    split_gap: float  # gap(m1, m2, 1/2), m1 and m2 the midpoints of [a, n] and [n, b]
+class _Terms:
+    """f at the seven chain points of each point (n = node_point(a, b, v), m1 and m2
+    the midpoints of [a, n] and [n, b]) and the chain terms, each made when first read."""
 
-    def lower(self, weight: float) -> float:
+    def __init__(self, v, fx):
+        # f at a, b, n, m1, m2, (a + b) / 2 and (m1 + m2) / 2
+        self.v, (self.fa, self.fb, self.node, self.f1, self.f2, self.fh, self.fmh) = v, fx
+
+    low = cached_property(lambda t: np.minimum(t.v, 1.0 - t.v))  # the smaller split weight
+    high = cached_property(lambda t: np.maximum(t.v, 1.0 - t.v))
+    endpoints = cached_property(lambda t: (1.0 - t.v) * t.fa + t.v * t.fb)
+    midpoint = cached_property(lambda t: (1.0 - t.v) * t.f1 + t.v * t.f2)
+    trapezoid = cached_property(lambda t: 0.5 * (t.endpoints + t.node))
+    gap = cached_property(lambda t: t.endpoints - t.node)  # convexity gap(a, b, v)
+    half_gap = cached_property(lambda t: 0.5 * t.fa + 0.5 * t.fb - t.fh)  # gap(a, b, 1/2)
+    split_gap = cached_property(lambda t: 0.5 * t.f1 + 0.5 * t.f2 - t.fmh)  # gap(m1, m2, 1/2)
+
+    def lower(self, weight):
         return self.node + 2.0 * weight * self.split_gap
 
-    def upper(self, weight: float) -> float:
+    def upper(self, weight):
         return self.endpoints - weight * self.half_gap
 
 
-def _terms(f: ConvexFnSpec, a: float, b: float, v: float) -> _Terms:
-    """Check [a, b], then v, and evaluate f once at all seven chain points."""
-    _require_interval(f, a, b)
-    v = check_weight(v)
+def _stack(*xs) -> np.ndarray:
+    # the arrays stacked on a new first axis (broadcast first only if their shapes differ)
+    if len({getattr(x, "shape", ()) for x in xs}) > 1:
+        xs = np.broadcast_arrays(*xs)
+    return np.array(xs)
+
+
+def _terms(f: ConvexFnSpec, a, b, v, check: bool = True) -> _Terms:
+    """Check [a, b], then v (unless the caller has), and evaluate f once at the
+    seven chain points of every point."""
+    if check:
+        a, b = _interval(f, a, b)
+        v = check_weight(v)
     n = node_point(a, b, v)
     m1 = node_point(a, b, v / 2.0)
     m2 = node_point(a, b, (1.0 + v) / 2.0)
-    points = np.array([a, b, n, m1, m2, node_point(a, b, 0.5), node_point(m1, m2, 0.5)])
-    fa, fb, fn, f1, f2, fh, fmh = np.asarray(f.fn(points), dtype=float).tolist()
-    ends = (1.0 - v) * fa + v * fb
-    return _Terms(
-        fn, (1.0 - v) * f1 + v * f2, 0.5 * (ends + fn), ends, ends - fn,
-        0.5 * fa + 0.5 * fb - fh, 0.5 * f1 + 0.5 * f2 - fmh,
-    )
+    points = _stack(a, b, n, m1, m2, node_point(a, b, 0.5), node_point(m1, m2, 0.5))
+    return _Terms(v, np.asarray(f.fn(points), dtype=float))
 
 
-def endpoint_average(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
+def endpoint_average(f: ConvexFnSpec, a, b, v):
     """(1-v) f(a) + v f(b), the outermost chain term."""
-    return _terms(f, a, b, v).endpoints
+    return _float_if_0d(_terms(f, a, b, v).endpoints)
 
 
-def midpoint_estimate(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
+def midpoint_estimate(f: ConvexFnSpec, a, b, v):
     """Weighted midpoint-rule estimate of the split integral average.
 
     Evaluates f at the midpoints of [a, n] and [n, b] and mixes with
     weights (1-v, v); a lower bound for convex f.
     """
-    return _terms(f, a, b, v).midpoint
+    return _float_if_0d(_terms(f, a, b, v).midpoint)
 
 
-def trapezoid_estimate(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
+def trapezoid_estimate(f: ConvexFnSpec, a, b, v):
     """Weighted trapezoid-rule estimate, ((1-v) f(a) + v f(b) + f(n)) / 2."""
-    return _terms(f, a, b, v).trapezoid
+    return _float_if_0d(_terms(f, a, b, v).trapezoid)
 
 
-def split_integral_avg(
-    f: ConvexFnSpec, a: float, b: float, v: float, quad: QuadConfig | None = None
-) -> float:
+def _split_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
+    # a <= b and v already checked; a piece of zero length takes f at its point
+    n = node_point(a, b, v)
+    avg = _AVERAGES.get(id(f.fn))
+    with np.errstate(all="ignore"):  # non-finite values raise below; masked ones go unused
+        if avg is None:  # quadrature, one point at a time
+            pieces = np.vectorize(lambda x, y, w, m: (
+                integrate(lambda t: f.fn(x + w * (y - x) * t), 0.0, 1.0, quad),
+                integrate(lambda t: f.fn(m + (1.0 - w) * (y - x) * t), 0.0, 1.0, quad),
+            ), otypes=(float, float))(a, b, v, n)
+        else:  # [a, n] and [n, b] stacked
+            p, q = _stack(a, n, n, b).reshape(2, 2, *np.shape(n))
+            pieces = np.where(p < q, avg(p, q), f.fn(p))
+        # a piece of weight 0 (v at 0 or 1) is left out, so its overflow cannot poison the mix
+        weights = _stack(1.0 - v, v)
+        first, second = np.where(weights > 0.0, weights * pieces, 0.0)
+        value = first + second
+    if not np.isfinite(value).all():
+        raise NonFiniteIntegrandError("integrand returned non-finite values")
+    return value
+
+
+def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
     """v-weighted mix of the integral averages of f over [a, n] and [n, b].
 
     A builtin takes them from its exact closed form (a piece of zero length
@@ -294,75 +357,65 @@ def split_integral_avg(
     independently.  A non-finite result raises NonFiniteIntegrandError.
     """
     v = check_weight(v)
-    require_ordered_interval(f, a, b)
-    n = node_point(a, b, v)
-    avg = _AVERAGES.get(id(f.fn))
-    if avg is None:
-        first = integrate(lambda t: f.fn(a + v * (b - a) * t), 0.0, 1.0, quad)
-        second = integrate(lambda t: f.fn(n + (1.0 - v) * (b - a) * t), 0.0, 1.0, quad)
-    else:
-        first, second = (avg(p, q) if p < q else float(f.fn(p)) for p, q in ((a, n), (n, b)))
-    # a piece of weight 0 (v at 0 or 1) is left out, so its overflow cannot poison the mix
-    value = sum(w * x for w, x in ((1.0 - v, first), (v, second)) if w)
-    if not math.isfinite(value):
-        raise NonFiniteIntegrandError("integrand returned non-finite values")
-    return value
+    a, b = require_ordered_interval(f, a, b)
+    return _float_if_0d(_split_avg(f, a, b, v, quad))
 
 
-def convexity_gap(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
+def convexity_gap(f: ConvexFnSpec, a, b, v):
     """(1-v) f(a) + v f(b) - f((1-v) a + v b); nonnegative for convex f."""
-    return _terms(f, a, b, v).gap
+    return _float_if_0d(_terms(f, a, b, v).gap)
 
 
-def sharp_lower(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
+def sharp_lower(f: ConvexFnSpec, a, b, v):
     """f(node) plus twice the min-weight half-gap of the split midpoints.
 
     Sits between f(node) and the midpoint estimate.
     """
-    return _terms(f, a, b, check_weight(v)).lower(min_weight(v))
+    t = _terms(f, a, b, check_weight(v))
+    return _float_if_0d(t.lower(t.low))
 
 
-def sharp_upper(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
+def sharp_upper(f: ConvexFnSpec, a, b, v):
     """Endpoint average minus the min-weight half-gap of (a, b).
 
     Sits between the trapezoid estimate and the endpoint average.
     """
-    return _terms(f, a, b, check_weight(v)).upper(min_weight(v))
+    t = _terms(f, a, b, check_weight(v))
+    return _float_if_0d(t.upper(t.low))
 
 
-def maxweight_lower(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
+def maxweight_lower(f: ConvexFnSpec, a, b, v):
     """sharp_lower with the larger split weight; dominates midpoint_estimate."""
-    return _terms(f, a, b, check_weight(v)).lower(max_weight(v))
+    t = _terms(f, a, b, check_weight(v))
+    return _float_if_0d(t.lower(t.high))
 
 
-def maxweight_upper(f: ConvexFnSpec, a: float, b: float, v: float) -> float:
+def maxweight_upper(f: ConvexFnSpec, a, b, v):
     """sharp_upper with the larger split weight; sits below trapezoid_estimate.
 
     maxweight_lower and maxweight_upper carry no mutual ordering; the
     difference changes sign between instances.
     """
-    return _terms(f, a, b, check_weight(v)).upper(max_weight(v))
+    t = _terms(f, a, b, check_weight(v))
+    return _float_if_0d(t.upper(t.high))
 
 
-def chain_eval(
-    f: ConvexFnSpec,
-    a: float,
-    b: float,
-    v: float,
-    quad: QuadConfig | None = None,
-    tol: float = 1e-9,
-) -> ChainReport:
+def chain_eval(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
+               tol: float = 1e-9) -> ChainReport:
     """Evaluate the seven-term refinement chain on [a, b].
 
-    Requires a < b.  A convexity spot check runs on [a, b]; on violation
-    the report is still produced but flagged ``certified=False``.
+    Requires a < b.  A builtin is convex by proof; any other f gets a
+    convexity spot check on [a, b], and on violation the report is still
+    produced but flagged ``certified=False`` (per point for arrays).
     """
-    c = split_integral_avg(f, a, b, v, quad)  # checks v, then a < b and [a, b]
-    t = _terms(f, a, b, v)
-    w = min_weight(v)
-    values = (t.node, t.lower(w), t.midpoint, c, t.trapezoid, t.upper(w), t.endpoints)
-    viol = convexity_violation(f, a, b, samples=17)
-    certified = viol <= CONVEXITY_REJECT * _fn_scale(f, a, b)
+    v = check_weight(v)
+    a, b = require_ordered_interval(f, a, b)
+    t = _terms(f, a, b, v, check=False)
+    c = _split_avg(f, a, b, v, quad)
+    values = (t.node, t.lower(t.low), t.midpoint, c, t.trapezoid, t.upper(t.low), t.endpoints)
+    certified = id(f.fn) in _AVERAGES or (
+        convexity_violation(f, a, b, samples=17) <= CONVEXITY_REJECT * _fn_scale(f, a, b)
+    )
     return ChainReport.from_values(HH_CHAIN_LABELS, values, tol, certified=certified)
 
 
@@ -379,31 +432,31 @@ class RefinedGapResult(NamedTuple):
     passed: bool
 
 
-def gap_sandwich_check(
-    f: ConvexFnSpec, a: float, b: float, v: float, tol: float = 1e-9
-) -> SandwichResult:
+def _result(cls, *fields):
+    # numbers and a verdict: arrays, or floats and a bool at one point
+    return cls(*fields) if np.ndim(fields[-1]) else cls(*map(float, fields[:-1]), bool(fields[-1]))
+
+
+def gap_sandwich_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> SandwichResult:
     """Two-sided weight interpolation of the convexity gap.
 
     2 min(v,1-v) gap(a,b,1/2) <= gap(a,b,v) <= 2 max(v,1-v) gap(a,b,1/2).
     """
     t = _terms(f, a, b, v)
-    lhs = 2.0 * min_weight(v) * t.half_gap
-    rhs = 2.0 * max_weight(v) * t.half_gap
-    scale = max(abs(lhs), abs(t.gap), abs(rhs), _fn_scale(f, a, b))
-    passed = (lhs - tol * scale) <= t.gap <= (rhs + tol * scale)
-    return SandwichResult(lhs, t.gap, rhs, passed)
+    lhs, rhs = 2.0 * t.low * t.half_gap, 2.0 * t.high * t.half_gap
+    scale = reduce(np.maximum, (abs(lhs), abs(t.gap), abs(rhs), _fn_scale(f, a, b)))
+    passed = ((lhs - tol * scale) <= t.gap) & (t.gap <= (rhs + tol * scale))
+    return _result(SandwichResult, lhs, t.gap, rhs, passed)
 
 
-def refined_gap_check(
-    f: ConvexFnSpec, a: float, b: float, v: float, tol: float = 1e-9
-) -> RefinedGapResult:
+def refined_gap_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> RefinedGapResult:
     """Sharper lower bound on the convexity gap.
 
     gap(a,b,v) >= min(v,1-v) * (gap(a,b,1/2) + 2 gap(m1,m2,1/2)) >= 0,
     with m1, m2 the midpoints of the two split subintervals.
     """
     t = _terms(f, a, b, check_weight(v))
-    rhs = min_weight(v) * (t.half_gap + 2.0 * t.split_gap)
-    scale = max(abs(t.gap), abs(rhs), _fn_scale(f, a, b))
-    passed = t.gap >= rhs - tol * scale and rhs >= -tol * scale
-    return RefinedGapResult(t.gap, rhs, passed)
+    rhs = t.low * (t.half_gap + 2.0 * t.split_gap)
+    scale = reduce(np.maximum, (abs(t.gap), abs(rhs), _fn_scale(f, a, b)))
+    passed = (t.gap >= rhs - tol * scale) & (rhs >= -tol * scale)
+    return _result(RefinedGapResult, t.gap, rhs, passed)

@@ -7,12 +7,12 @@ reports from disjoint slices merge associatively via :func:`merge_reports`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import convex as cvx
 from . import operators as ops
 from . import scalar as sc
 from .quadrature import QuadratureError
-from .reports import Report
+from .reports import ChainReport, Report
 
 DEFAULT_FUNCTIONS = tuple(cvx.BUILTINS)
 
@@ -109,23 +109,10 @@ class SuiteReport(Report):
 
     def _fail(self, trial: int, check: str, inputs: dict, **extra):
         """Record a failed check.  A failure whose numbers are not finite (f
-        overflowed) is a numeric error, raised for the trial loop to record."""
+        overflowed) is a numeric error, raised for the caller to record."""
         if not all(math.isfinite(x) for x in extra.values() if isinstance(x, float)):
             raise FloatingPointError(f"{check} terms are not finite")
         self.failures.append({"trial": trial, "check": check, "inputs": inputs, **extra})
-
-    def _chain(self, key: str, report, trial: int, inputs: dict):
-        for idx, slack in enumerate(report.slacks, start=1):
-            self._note(f"{key}.{idx}", slack)
-        if not report.passed:
-            self._fail(trial, key, inputs, slacks=list(report.slacks))
-
-    def _gap(self, key: str, report, trial: int, inputs: dict):
-        self._note(f"{key}.lower", report.slack_lower())
-        self._note(f"{key}.upper", report.slack_upper())
-        if not report.passed:
-            self._fail(trial, key, inputs, gap=report.gap,
-                       lower_bound=report.lower_bound, upper_bound=report.upper_bound)
 
 
 def _strict_json(value):
@@ -182,134 +169,126 @@ def _slice(cfg_total: int, start: int, count):
     return range(start, start + count)
 
 
-class _Trial(NamedTuple):
-    index: int
-    a: float
-    b: float
-    lo: float
-    hi: float
-    v: float
-    f: cvx.ConvexFnSpec
-    inputs: dict
+# Every check of the scalar and bounds suites: key -> (module, producer, takes a
+# convex function, needs b - a >= MIN_GAP).  Producers are named, not referenced,
+# so each call resolves through the module attribute at call time.  The bounds
+# suite runs BOUNDS_CHECKS, which are also the CLI's `bounds` subcommands.
+CHECKS = {
+    "log_chain": (sc, "logarithmic_chain", False, False),
+    "identric_chain": (sc, "identric_chain", False, False),
+    "hh_chain": (cvx, "chain_eval", True, True),
+    "gap_sandwich": (cvx, "gap_sandwich_check", True, False),
+    "refined_gap": (cvx, "refined_gap_check", True, False),
+    "thm32": (bnd, "deriv_gap_bounds", True, True),
+    "thm33": (bnd, "curvature_gap_bounds", True, True),
+    "cor31": (bnd, "logmean_diff_reverse", False, False),
+    "cor32": (bnd, "identric_ratio_reverse", False, False),
+    "cor33": (bnd, "logmean_diff_refinement", False, False),
+    "cor34": (bnd, "identric_ratio_refinement", False, False),
+}
+BOUNDS_CHECKS = ("thm32", "thm33", "cor31", "cor32", "cor33", "cor34")
 
 
-def _run_trials(suite: str, cfg: SuiteConfig, start, count, checks, oriented: bool, chains=()):
+def _producer(key: str, fname: str | None = None):
+    """Check ``key``'s producer as a function of (a, b, v, tol=...), bound to the
+    builtin ``fname`` if it takes a convex function."""
+    module, name, takes_f, _ = CHECKS[key]
+    produce = getattr(module, name)
+    return functools.partial(produce, cvx.get_builtin(fname)) if takes_f else produce
+
+
+def _record(rep: SuiteReport, key: str, res, trials: list):
+    """Note the minimum of each slack of a producer's result over ``trials``, a
+    list of (index, inputs), and record each trial where a verdict fails."""
+    if isinstance(res, ChainReport):
+        verdicts = [(key, dict(enumerate(res.slacks, start=1)), res.passed,
+                     {"slacks": res.slacks})]
+    elif isinstance(res, cvx.SandwichResult):
+        verdicts = [(key, {"lower": res.mid - res.lhs, "upper": res.rhs - res.mid}, res.passed,
+                     {"lhs": res.lhs, "mid": res.mid, "rhs": res.rhs})]
+    elif isinstance(res, cvx.RefinedGapResult):
+        verdicts = [(key, {"refined": res.lhs - res.rhs, "nonneg": res.rhs}, res.passed,
+                     {"lhs": res.lhs, "rhs": res.rhs})]
+    else:  # a bounds producer's GapBoundReports
+        verdicts = [(f"{key}.{gap.name}", {"lower": gap.slack_lower(), "upper": gap.slack_upper()},
+                     gap.passed, {"gap": gap.gap, "lower_bound": gap.lower_bound,
+                                  "upper_bound": gap.upper_bound}) for gap in res]
+    for name, slacks, passed, fields in verdicts:
+        for suffix, slack in slacks.items():
+            rep._note(f"{name}.{suffix}", np.minimum.reduce(slack, axis=None))
+        for pos in np.flatnonzero(np.logical_not(passed)).tolist():
+            index, inputs = trials[pos]
+            extra = {field: [x.flat[pos].item() for x in map(np.asarray, value)]
+                     if isinstance(value, tuple) else np.broadcast_to(value, np.shape(passed))
+                     .flat[pos].item() for field, value in fields.items()}
+            try:
+                rep._fail(index, name, inputs, **extra)
+            except FloatingPointError as exc:
+                rep._fail(index, key, inputs, error=str(exc))
+
+
+def _check_slice(rep: SuiteReport, key: str, trials: list, fname: str | None, tol: float):
+    """Check ``key`` over ``trials``, a list of (index, inputs), in one array call
+    on their (lo, hi, v), or (a, b, v) if it takes no f.  Inputs are valid by
+    construction, so a raise is a numeric failure: then it reruns trial by trial,
+    and a trial whose call raises gets a record of the error."""
+    produce = _producer(key, fname)
+    points = [(min(x["a"], x["b"]), max(x["a"], x["b"]), x["v"]) if fname
+              else (x["a"], x["b"], x["v"]) for _, x in trials]
+    try:
+        res = produce(*map(np.array, zip(*points)), tol=tol)
+    except (QuadratureError, ArithmeticError, ValueError):
+        for (index, inputs), point in zip(trials, points):
+            try:
+                _record(rep, key, produce(*point, tol=tol), [(index, inputs)])
+            except (QuadratureError, ArithmeticError, ValueError) as exc:
+                rep._fail(index, key, inputs, error=str(exc))
+        return
+    _record(rep, key, res, trials)
+
+
+def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool):
     """Trial loop shared by the scalar and bounds suites.
 
-    Trial i draws (a, b, v) and takes the builtin ``cfg.functions[i % n]``.  Each
-    mean chain in ``chains`` runs once over the slice (:func:`_chain_slice`), then
-    each (key, check) in ``checks`` as ``check(rep, key, trial, tol)`` per trial.
-    A trial's inputs are valid by construction, so a check raising
-    QuadratureError, ArithmeticError or ValueError has failed numerically: it
-    becomes a failure record of that trial and the remaining checks still
-    run.  Failure inputs hold the drawn (a, b), or (lo, hi) when ``oriented``.
+    Trial i draws (a, b, v) and takes the builtin ``cfg.functions[i % n]``; its
+    failure inputs hold the drawn (a, b), or (lo, hi) when ``oriented``.  Each
+    check in ``keys`` runs once over the slice, or once per function group if it
+    takes f, leaving out trials with b - a < MIN_GAP if it needs a < b.
     """
     t0 = time.perf_counter()
     trials = []
     for i in _slice(cfg.trials, start, count):
         rng = _trial_rng(cfg.seed, i)
         a, b = _draw_pair(rng, cfg)
-        v = _draw_weight(rng, cfg)
+        a, b = (min(a, b), max(a, b)) if oriented else (a, b)
         fname = cfg.functions[i % len(cfg.functions)]
-        lo, hi = min(a, b), max(a, b)
-        inputs = {"a": lo, "b": hi} if oriented else {"a": a, "b": b}
-        inputs.update(v=v, f=fname)
-        trials.append(_Trial(i, a, b, lo, hi, v, cvx.get_builtin(fname), inputs))
+        trials.append((i, {"a": a, "b": b, "v": _draw_weight(rng, cfg), "f": fname}))
     rep = SuiteReport(suite, cfg.seed, len(trials))
-    for key in chains if trials else ():
-        _chain_slice(rep, key, trials, cfg.tol)
-    for t in trials:
-        for key, check in checks:
-            try:
-                check(rep, key, t, cfg.tol)
-            except (QuadratureError, ArithmeticError, ValueError) as exc:
-                rep._fail(t.index, key, t.inputs, error=str(exc))
+    groups = {fname: [t for t in trials if t[1]["f"] == fname] for fname in cfg.functions}
+    with np.errstate(all="ignore"):  # non-finite numbers raise where they are checked
+        for key in keys:
+            _, _, takes_f, ordered = CHECKS[key]
+            for fname, group in groups.items() if takes_f else [(None, trials)]:
+                if ordered:
+                    group = [(i, x) for i, x in group if abs(x["b"] - x["a"]) >= MIN_GAP]
+                if group:
+                    _check_slice(rep, key, group, fname, cfg.tol)
     rep.failures.sort(key=lambda record: record["trial"])  # stable: check order stays
     rep.wall_ms = (time.perf_counter() - t0) * 1e3
     return rep
 
 
-def _chain_slice(rep, key, trials, tol):
-    """A mean chain over the slice's trials as one array call, its min_slacks
-    from array minima.  If the call raises, it reruns trial by trial instead."""
-    chain = sc.logarithmic_chain if key == "log_chain" else sc.identric_chain
-    try:
-        report = chain(*(np.array([getattr(t, x) for t in trials]) for x in "abv"), tol=tol)
-    except (ArithmeticError, ValueError):
-        for t in trials:
-            try:
-                rep._chain(key, chain(t.a, t.b, t.v, tol=tol), t.index, t.inputs)
-            except (ArithmeticError, ValueError) as exc:
-                rep._fail(t.index, key, t.inputs, error=str(exc))
-        return
-    for idx, slack in enumerate(report.slacks, start=1):
-        rep._note(f"{key}.{idx}", slack.min())
-    for pos in np.flatnonzero(~report.passed).tolist():
-        rep._fail(trials[pos].index, key, trials[pos].inputs,
-                  slacks=[slack[pos].item() for slack in report.slacks])
-
-
-def _hh_chain(rep, key, t, tol):
-    if t.hi - t.lo >= MIN_GAP:
-        rep._chain(key, cvx.chain_eval(t.f, t.lo, t.hi, t.v, tol=tol), t.index, t.inputs)
-
-
-def _gap_sandwich(rep, key, t, tol):
-    res = cvx.gap_sandwich_check(t.f, t.lo, t.hi, t.v, tol=tol)
-    rep._note(f"{key}.lower", res.mid - res.lhs)
-    rep._note(f"{key}.upper", res.rhs - res.mid)
-    if not res.passed:
-        rep._fail(t.index, key, t.inputs, lhs=res.lhs, mid=res.mid, rhs=res.rhs)
-
-
-def _refined_gap(rep, key, t, tol):
-    res = cvx.refined_gap_check(t.f, t.lo, t.hi, t.v, tol=tol)
-    rep._note(f"{key}.refined", res.lhs - res.rhs)
-    rep._note(f"{key}.nonneg", res.rhs)
-    if not res.passed:
-        rep._fail(t.index, key, t.inputs, lhs=res.lhs, rhs=res.rhs)
-
-
-_SCALAR_CHECKS = (
-    ("hh_chain", _hh_chain),
-    ("gap_sandwich", _gap_sandwich),
-    ("refined_gap", _refined_gap),
-)
-
-# The bounds suite's checks and the CLI's `bounds` subcommands:
-# name -> (takes a convex function, producing function of meanbounds.bounds).
-# Producers are named, not referenced, so calls go through the module attribute.
-BOUNDS_CHECKS = {
-    "thm32": (True, "deriv_gap_bounds"),
-    "thm33": (True, "curvature_gap_bounds"),
-    "cor31": (False, "logmean_diff_reverse"),
-    "cor32": (False, "identric_ratio_reverse"),
-    "cor33": (False, "logmean_diff_refinement"),
-    "cor34": (False, "identric_ratio_refinement"),
-}
-
-
-def _bounds_check(rep, key, t, tol):
-    takes_f, producer = BOUNDS_CHECKS[key]
-    if takes_f and t.hi - t.lo < MIN_GAP:
-        return
-    head = (t.f,) if takes_f else ()
-    for gap in getattr(bnd, producer)(*head, t.lo, t.hi, t.v, tol=tol):
-        rep._gap(f"{key}.{gap.name}", gap, t.index, t.inputs)
-
-
 def run_scalar_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
-    """Mean chains (once over the slice's arrays), the seven-term chain cycling
-    the builtin functions and both convexity-gap checks on (a, b, v) draws."""
-    return _run_trials("scalar", cfg, start, count, _SCALAR_CHECKS, oriented=False,
-                       chains=("log_chain", "identric_chain"))
+    """Both mean chains, the seven-term chain cycling the builtin functions and
+    both convexity-gap checks on (a, b, v) draws."""
+    keys = ("log_chain", "identric_chain", "hh_chain", "gap_sandwich", "refined_gap")
+    return _run_trials("scalar", cfg, start, count, keys, oriented=False)
 
 
 def run_bounds_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
     """Derivative and curvature gap bounds plus the four mean-specific
     reverses/refinements on oriented randomized draws."""
-    checks = [(key, _bounds_check) for key in BOUNDS_CHECKS]
-    return _run_trials("bounds", cfg, start, count, checks, oriented=True)
+    return _run_trials("bounds", cfg, start, count, BOUNDS_CHECKS, oriented=True)
 
 
 def _spd_stack(rngs, dim: int, log10_cond_half: float = 2.0) -> np.ndarray:

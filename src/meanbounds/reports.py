@@ -5,7 +5,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from functools import reduce
-from math import isfinite
 
 import numpy as np
 
@@ -69,7 +68,7 @@ class ChainReport(Report):
         slacks, holds = chain_links(values, tol)
         passed = reduce(operator.and_, holds)
         return cls(labels, values, tuple(slacks), float(tol),
-                   passed if arrays else bool(passed), certified)
+                   passed if arrays else bool(passed), certified if arrays else bool(certified))
 
     @property
     def scale(self):
@@ -96,12 +95,16 @@ class GapBoundReport(Report):
 
     @classmethod
     def build(cls, name, gap, lower, upper, tol, scale):
-        """Raises FloatingPointError on a non-finite number, which would pass vacuously."""
-        gap, lower, upper, scale = float(gap), float(lower), float(upper), float(scale)
-        if not (isfinite(gap) and isfinite(lower) and isfinite(upper) and isfinite(scale)):
+        """Numbers, or arrays that broadcast to one shape (fields per point).  Raises
+        FloatingPointError on a non-finite number, which would pass vacuously."""
+        finite = np.isfinite(gap) & np.isfinite(lower) & np.isfinite(upper) & np.isfinite(scale)
+        if not finite.all():
             raise FloatingPointError(f"{name}: gap, bounds or scale are not finite")
-        passed = (lower - tol * scale) <= gap <= (upper + tol * scale)
-        return cls(str(name), gap, lower, upper, float(tol), scale, passed)
+        if not np.ndim(gap):
+            gap, lower, upper, scale = map(float, (gap, lower, upper, scale))
+        passed = (lower - tol * scale <= gap) & (gap <= upper + tol * scale)
+        return cls(str(name), gap, lower, upper, float(tol), scale,
+                   passed if np.ndim(passed) else bool(passed))
 
     def slack_lower(self) -> float:
         return self.gap - self.lower_bound

@@ -46,11 +46,13 @@ IDENTRIC_CHAIN_LABELS = (
 )
 
 
-def check_weight(v) -> float:
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {v}")
-    return v
+def check_weight(v):
+    """v checked to lie in [0, 1]: a float, or an array (valid iff its extremes are)."""
+    arr = np.asarray(v, dtype=float)
+    for x in (arr.min(), arr.max()) if arr.ndim else (float(arr),):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"weight must lie in [0, 1], got {x}")
+    return arr if arr.ndim else float(arr)
 
 
 def check_pair(a, b) -> tuple[float, float]:
@@ -59,18 +61,6 @@ def check_pair(a, b) -> tuple[float, float]:
     if not (math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0):
         raise ValueError(f"mean arguments must be finite and positive, got ({a}, {b})")
     return a, b
-
-
-def min_weight(v) -> float:
-    """Smaller of the two split weights, min(v, 1-v)."""
-    v = check_weight(v)
-    return min(v, 1.0 - v)
-
-
-def max_weight(v) -> float:
-    """Larger of the two split weights, max(v, 1-v)."""
-    v = check_weight(v)
-    return max(v, 1.0 - v)
 
 
 def _args(a, b, v) -> list[np.ndarray]:
@@ -96,7 +86,7 @@ def _geometric(a, b, v):
 
 
 def _logarithmic(a, b, v):
-    return np.where(v == 1.0, b, a * log_mean_unit(b / a, v))
+    return np.where(v == 1.0, b, a * _log_mean_unit(b / a, v))
 
 
 def _log_identric(a, b, v):
@@ -134,6 +124,23 @@ def _log_mean_unit_series(h, v):
     return 1.0 + v * h + v * (1.0 + 2.0 * v) * h * h / 6.0
 
 
+def _log_mean_unit(t, v):
+    # log_mean_unit with t checked here and v already a checked float array
+    t = np.asarray(t, dtype=float)
+    if not (t.min() > 0.0 and t.max() < np.inf):
+        raise ValueError("log_mean_unit needs finite positive arguments")
+    mirror, end = v > 0.5, (v == 0.0) | (v == 1.0)
+    w = np.where(end, 0.5, np.where(mirror, 1.0 - v, v))
+    x = np.broadcast_to(t, np.broadcast_shapes(t.shape, v.shape)).copy()
+    h = np.log(np.divide(1.0, t, out=x, where=mirror))
+    small = np.abs(h) < H_SWITCH
+    unit = _log_mean_unit_formula(np.where(small, 1.0, h), w)
+    if small.any():
+        unit = np.where(small, _log_mean_unit_series(h, w), unit)
+    unit = np.where(end, 1.0, unit)  # L_0(1, t) = 1, and t at v = 1 once mirrored
+    return np.where(mirror, unit * t, unit)
+
+
 def log_mean_unit(t, v):
     """Weighted logarithmic mean of 1 and t, broadcast over ``t`` and ``v``.
 
@@ -144,20 +151,7 @@ def log_mean_unit(t, v):
     which keeps the expm1 difference well conditioned near the weight
     endpoints, and v = 0 and v = 1 give 1 and t.
     """
-    t = np.asarray(t, dtype=float)
-    if not (t.min() > 0.0 and t.max() < np.inf):
-        raise ValueError("log_mean_unit needs finite positive arguments")
-    _, t, v = _args(1.0, t, v)
-    mirror, end = v > 0.5, (v == 0.0) | (v == 1.0)
-    w = np.where(end, 0.5, np.where(mirror, 1.0 - v, v))
-    x = np.broadcast_to(t, np.broadcast_shapes(t.shape, v.shape)).copy()
-    h = np.log(np.divide(1.0, t, out=x, where=mirror))
-    small = np.abs(h) < H_SWITCH
-    unit = _log_mean_unit_formula(np.where(small, 1.0, h), w)
-    if small.any():
-        unit = np.where(small, _log_mean_unit_series(h, w), unit)
-    unit = np.where(end, 1.0, unit)  # L_0(1, t) = 1, and t at v = 1 once mirrored
-    return _float_if_0d(np.where(mirror, unit * t, unit))
+    return _float_if_0d(_log_mean_unit(t, np.asarray(check_weight(v))))
 
 
 def weighted_logarithmic(a, b, v):

@@ -198,6 +198,12 @@ def reference_scalar_slice(cfg, start, count):
         f, lo, hi, tol = cvx.get_builtin(fname), min(a, b), max(a, b), cfg.tol
         inputs = {"a": a, "b": b, "v": v, "f": fname}
 
+        def chain(key, report):
+            for idx, slack in enumerate(report.slacks, start=1):
+                rep._note(f"{key}.{idx}", slack)
+            if not report.passed:
+                rep._fail(i, key, inputs, slacks=list(report.slacks))
+
         def gap_sandwich():
             res = cvx.gap_sandwich_check(f, lo, hi, v, tol=tol)
             rep._note("gap_sandwich.lower", res.mid - res.lhs)
@@ -213,12 +219,10 @@ def reference_scalar_slice(cfg, start, count):
                 rep._fail(i, "refined_gap", inputs, lhs=res.lhs, rhs=res.rhs)
 
         checks = {
-            "log_chain": lambda: rep._chain("log_chain", sc.logarithmic_chain(a, b, v, tol),
-                                            i, inputs),
-            "identric_chain": lambda: rep._chain("identric_chain",
-                                                 sc.identric_chain(a, b, v, tol), i, inputs),
-            "hh_chain": lambda: hi - lo < harness.MIN_GAP or rep._chain(
-                "hh_chain", cvx.chain_eval(f, lo, hi, v, tol=tol), i, inputs),
+            "log_chain": lambda: chain("log_chain", sc.logarithmic_chain(a, b, v, tol)),
+            "identric_chain": lambda: chain("identric_chain", sc.identric_chain(a, b, v, tol)),
+            "hh_chain": lambda: hi - lo < harness.MIN_GAP or chain(
+                "hh_chain", cvx.chain_eval(f, lo, hi, v, tol=tol)),
             "gap_sandwich": gap_sandwich,
             "refined_gap": refined_gap,
         }

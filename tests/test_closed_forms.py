@@ -79,6 +79,9 @@ EDGE_CASES = [
     ("xlogx", 1e-300, 1e300),
     ("square", 1e-300, 1.0),
     ("quartic", 1e-300, 1.0),
+    # finite averages whose unscaled closed forms overflowed in p*p + p*q + q*q
+    ("square", 1e154, 1.3e154),
+    ("quartic", 5e76, 1e77),
 ]
 
 

@@ -374,7 +374,7 @@ def pointwise_terms(f, a, b, v):
     m1 = cvx.node_point(a, b, v / 2.0)
     m2 = cvx.node_point(a, b, (1.0 + v) / 2.0)
     ends = (1.0 - v) * fx(a) + v * fx(b)
-    lo_w, hi_w = sc.min_weight(v), sc.max_weight(v)
+    lo_w, hi_w = min(v, 1.0 - v), max(v, 1.0 - v)
     return {
         "endpoint_average": ends,
         "midpoint_estimate": (1.0 - v) * fx(m1) + v * fx(m2),

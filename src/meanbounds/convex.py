@@ -178,7 +178,7 @@ def get_builtin(name: str) -> ConvexFnSpec:
 def _interval(f: ConvexFnSpec, a, b) -> tuple[np.ndarray, np.ndarray]:
     """a and b as float arrays, checked finite and inside f's domain."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())  # NaN if any point is NaN
+    lo, hi = np.minimum(a.min(), b.min()), np.maximum(a.max(), b.max())  # NaN if any is NaN
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("interval endpoints must be finite")
     if not f.contains(lo, hi):
@@ -340,7 +340,7 @@ def _split_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
             p, q = _stack(a, n, n, b).reshape(2, 2, *np.shape(n))
             pieces = np.where(p < q, avg(p, q), f.fn(p))
         # a piece of weight 0 (v at 0 or 1) is left out, so its overflow cannot poison the mix
-        weights = _stack(1.0 - v, v)
+        weights = _stack(1.0 - v, v, n)[:2]  # with n, so that they take its shape
         first, second = np.where(weights > 0.0, weights * pieces, 0.0)
         value = first + second
     if not np.isfinite(value).all():

@@ -2,6 +2,8 @@
 producers, so each producer of ``harness.CHECKS`` must give, at every point of
 an array call, bit for bit what its 0-d call gives there."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,27 @@ def test_array_call_equals_0d_calls(key, fname):
         got = numbers(produce(*point))
         assert all(type(x) in (float, bool) for x in got), (key, got)
         assert [repr(x) for x in got] == [repr(column[i]) for column in columns], (key, point)
+
+
+ROW = np.array([0.75, 1.5, 3.0, 6.0])
+COLUMN = np.array([[0.1], [0.2], [0.4]])
+
+
+@pytest.mark.parametrize("a, b, v", [(0.5, ROW, COLUMN + 0.2), (COLUMN, ROW, 0.3)],
+                         ids=["number-row-column", "column-row-number"])
+@pytest.mark.parametrize("key, fname", CASES, ids=lambda x: x or "-")
+def test_broadcast_call_equals_0d_calls(key, fname, a, b, v):
+    # numbers, rows and columns broadcast to one (3, 4) grid of points
+    produce = harness._producer(key, fname)
+    grid = [np.broadcast_to(x, (3, 4)).ravel().tolist() for x in numbers(produce(a, b, v))]
+    for i, point in enumerate(zip(*(np.broadcast_to(x, (3, 4)).ravel().tolist()
+                                    for x in (a, b, v)))):
+        assert [repr(x) for x in numbers(produce(*point))] == [repr(c[i]) for c in grid], point
+
+
+@pytest.mark.parametrize("a, b", [(1.0, math.nan), (math.nan, 1.0), (1.0, math.inf),
+                                  (-math.inf, 1.0), (np.array([1.0, 2.0]), [3.0, math.nan])])
+def test_non_finite_endpoint_raises(a, b):
+    for check in (cvx.gap_sandwich_check, cvx.refined_gap_check, cvx.convexity_gap):
+        with pytest.raises(ValueError, match="^interval endpoints must be finite$"):
+            check(cvx.get_builtin("exp"), a, b, 0.3)

@@ -9,7 +9,7 @@ import pytest
 
 from meanbounds import convex as cvx
 from meanbounds import harness
-from meanbounds.reports import ChainReport
+from meanbounds.reports import ChainReport, GapBoundReport
 
 CASES = [(key, fname) for key, (_, _, takes_f, _) in harness.CHECKS.items()
          for fname in (cvx.BUILTINS if takes_f else (None,))]
@@ -20,7 +20,7 @@ def numbers(res):
     """Every number and verdict of a producer's result, in a fixed order."""
     if isinstance(res, ChainReport):
         return [*res.values, *res.slacks, res.passed, res.certified]
-    if isinstance(res, tuple) and hasattr(res[0], "slack_lower"):  # GapBoundReports
+    if isinstance(res[0], GapBoundReport):
         return [x for gap in res for x in (gap.gap, gap.lower_bound, gap.upper_bound,
                                             gap.scale, gap.passed)]
     return list(res)  # SandwichResult, RefinedGapResult

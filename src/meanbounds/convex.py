@@ -178,10 +178,10 @@ def get_builtin(name: str) -> ConvexFnSpec:
 def _interval(f: ConvexFnSpec, a, b) -> tuple[np.ndarray, np.ndarray]:
     """a and b as float arrays, checked finite and inside f's domain."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    lo, hi = np.minimum(a.min(), b.min()), np.maximum(a.max(), b.max())  # NaN if any is NaN
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    ends = (a.min(), a.max(), b.min(), b.max())  # NaN if a point is NaN
+    if not all(map(math.isfinite, ends)):
         raise ValueError("interval endpoints must be finite")
-    if not f.contains(lo, hi):
+    if not f.contains(min(ends), max(ends)):
         raise ValueError(f"[{a}, {b}] not inside the domain of {f.name!r}")
     return a, b
 

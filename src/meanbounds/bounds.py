@@ -21,7 +21,6 @@ from . import scalar as sc
 from .convex import (
     ConvexFnSpec,
     _central_difference,
-    _split_avg,
     _terms,
     get_builtin,
     require_ordered_interval,
@@ -120,7 +119,14 @@ def midpoint_gap_bounds(f: ConvexFnSpec, a, b, quad: QuadConfig | None = None,
 def _central_gaps(f, a, b, v, quad, tol, names, windows, bound_scale):
     # a <= b, v and the derivative bounds already checked; one report per central gap
     t = _terms(f, a, b, v, check=False)
-    c = np.where(a < b, _split_avg(f, a, b, v, quad), t.node)
+    ordered = a < b
+    if ordered.all():
+        c = split_integral_avg(f, a, b, v, quad)
+    else:  # the split average is f(a) where a == b
+        c, ordered = np.array(t.node), np.broadcast_to(ordered, np.shape(t.node))
+        if ordered.any():
+            points = (np.broadcast_to(x, ordered.shape)[ordered] for x in (a, b, v))
+            c[ordered] = split_integral_avg(f, *points, quad)
     scale = reduce(np.maximum, (abs(c), abs(t.midpoint), abs(t.trapezoid), bound_scale))
     return tuple(
         GapBoundReport.build(name, gap, low, high, tol, scale)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -215,11 +215,8 @@ def _central_difference(fn: Callable, xs: np.ndarray) -> np.ndarray:
 
 
 def _fn_scale(f: ConvexFnSpec, a, b, samples: int = 9):
-    # max(1, max |f|) on the grid np.linspace(lo, hi, samples), built as linspace builds it;
-    # a NaN sample is passed over, as by max(1, nan)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    xs = np.multiply.outer(np.arange(samples), (hi - lo) / (samples - 1)) + lo
-    xs[-1] = hi
+    # max(1, max |f|) on the grid; a NaN sample is passed over, as by max(1, nan)
+    xs = np.linspace(np.minimum(a, b), np.maximum(a, b), samples)
     return np.fmax(1.0, np.max(np.abs(np.asarray(f.fn(xs), dtype=float)), axis=0))
 
 
@@ -263,22 +260,16 @@ def node_point(a, b, v):
     return a + v * (b - a)
 
 
-class _Terms:
-    """f at the seven chain points of each point (n = node_point(a, b, v), m1 and m2
-    the midpoints of [a, n] and [n, b]) and the chain terms, each made when first read."""
-
-    def __init__(self, v, fx):
-        # f at a, b, n, m1, m2, (a + b) / 2 and (m1 + m2) / 2
-        self.v, (self.fa, self.fb, self.node, self.f1, self.f2, self.fh, self.fmh) = v, fx
-
-    low = cached_property(lambda t: np.minimum(t.v, 1.0 - t.v))  # the smaller split weight
-    high = cached_property(lambda t: np.maximum(t.v, 1.0 - t.v))
-    endpoints = cached_property(lambda t: (1.0 - t.v) * t.fa + t.v * t.fb)
-    midpoint = cached_property(lambda t: (1.0 - t.v) * t.f1 + t.v * t.f2)
-    trapezoid = cached_property(lambda t: 0.5 * (t.endpoints + t.node))
-    gap = cached_property(lambda t: t.endpoints - t.node)  # convexity gap(a, b, v)
-    half_gap = cached_property(lambda t: 0.5 * t.fa + 0.5 * t.fb - t.fh)  # gap(a, b, 1/2)
-    split_gap = cached_property(lambda t: 0.5 * t.f1 + 0.5 * t.f2 - t.fmh)  # gap(m1, m2, 1/2)
+class _Terms(NamedTuple):
+    node: np.ndarray  # f(n), n = node_point(a, b, v)
+    midpoint: np.ndarray
+    trapezoid: np.ndarray
+    endpoints: np.ndarray
+    gap: np.ndarray  # convexity gap(a, b, v)
+    half_gap: np.ndarray  # gap(a, b, 1/2)
+    split_gap: np.ndarray  # gap(m1, m2, 1/2), m1 and m2 the midpoints of [a, n] and [n, b]
+    low: np.ndarray  # the smaller split weight, min(v, 1 - v)
+    high: np.ndarray
 
     def lower(self, weight):
         return self.node + 2.0 * weight * self.split_gap
@@ -304,7 +295,13 @@ def _terms(f: ConvexFnSpec, a, b, v, check: bool = True) -> _Terms:
     m1 = node_point(a, b, v / 2.0)
     m2 = node_point(a, b, (1.0 + v) / 2.0)
     points = _stack(a, b, n, m1, m2, node_point(a, b, 0.5), node_point(m1, m2, 0.5))
-    return _Terms(v, np.asarray(f.fn(points), dtype=float))
+    fa, fb, fn, f1, f2, fh, fmh = np.asarray(f.fn(points), dtype=float)
+    ends = (1.0 - v) * fa + v * fb
+    return _Terms(
+        fn, (1.0 - v) * f1 + v * f2, 0.5 * (ends + fn), ends, ends - fn,
+        0.5 * fa + 0.5 * fb - fh, 0.5 * f1 + 0.5 * f2 - fmh,
+        np.minimum(v, 1.0 - v), np.maximum(v, 1.0 - v),
+    )
 
 
 def endpoint_average(f: ConvexFnSpec, a, b, v):
@@ -326,8 +323,16 @@ def trapezoid_estimate(f: ConvexFnSpec, a, b, v):
     return _float_if_0d(_terms(f, a, b, v).trapezoid)
 
 
-def _split_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
-    # a <= b and v already checked; a piece of zero length takes f at its point
+def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
+    """v-weighted mix of the integral averages of f over [a, n] and [n, b].
+
+    A builtin takes them from its exact closed form (a piece of zero length
+    from f at its point).  Any other f integrates int_0^1 f(a + v (b-a) t) dt
+    and int_0^1 f(n + (1-v)(b-a) t) dt, which confirms the change of variables
+    independently.  A non-finite result raises NonFiniteIntegrandError.
+    """
+    v = check_weight(v)
+    a, b = require_ordered_interval(f, a, b)
     n = node_point(a, b, v)
     avg = _AVERAGES.get(id(f.fn))
     with np.errstate(all="ignore"):  # non-finite values raise below; masked ones go unused
@@ -345,20 +350,7 @@ def _split_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
         value = first + second
     if not np.isfinite(value).all():
         raise NonFiniteIntegrandError("integrand returned non-finite values")
-    return value
-
-
-def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
-    """v-weighted mix of the integral averages of f over [a, n] and [n, b].
-
-    A builtin takes them from its exact closed form (a piece of zero length
-    from f at its point).  Any other f integrates int_0^1 f(a + v (b-a) t) dt
-    and int_0^1 f(n + (1-v)(b-a) t) dt, which confirms the change of variables
-    independently.  A non-finite result raises NonFiniteIntegrandError.
-    """
-    v = check_weight(v)
-    a, b = require_ordered_interval(f, a, b)
-    return _float_if_0d(_split_avg(f, a, b, v, quad))
+    return _float_if_0d(value)
 
 
 def convexity_gap(f: ConvexFnSpec, a, b, v):
@@ -408,10 +400,8 @@ def chain_eval(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
     convexity spot check on [a, b], and on violation the report is still
     produced but flagged ``certified=False`` (per point for arrays).
     """
-    v = check_weight(v)
-    a, b = require_ordered_interval(f, a, b)
-    t = _terms(f, a, b, v, check=False)
-    c = _split_avg(f, a, b, v, quad)
+    c = split_integral_avg(f, a, b, v, quad)  # checks v, then a < b and the interval
+    t = _terms(f, a, b, v)
     values = (t.node, t.lower(t.low), t.midpoint, c, t.trapezoid, t.upper(t.low), t.endpoints)
     certified = id(f.fn) in _AVERAGES or (
         convexity_violation(f, a, b, samples=17) <= CONVEXITY_REJECT * _fn_scale(f, a, b)

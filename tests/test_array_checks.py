@@ -65,3 +65,16 @@ def test_non_finite_endpoint_raises(a, b):
     for check in (cvx.gap_sandwich_check, cvx.refined_gap_check, cvx.convexity_gap):
         with pytest.raises(ValueError, match="^interval endpoints must be finite$"):
             check(cvx.get_builtin("exp"), a, b, 0.3)
+
+
+@pytest.mark.parametrize("key", ["cor31", "cor32", "cor33", "cor34"])
+@pytest.mark.parametrize("a, b", [([2.0, 1.0, 3.0], [2.0, 4.0, 3.0]), ([3.0, 3.0], [3.0, 3.0])],
+                         ids=["some-equal", "all-equal"])
+def test_equal_endpoints_in_an_array_equal_0d_calls(key, a, b):
+    # the corollaries take b >= a; where a == b the split average is f at that point
+    produce = harness._producer(key)
+    res = produce(np.array(a), np.array(b), 0.3)
+    columns = [np.broadcast_to(x, (len(a),)).tolist() for x in numbers(res)]
+    for i, point in enumerate(zip(a, b)):
+        got = numbers(produce(*point, 0.3))
+        assert [repr(x) for x in got] == [repr(c[i]) for c in columns], point

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -178,7 +178,11 @@ def get_builtin(name: str) -> ConvexFnSpec:
 def _interval(f: ConvexFnSpec, a, b) -> tuple[np.ndarray, np.ndarray]:
     """a and b as float arrays, checked finite and inside f's domain."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    ends = (a.min(), a.max(), b.min(), b.max())  # NaN if a point is NaN
+    return _check_ends(f, a, b, a.min(), a.max(), b.min(), b.max())
+
+
+def _check_ends(f: ConvexFnSpec, a, b, *ends):
+    # ends: the extremes of a and b, NaN if a point is NaN
     if not all(map(math.isfinite, ends)):
         raise ValueError("interval endpoints must be finite")
     if not f.contains(min(ends), max(ends)):
@@ -192,7 +196,7 @@ def require_ordered_interval(f: ConvexFnSpec, a, b) -> tuple[np.ndarray, np.ndar
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (a < b).all():
         raise ValueError(f"need a < b, got ({a}, {b})")
-    return _interval(f, a, b)
+    return _check_ends(f, a, b, a.min(), b.max())  # with a < b, the extremes of both
 
 
 def convexity_violation(f: ConvexFnSpec, a, b, samples: int = 33):
@@ -260,16 +264,22 @@ def node_point(a, b, v):
     return a + v * (b - a)
 
 
-class _Terms(NamedTuple):
-    node: np.ndarray  # f(n), n = node_point(a, b, v)
-    midpoint: np.ndarray
-    trapezoid: np.ndarray
-    endpoints: np.ndarray
-    gap: np.ndarray  # convexity gap(a, b, v)
-    half_gap: np.ndarray  # gap(a, b, 1/2)
-    split_gap: np.ndarray  # gap(m1, m2, 1/2), m1 and m2 the midpoints of [a, n] and [n, b]
-    low: np.ndarray  # the smaller split weight, min(v, 1 - v)
-    high: np.ndarray
+class _Terms:
+    """f at the seven chain points of each point (n = node_point(a, b, v), m1 and m2
+    the midpoints of [a, n] and [n, b]) and the chain terms, each made when first read."""
+
+    def __init__(self, v, fx):
+        # f at a, b, n, m1, m2, (a + b) / 2 and (m1 + m2) / 2
+        self.v, (self.fa, self.fb, self.node, self.f1, self.f2, self.fh, self.fmh) = v, fx
+
+    low = cached_property(lambda t: np.minimum(t.v, 1.0 - t.v))  # the smaller split weight
+    high = cached_property(lambda t: np.maximum(t.v, 1.0 - t.v))
+    endpoints = cached_property(lambda t: (1.0 - t.v) * t.fa + t.v * t.fb)
+    midpoint = cached_property(lambda t: (1.0 - t.v) * t.f1 + t.v * t.f2)
+    trapezoid = cached_property(lambda t: 0.5 * (t.endpoints + t.node))
+    gap = cached_property(lambda t: t.endpoints - t.node)  # convexity gap(a, b, v)
+    half_gap = cached_property(lambda t: 0.5 * t.fa + 0.5 * t.fb - t.fh)  # gap(a, b, 1/2)
+    split_gap = cached_property(lambda t: 0.5 * t.f1 + 0.5 * t.f2 - t.fmh)  # gap(m1, m2, 1/2)
 
     def lower(self, weight):
         return self.node + 2.0 * weight * self.split_gap
@@ -295,13 +305,7 @@ def _terms(f: ConvexFnSpec, a, b, v, check: bool = True) -> _Terms:
     m1 = node_point(a, b, v / 2.0)
     m2 = node_point(a, b, (1.0 + v) / 2.0)
     points = _stack(a, b, n, m1, m2, node_point(a, b, 0.5), node_point(m1, m2, 0.5))
-    fa, fb, fn, f1, f2, fh, fmh = np.asarray(f.fn(points), dtype=float)
-    ends = (1.0 - v) * fa + v * fb
-    return _Terms(
-        fn, (1.0 - v) * f1 + v * f2, 0.5 * (ends + fn), ends, ends - fn,
-        0.5 * fa + 0.5 * fb - fh, 0.5 * f1 + 0.5 * f2 - fmh,
-        np.minimum(v, 1.0 - v), np.maximum(v, 1.0 - v),
-    )
+    return _Terms(v, np.asarray(f.fn(points), dtype=float))
 
 
 def endpoint_average(f: ConvexFnSpec, a, b, v):

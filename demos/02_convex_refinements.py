@@ -5,10 +5,9 @@ Run:  python3 demos/02_convex_refinements.py
 
 from meanbounds import (
     chain_eval,
+    chain_terms,
     gap_sandwich_check,
     get_builtin,
-    maxweight_lower,
-    maxweight_upper,
     refined_gap_check,
 )
 
@@ -40,9 +39,12 @@ print("\n== refined lower bound on the gap ==")
 res = refined_gap_check(exp, 1.0, 4.0, 0.25)
 print(f"  gap {res.lhs:.6f} >= refined bound {res.rhs:.6f} >= 0  pass={res.passed}")
 
-# Swapping the min-weight for the max-weight correction breaks the ordering:
-# the difference of the two max-weight terms changes sign between instances.
+# Every chain term, the max-weight variants included, comes from one call that
+# evaluates f once at the seven chain points.  Swapping the min-weight for the
+# max-weight correction breaks the ordering: the difference of the two
+# max-weight terms changes sign between instances.
 print("\n== no ordering between the max-weight variants ==")
 for a, b in ((4.0, 1.0), (8.0, 1.0)):
-    diff = maxweight_lower(exp, a, b, 0.25) - maxweight_upper(exp, a, b, 0.25)
+    terms = chain_terms(exp, a, b, 0.25)
+    diff = terms.maxweight_lower - terms.maxweight_upper
     print(f"  (a, b) = ({a:g}, {b:g}):  difference = {diff:+.5f}")

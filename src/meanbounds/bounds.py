@@ -26,7 +26,6 @@ from .convex import (
     require_ordered_interval,
     split_integral_avg,
 )
-from .quadrature import QuadConfig
 from .reports import GapBoundReport
 
 DERIV_GRID = 201
@@ -88,68 +87,69 @@ def _check_oriented(a, b, v):
     return a, b, v
 
 
-def trapezoid_gap_bounds(f: ConvexFnSpec, a, b, quad: QuadConfig | None = None,
-                         m: float | None = None, M: float | None = None,
-                         tol: float = 1e-9) -> GapBoundReport:
+def trapezoid_gap_bounds(f: ConvexFnSpec, a, b, m: float | None = None,
+                         M: float | None = None, tol: float = 1e-9) -> GapBoundReport:
     """Two-sided bound on (f(a)+f(b))/2 minus the integral average."""
-    a, b = require_ordered_interval(f, a, b)
-    m, M = _resolve_mM(f, a, b, m, M)
-    avg = split_integral_avg(f, a, b, 0.5, quad)
-    ends = 0.5 * (f.fn(a) + f.fn(b))
-    quarter = np.square((b - a) / 2.0)
-    scale = reduce(np.maximum, (abs(avg), abs(ends), abs(m) * quarter, abs(M) * quarter))
-    return GapBoundReport.build("trapezoid_gap", ends - avg, m / 3.0 * quarter,
-                                M / 3.0 * quarter, tol, scale)
+    return _half_weight_gap(f, a, b, m, M, tol, "trapezoid_gap")
 
 
-def midpoint_gap_bounds(f: ConvexFnSpec, a, b, quad: QuadConfig | None = None,
-                        m: float | None = None, M: float | None = None,
-                        tol: float = 1e-9) -> GapBoundReport:
+def midpoint_gap_bounds(f: ConvexFnSpec, a, b, m: float | None = None,
+                        M: float | None = None, tol: float = 1e-9) -> GapBoundReport:
     """Two-sided bound on the integral average minus f((a+b)/2)."""
+    return _half_weight_gap(f, a, b, m, M, tol, "midpoint_gap")
+
+
+def _half_weight_gap(f, a, b, m, M, tol, name):
+    # the gap of the trapezoid (or midpoint) rule on [a, b] lies in [m, M] / 3 (or / 6)
+    # times ((b - a) / 2)^2
     a, b = require_ordered_interval(f, a, b)
     m, M = _resolve_mM(f, a, b, m, M)
-    avg = split_integral_avg(f, a, b, 0.5, quad)
-    midv = f.fn(0.5 * (a + b))
+    avg = split_integral_avg(f, a, b, 0.5)
+    if name == "trapezoid_gap":
+        estimate = 0.5 * (f.fn(a) + f.fn(b))
+        gap, divisor = estimate - avg, 3.0
+    else:
+        estimate = f.fn(0.5 * (a + b))
+        gap, divisor = avg - estimate, 6.0
     quarter = np.square((b - a) / 2.0)
-    scale = reduce(np.maximum, (abs(avg), abs(midv), abs(m) * quarter, abs(M) * quarter))
-    return GapBoundReport.build("midpoint_gap", avg - midv, m / 6.0 * quarter,
-                                M / 6.0 * quarter, tol, scale)
+    scale = reduce(np.maximum, (abs(avg), abs(estimate), abs(m) * quarter, abs(M) * quarter))
+    return GapBoundReport.build(name, gap, m / divisor * quarter, M / divisor * quarter, tol,
+                                scale)
 
 
-def _central_gaps(f, a, b, v, quad, tol, names, windows, bound_scale):
+def _central_gaps(f, a, b, v, tol, names, windows, bound_scale):
     # a <= b, v and the derivative bounds already checked; one report per central gap
-    t = _terms(f, a, b, v, check=False)
+    t = _terms(f, a, b, v)
     ordered = a < b
     if ordered.all():
-        c = split_integral_avg(f, a, b, v, quad)
+        c = split_integral_avg(f, a, b, v)
     else:  # the split average is f(a) where a == b
         c, ordered = np.array(t.node), np.broadcast_to(ordered, np.shape(t.node))
         if ordered.any():
             points = (np.broadcast_to(x, ordered.shape)[ordered] for x in (a, b, v))
-            c[ordered] = split_integral_avg(f, *points, quad)
-    scale = reduce(np.maximum, (abs(c), abs(t.midpoint), abs(t.trapezoid), bound_scale))
+            c[ordered] = split_integral_avg(f, *points)
+    midpoint, trapezoid = t.midpoint_estimate, t.trapezoid_estimate
+    scale = reduce(np.maximum, (abs(c), abs(midpoint), abs(trapezoid), bound_scale))
     return tuple(
         GapBoundReport.build(name, gap, low, high, tol, scale)
-        for name, gap, (low, high) in zip(names, (c - t.midpoint, t.trapezoid - c), windows)
+        for name, gap, (low, high) in zip(names, (c - midpoint, trapezoid - c), windows)
     )
 
 
-def _thm32(f, a, b, v, big_k, quad, tol, names=_GAP_NAMES, floor=0.0):
+def _thm32(f, a, b, v, big_k, tol, names=_GAP_NAMES, floor=0.0):
     bound = v * (1.0 - v) * big_k * (b - a) / 2.0
-    return _central_gaps(
-        f, a, b, v, quad, tol, names, ((0.0, bound),) * 2, np.maximum(bound, floor)
-    )
+    return _central_gaps(f, a, b, v, tol, names, ((0.0, bound),) * 2, np.maximum(bound, floor))
 
 
-def _thm33(f, a, b, v, m, M, quad, tol, names=_GAP_NAMES, floor=0.0):
+def _thm33(f, a, b, v, m, M, tol, names=_GAP_NAMES, floor=0.0):
     factor = v * (1.0 - v) * np.square((b - a) / 2.0)
     windows = ((m / 6.0 * factor, M / 6.0 * factor), (m / 3.0 * factor, M / 3.0 * factor))
     bound_scale = reduce(np.maximum, (abs(m) * factor, abs(M) * factor, floor))
-    return _central_gaps(f, a, b, v, quad, tol, names, windows, bound_scale)
+    return _central_gaps(f, a, b, v, tol, names, windows, bound_scale)
 
 
-def deriv_gap_bounds(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
-                     K: float | None = None, tol: float = 1e-9) -> tuple[GapBoundReport, ...]:
+def deriv_gap_bounds(f: ConvexFnSpec, a, b, v, K: float | None = None,
+                     tol: float = 1e-9) -> tuple[GapBoundReport, ...]:
     """K-bounds on the two central chain gaps (Theorem 3.2).
 
     Both split_integral_avg - midpoint_estimate and
@@ -158,16 +158,15 @@ def deriv_gap_bounds(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
     v = sc.check_weight(v)
     a, b = require_ordered_interval(f, a, b)
     big_k = float(K) if K is not None else derivative_bounds(f, a, b)[0]
-    return _thm32(f, a, b, v, big_k, quad, tol)
+    return _thm32(f, a, b, v, big_k, tol)
 
 
-def curvature_gap_bounds(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
-                         m: float | None = None, M: float | None = None,
+def curvature_gap_bounds(f: ConvexFnSpec, a, b, v, m: float | None = None, M: float | None = None,
                          tol: float = 1e-9) -> tuple[GapBoundReport, ...]:
     """Two-sided curvature sandwiches for the two central chain gaps (Theorem 3.3)."""
     v = sc.check_weight(v)
     a, b = require_ordered_interval(f, a, b)
-    return _thm33(f, a, b, v, *_resolve_mM(f, a, b, m, M), quad, tol)
+    return _thm33(f, a, b, v, *_resolve_mM(f, a, b, m, M), tol)
 
 
 def logmean_diff_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -177,7 +176,7 @@ def logmean_diff_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, G
     v(1-v) b log(b/a) / 2; requires b >= a.
     """
     a, b, v = _check_oriented(a, b, v)
-    return _thm32(_EXP, np.log(a), np.log(b), v, b, None, tol, _LOGMEAN_NAMES)
+    return _thm32(_EXP, np.log(a), np.log(b), v, b, tol, _LOGMEAN_NAMES)
 
 
 def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -187,7 +186,7 @@ def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport
     analogous /12 sandwich for avgmix - L; requires b >= a.
     """
     a, b, v = _check_oriented(a, b, v)
-    return _thm33(_EXP, np.log(a), np.log(b), v, a, b, None, tol, _LOGMEAN_NAMES)
+    return _thm33(_EXP, np.log(a), np.log(b), v, a, b, tol, _LOGMEAN_NAMES)
 
 
 def identric_ratio_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -197,7 +196,7 @@ def identric_ratio_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport,
     requires b >= a.  Gaps and bounds are reported on logarithms.
     """
     a, b, v = _check_oriented(a, b, v)
-    return _thm32(_NEG_LOG, a, b, v, 1.0 / a, None, tol, _IDENTRIC_NAMES, _LOG_FLOOR)
+    return _thm32(_NEG_LOG, a, b, v, 1.0 / a, tol, _IDENTRIC_NAMES, _LOG_FLOOR)
 
 
 def identric_ratio_refinement(
@@ -211,4 +210,4 @@ def identric_ratio_refinement(
     """
     a, b, v = _check_oriented(a, b, v)
     m, M = 1.0 / (b * b), 1.0 / (a * a)
-    return _thm33(_NEG_LOG, a, b, v, m, M, None, tol, _IDENTRIC_NAMES, _LOG_FLOOR)
+    return _thm33(_NEG_LOG, a, b, v, m, M, tol, _IDENTRIC_NAMES, _LOG_FLOOR)

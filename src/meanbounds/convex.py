@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .quadrature import NonFiniteIntegrandError, QuadConfig, integrate
-from .reports import ChainReport
+from .reports import ChainReport, PointCheck, check_result
 from .scalar import _float_if_0d, check_weight
 
 HH_CHAIN_LABELS = (
@@ -264,6 +264,11 @@ def node_point(a, b, v):
     return a + v * (b - a)
 
 
+def _term(formula):
+    # a chain term, made when first read: a float at one point, arrays otherwise
+    return cached_property(lambda t: formula(t) if t.arrays else float(formula(t)))
+
+
 class _Terms:
     """f at the seven chain points of each point (n = node_point(a, b, v), m1 and m2
     the midpoints of [a, n] and [n, b]) and the chain terms, each made when first read."""
@@ -271,21 +276,20 @@ class _Terms:
     def __init__(self, v, fx):
         # f at a, b, n, m1, m2, (a + b) / 2 and (m1 + m2) / 2
         self.v, (self.fa, self.fb, self.node, self.f1, self.f2, self.fh, self.fmh) = v, fx
+        self.arrays = fx.ndim > 1
 
     low = cached_property(lambda t: np.minimum(t.v, 1.0 - t.v))  # the smaller split weight
     high = cached_property(lambda t: np.maximum(t.v, 1.0 - t.v))
-    endpoints = cached_property(lambda t: (1.0 - t.v) * t.fa + t.v * t.fb)
-    midpoint = cached_property(lambda t: (1.0 - t.v) * t.f1 + t.v * t.f2)
-    trapezoid = cached_property(lambda t: 0.5 * (t.endpoints + t.node))
-    gap = cached_property(lambda t: t.endpoints - t.node)  # convexity gap(a, b, v)
     half_gap = cached_property(lambda t: 0.5 * t.fa + 0.5 * t.fb - t.fh)  # gap(a, b, 1/2)
     split_gap = cached_property(lambda t: 0.5 * t.f1 + 0.5 * t.f2 - t.fmh)  # gap(m1, m2, 1/2)
-
-    def lower(self, weight):
-        return self.node + 2.0 * weight * self.split_gap
-
-    def upper(self, weight):
-        return self.endpoints - weight * self.half_gap
+    endpoint_average = _term(lambda t: (1.0 - t.v) * t.fa + t.v * t.fb)
+    midpoint_estimate = _term(lambda t: (1.0 - t.v) * t.f1 + t.v * t.f2)
+    trapezoid_estimate = _term(lambda t: 0.5 * (t.endpoint_average + t.node))
+    convexity_gap = _term(lambda t: t.endpoint_average - t.node)  # gap(a, b, v)
+    sharp_lower = _term(lambda t: t.node + 2.0 * t.low * t.split_gap)
+    sharp_upper = _term(lambda t: t.endpoint_average - t.low * t.half_gap)
+    maxweight_lower = _term(lambda t: t.node + 2.0 * t.high * t.split_gap)
+    maxweight_upper = _term(lambda t: t.endpoint_average - t.high * t.half_gap)
 
 
 def _stack(*xs) -> np.ndarray:
@@ -295,12 +299,9 @@ def _stack(*xs) -> np.ndarray:
     return np.array(xs)
 
 
-def _terms(f: ConvexFnSpec, a, b, v, check: bool = True) -> _Terms:
-    """Check [a, b], then v (unless the caller has), and evaluate f once at the
-    seven chain points of every point."""
-    if check:
-        a, b = _interval(f, a, b)
-        v = check_weight(v)
+def _terms(f: ConvexFnSpec, a, b, v) -> _Terms:
+    """Evaluate f once at the seven chain points of every point; a, b and v are
+    float numbers or arrays that the caller has checked."""
     n = node_point(a, b, v)
     m1 = node_point(a, b, v / 2.0)
     m2 = node_point(a, b, (1.0 + v) / 2.0)
@@ -308,23 +309,21 @@ def _terms(f: ConvexFnSpec, a, b, v, check: bool = True) -> _Terms:
     return _Terms(v, np.asarray(f.fn(points), dtype=float))
 
 
-def endpoint_average(f: ConvexFnSpec, a, b, v):
-    """(1-v) f(a) + v f(b), the outermost chain term."""
-    return _float_if_0d(_terms(f, a, b, v).endpoints)
+def chain_terms(f: ConvexFnSpec, a, b, v) -> _Terms:
+    """The chain terms at (a, b, v), from one evaluation of f at the seven chain points.
 
-
-def midpoint_estimate(f: ConvexFnSpec, a, b, v):
-    """Weighted midpoint-rule estimate of the split integral average.
-
-    Evaluates f at the midpoints of [a, n] and [n, b] and mixes with
-    weights (1-v, v); a lower bound for convex f.
+    Checks [a, b] (either order) and then v, and returns an object whose
+    attributes ``endpoint_average``, ``midpoint_estimate`` (the weighted midpoint
+    rule on [a, n] and [n, b]), ``trapezoid_estimate``, ``convexity_gap``,
+    ``sharp_lower``, ``sharp_upper``, ``maxweight_lower`` and ``maxweight_upper``
+    are floats at one point and arrays otherwise, each made when first read.
+    The sharp terms add the min-weight half-gaps to f(n) and take them from the
+    endpoint average; the max-weight terms use the larger split weight.  For
+    convex f, maxweight_lower dominates the midpoint estimate and maxweight_upper
+    sits below the trapezoid estimate, but the two carry no mutual ordering.
     """
-    return _float_if_0d(_terms(f, a, b, v).midpoint)
-
-
-def trapezoid_estimate(f: ConvexFnSpec, a, b, v):
-    """Weighted trapezoid-rule estimate, ((1-v) f(a) + v f(b) + f(n)) / 2."""
-    return _float_if_0d(_terms(f, a, b, v).trapezoid)
+    a, b = _interval(f, a, b)
+    return _terms(f, a, b, check_weight(v))
 
 
 def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
@@ -357,45 +356,6 @@ def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None)
     return _float_if_0d(value)
 
 
-def convexity_gap(f: ConvexFnSpec, a, b, v):
-    """(1-v) f(a) + v f(b) - f((1-v) a + v b); nonnegative for convex f."""
-    return _float_if_0d(_terms(f, a, b, v).gap)
-
-
-def sharp_lower(f: ConvexFnSpec, a, b, v):
-    """f(node) plus twice the min-weight half-gap of the split midpoints.
-
-    Sits between f(node) and the midpoint estimate.
-    """
-    t = _terms(f, a, b, check_weight(v))
-    return _float_if_0d(t.lower(t.low))
-
-
-def sharp_upper(f: ConvexFnSpec, a, b, v):
-    """Endpoint average minus the min-weight half-gap of (a, b).
-
-    Sits between the trapezoid estimate and the endpoint average.
-    """
-    t = _terms(f, a, b, check_weight(v))
-    return _float_if_0d(t.upper(t.low))
-
-
-def maxweight_lower(f: ConvexFnSpec, a, b, v):
-    """sharp_lower with the larger split weight; dominates midpoint_estimate."""
-    t = _terms(f, a, b, check_weight(v))
-    return _float_if_0d(t.lower(t.high))
-
-
-def maxweight_upper(f: ConvexFnSpec, a, b, v):
-    """sharp_upper with the larger split weight; sits below trapezoid_estimate.
-
-    maxweight_lower and maxweight_upper carry no mutual ordering; the
-    difference changes sign between instances.
-    """
-    t = _terms(f, a, b, check_weight(v))
-    return _float_if_0d(t.upper(t.high))
-
-
 def chain_eval(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
                tol: float = 1e-9) -> ChainReport:
     """Evaluate the seven-term refinement chain on [a, b].
@@ -405,8 +365,9 @@ def chain_eval(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
     produced but flagged ``certified=False`` (per point for arrays).
     """
     c = split_integral_avg(f, a, b, v, quad)  # checks v, then a < b and the interval
-    t = _terms(f, a, b, v)
-    values = (t.node, t.lower(t.low), t.midpoint, c, t.trapezoid, t.upper(t.low), t.endpoints)
+    t = _terms(f, *(np.asarray(x, dtype=float) for x in (a, b, v)))
+    values = (t.node, t.sharp_lower, t.midpoint_estimate, c, t.trapezoid_estimate,
+              t.sharp_upper, t.endpoint_average)
     certified = id(f.fn) in _AVERAGES or (
         convexity_violation(f, a, b, samples=17) <= CONVEXITY_REJECT * _fn_scale(f, a, b)
     )
@@ -420,37 +381,27 @@ class SandwichResult(NamedTuple):
     passed: bool
 
 
-class RefinedGapResult(NamedTuple):
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def _result(cls, *fields):
-    # numbers and a verdict: arrays, or floats and a bool at one point
-    return cls(*fields) if np.ndim(fields[-1]) else cls(*map(float, fields[:-1]), bool(fields[-1]))
-
-
 def gap_sandwich_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> SandwichResult:
     """Two-sided weight interpolation of the convexity gap.
 
     2 min(v,1-v) gap(a,b,1/2) <= gap(a,b,v) <= 2 max(v,1-v) gap(a,b,1/2).
     """
-    t = _terms(f, a, b, v)
-    lhs, rhs = 2.0 * t.low * t.half_gap, 2.0 * t.high * t.half_gap
-    scale = reduce(np.maximum, (abs(lhs), abs(t.gap), abs(rhs), _fn_scale(f, a, b)))
-    passed = ((lhs - tol * scale) <= t.gap) & (t.gap <= (rhs + tol * scale))
-    return _result(SandwichResult, lhs, t.gap, rhs, passed)
+    t = chain_terms(f, a, b, v)
+    lhs, rhs, gap = 2.0 * t.low * t.half_gap, 2.0 * t.high * t.half_gap, t.convexity_gap
+    scale = reduce(np.maximum, (abs(lhs), abs(gap), abs(rhs), _fn_scale(f, a, b)))
+    passed = ((lhs - tol * scale) <= gap) & (gap <= (rhs + tol * scale))
+    return check_result(SandwichResult, lhs, gap, rhs, passed)
 
 
-def refined_gap_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> RefinedGapResult:
+def refined_gap_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> PointCheck:
     """Sharper lower bound on the convexity gap.
 
     gap(a,b,v) >= min(v,1-v) * (gap(a,b,1/2) + 2 gap(m1,m2,1/2)) >= 0,
     with m1, m2 the midpoints of the two split subintervals.
     """
-    t = _terms(f, a, b, check_weight(v))
-    rhs = t.low * (t.half_gap + 2.0 * t.split_gap)
-    scale = reduce(np.maximum, (abs(t.gap), abs(rhs), _fn_scale(f, a, b)))
-    passed = (t.gap >= rhs - tol * scale) & (rhs >= -tol * scale)
-    return _result(RefinedGapResult, t.gap, rhs, passed)
+    v = check_weight(v)  # before the interval, as chain_eval and the bounds producers check
+    t = _terms(f, *_interval(f, a, b), v)
+    rhs, gap = t.low * (t.half_gap + 2.0 * t.split_gap), t.convexity_gap
+    scale = reduce(np.maximum, (abs(gap), abs(rhs), _fn_scale(f, a, b)))
+    passed = (gap >= rhs - tol * scale) & (rhs >= -tol * scale)
+    return check_result(PointCheck, gap, rhs, passed)

@@ -21,7 +21,7 @@ from . import convex as cvx
 from . import operators as ops
 from . import scalar as sc
 from .quadrature import QuadratureError
-from .reports import ChainReport, Report
+from .reports import ChainReport, PointCheck, Report
 
 DEFAULT_FUNCTIONS = tuple(cvx.BUILTINS)
 
@@ -206,7 +206,7 @@ def _record(rep: SuiteReport, key: str, res, trials: list):
     elif isinstance(res, cvx.SandwichResult):
         verdicts = [(key, {"lower": res.mid - res.lhs, "upper": res.rhs - res.mid}, res.passed,
                      {"lhs": res.lhs, "mid": res.mid, "rhs": res.rhs})]
-    elif isinstance(res, cvx.RefinedGapResult):
+    elif isinstance(res, PointCheck):
         verdicts = [(key, {"refined": res.lhs - res.rhs, "nonneg": res.rhs}, res.passed,
                      {"lhs": res.lhs, "rhs": res.rhs})]
     else:  # a bounds producer's GapBoundReports
@@ -384,7 +384,8 @@ def reference_value_check() -> SuiteReport:
     f = cvx.get_builtin("exp")
     diffs = []
     for (a, b), expected, tol_abs in REFERENCE_DIFFS:
-        diff = cvx.maxweight_lower(f, a, b, 0.25) - cvx.maxweight_upper(f, a, b, 0.25)
+        terms = cvx.chain_terms(f, a, b, 0.25)
+        diff = terms.maxweight_lower - terms.maxweight_upper
         diffs.append(diff)
         tag = f"{a:g}_{b:g}"
         rep._note(f"diff_{tag}", diff)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .reports import ChainReport, Report
+from .reports import ChainReport, PointCheck, Report, check_result
 from .scalar import check_weight, log_mean_unit, logarithmic_chain
 
 OPERATOR_CHAIN_LABELS = (
@@ -190,11 +189,6 @@ def weighted_logarithmic(a: SpdMatrix, b: SpdMatrix, v) -> SpdMatrix:
     return _lift(a, b, v, log_mean_unit)
 
 
-def spectral_norm(x) -> float:
-    m = _as_entries(x)
-    return float(np.max(np.abs(np.linalg.eigvalsh(_sym(m)))))
-
-
 def loewner_leq(x, y, tol: float = 1e-10) -> LoewnerVerdict:
     """Test X <= Y in the Loewner order.
 
@@ -206,7 +200,8 @@ def loewner_leq(x, y, tol: float = 1e-10) -> LoewnerVerdict:
     if xm.shape != ym.shape:
         raise ValueError(f"dimension mismatch: {xm.shape} vs {ym.shape}")
     min_eig = float(np.linalg.eigvalsh(_sym(ym - xm))[0])
-    tol_used = tol * (spectral_norm(xm) + spectral_norm(ym))
+    norm_x, norm_y = (float(np.max(np.abs(np.linalg.eigvalsh(_sym(m))))) for m in (xm, ym))
+    tol_used = tol * (norm_x + norm_y)
     return LoewnerVerdict(min_eig, tol_used, min_eig >= -tol_used)
 
 
@@ -270,12 +265,6 @@ def representing_chain(t, v, tol: float = 1e-12) -> ChainReport:
     return replace(logarithmic_chain(1.0, t, v, tol), labels=OPERATOR_CHAIN_LABELS)
 
 
-class PointCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    passed: bool
-
-
 def logmean_gm_check(x, tol: float = 1e-12) -> PointCheck:
     """Check (x^2 - 1)/log(x^2) >= x for x > 0, broadcast over ``x``.
 
@@ -289,4 +278,4 @@ def logmean_gm_check(x, tol: float = 1e-12) -> PointCheck:
         raise ValueError(f"x must be finite and positive, got {bad[0]}")
     lhs = log_mean_unit(x * x, 0.5)
     passed = lhs >= x - tol * np.maximum(1.0, x)
-    return PointCheck(lhs, x, passed) if x.ndim else PointCheck(lhs, float(x), bool(passed))
+    return check_result(PointCheck, lhs, x, passed)

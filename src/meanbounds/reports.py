@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,19 @@ def chain_links(values, tol):
         raise FloatingPointError("chain terms are not finite")
     slacks = [y - x for x, y in zip(values, values[1:])]
     return slacks, [s >= floor for s in slacks]
+
+
+class PointCheck(NamedTuple):
+    """The two sides of an inequality and whether it holds."""
+
+    lhs: float
+    rhs: float
+    passed: bool
+
+
+def check_result(cls, *fields):
+    """A check's numbers and verdict as ``cls``: arrays, or floats and a bool at one point."""
+    return cls(*fields) if np.ndim(fields[-1]) else cls(*map(float, fields[:-1]), bool(fields[-1]))
 
 
 class Report:

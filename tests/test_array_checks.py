@@ -23,7 +23,7 @@ def numbers(res):
     if isinstance(res[0], GapBoundReport):
         return [x for gap in res for x in (gap.gap, gap.lower_bound, gap.upper_bound,
                                             gap.scale, gap.passed)]
-    return list(res)  # SandwichResult, RefinedGapResult
+    return list(res)  # SandwichResult, PointCheck
 
 
 @pytest.mark.parametrize("key, fname", CASES, ids=lambda x: x or "-")
@@ -62,7 +62,7 @@ def test_broadcast_call_equals_0d_calls(key, fname, a, b, v):
 @pytest.mark.parametrize("a, b", [(1.0, math.nan), (math.nan, 1.0), (1.0, math.inf),
                                   (-math.inf, 1.0), (np.array([1.0, 2.0]), [3.0, math.nan])])
 def test_non_finite_endpoint_raises(a, b):
-    for check in (cvx.gap_sandwich_check, cvx.refined_gap_check, cvx.convexity_gap):
+    for check in (cvx.gap_sandwich_check, cvx.refined_gap_check, cvx.chain_terms):
         with pytest.raises(ValueError, match="^interval endpoints must be finite$"):
             check(cvx.get_builtin("exp"), a, b, 0.3)
 

@@ -21,37 +21,41 @@ QUAD_NEG_LOG = cvx.make_convex_fn("neg-log", lambda t: -np.log(t), domain=(0.0, 
 
 class TestTermEvaluators:
     def test_midpoint_estimate_collapse(self):
-        assert cvx.midpoint_estimate(EXP, 1.0, 1.0, 0.37) == pytest.approx(E, rel=1e-15)
+        got = cvx.chain_terms(EXP, 1.0, 1.0, 0.37).midpoint_estimate
+        assert got == pytest.approx(E, rel=1e-15)
 
     def test_midpoint_estimate_exp(self):
-        got = cvx.midpoint_estimate(EXP, 0.0, 1.0, 0.5)
+        got = cvx.chain_terms(EXP, 0.0, 1.0, 0.5).midpoint_estimate
         assert got == pytest.approx((math.exp(0.25) + math.exp(0.75)) / 2.0, rel=1e-15)
         assert got == pytest.approx(1.700512716650208, rel=1e-12)
 
     def test_midpoint_estimate_square(self):
-        assert cvx.midpoint_estimate(SQUARE, 0.0, 1.0, 0.5) == pytest.approx(5.0 / 16.0)
+        got = cvx.chain_terms(SQUARE, 0.0, 1.0, 0.5).midpoint_estimate
+        assert got == pytest.approx(5.0 / 16.0)
 
     def test_trapezoid_estimate_collapse(self):
-        assert cvx.trapezoid_estimate(EXP, 2.0, 2.0, 0.8) == pytest.approx(E**2, rel=1e-15)
+        got = cvx.chain_terms(EXP, 2.0, 2.0, 0.8).trapezoid_estimate
+        assert got == pytest.approx(E**2, rel=1e-15)
 
     def test_trapezoid_estimate_square(self):
-        assert cvx.trapezoid_estimate(SQUARE, 0.0, 1.0, 0.5) == pytest.approx(3.0 / 8.0)
+        got = cvx.chain_terms(SQUARE, 0.0, 1.0, 0.5).trapezoid_estimate
+        assert got == pytest.approx(3.0 / 8.0)
 
     def test_trapezoid_estimate_exp(self):
-        got = cvx.trapezoid_estimate(EXP, 1.0, 2.0, 0.25)
+        got = cvx.chain_terms(EXP, 1.0, 2.0, 0.25).trapezoid_estimate
         expected = (0.75 * E + 0.25 * E**2 + math.exp(1.25)) / 2.0
         assert got == pytest.approx(expected, rel=1e-15)
 
 
 class TestConvexityGap:
     def test_zero_weight(self):
-        assert cvx.convexity_gap(EXP, 1.0, 5.0, 0.0) == 0.0
+        assert cvx.chain_terms(EXP, 1.0, 5.0, 0.0).convexity_gap == 0.0
 
     def test_square(self):
-        assert cvx.convexity_gap(SQUARE, 0.0, 1.0, 0.5) == pytest.approx(0.25)
+        assert cvx.chain_terms(SQUARE, 0.0, 1.0, 0.5).convexity_gap == pytest.approx(0.25)
 
     def test_exp(self):
-        got = cvx.convexity_gap(EXP, 1.0, 4.0, 0.5)
+        got = cvx.chain_terms(EXP, 1.0, 4.0, 0.5).convexity_gap
         assert got == pytest.approx((E + E**4) / 2.0 - math.exp(2.5), rel=1e-14)
         assert got == pytest.approx(16.47572197009817, rel=1e-12)
 
@@ -61,47 +65,51 @@ class TestConvexityGap:
             a, b = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
             v = rng.uniform(0.0, 1.0)
             f = ALL_FNS[rng.integers(len(ALL_FNS))]
-            assert cvx.convexity_gap(f, a, b, v) >= -1e-12 * max(
+            assert cvx.chain_terms(f, a, b, v).convexity_gap >= -1e-12 * max(
                 1.0, abs(float(f.fn(a))), abs(float(f.fn(b)))
             )
 
 
+def maxweight_difference(f, a, b, v):
+    t = cvx.chain_terms(f, a, b, v)
+    return t.maxweight_lower - t.maxweight_upper
+
+
 class TestSharpenedBounds:
     def test_zero_weight_degenerates_to_endpoint(self):
-        assert cvx.sharp_lower(EXP, 1.0, 3.0, 0.0) == pytest.approx(E, rel=1e-15)
-        assert cvx.sharp_upper(EXP, 1.0, 3.0, 0.0) == pytest.approx(E, rel=1e-15)
+        t = cvx.chain_terms(EXP, 1.0, 3.0, 0.0)
+        assert t.sharp_lower == pytest.approx(E, rel=1e-15)
+        assert t.sharp_upper == pytest.approx(E, rel=1e-15)
 
     def test_square_hand_value(self):
         # at v = 1/2 the sharpened lower bound equals the midpoint estimate
-        got = cvx.sharp_lower(SQUARE, 0.0, 1.0, 0.5)
-        assert got == pytest.approx(5.0 / 16.0)
-        assert got == pytest.approx(cvx.midpoint_estimate(SQUARE, 0.0, 1.0, 0.5))
+        t = cvx.chain_terms(SQUARE, 0.0, 1.0, 0.5)
+        assert t.sharp_lower == pytest.approx(5.0 / 16.0)
+        assert t.sharp_lower == pytest.approx(t.midpoint_estimate)
 
     @pytest.mark.parametrize("f", [EXP, SQUARE])
     def test_half_weight_identity(self, f):
-        assert cvx.sharp_lower(f, 1.0, 4.0, 0.5) == pytest.approx(
-            cvx.midpoint_estimate(f, 1.0, 4.0, 0.5), rel=1e-14
-        )
+        t = cvx.chain_terms(f, 1.0, 4.0, 0.5)
+        assert t.sharp_lower == pytest.approx(t.midpoint_estimate, rel=1e-14)
 
     def test_sharp_upper_exp(self):
-        got = cvx.sharp_upper(EXP, 1.0, 4.0, 0.25)
+        got = cvx.chain_terms(EXP, 1.0, 4.0, 0.25).sharp_upper
         expected = 0.75 * E + 0.25 * E**4 - 0.25 * ((E + E**4) / 2.0 - math.exp(2.5))
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(11.5693183871058, rel=1e-12)
 
     def test_maxweight_equals_sharp_at_half(self):
-        assert cvx.maxweight_lower(EXP, 1.0, 4.0, 0.5) == cvx.sharp_lower(EXP, 1.0, 4.0, 0.5)
-        assert cvx.maxweight_upper(EXP, 1.0, 4.0, 0.5) == cvx.sharp_upper(EXP, 1.0, 4.0, 0.5)
+        t = cvx.chain_terms(EXP, 1.0, 4.0, 0.5)
+        assert t.maxweight_lower == t.sharp_lower
+        assert t.maxweight_upper == t.sharp_upper
 
     def test_maxweight_difference_reference_values(self):
-        d1 = cvx.maxweight_lower(EXP, 4.0, 1.0, 0.25) - cvx.maxweight_upper(EXP, 4.0, 1.0, 0.25)
-        d2 = cvx.maxweight_lower(EXP, 8.0, 1.0, 0.25) - cvx.maxweight_upper(EXP, 8.0, 1.0, 0.25)
+        d1, d2 = (maxweight_difference(EXP, a, 1.0, 0.25) for a in (4.0, 8.0))
         assert d1 == pytest.approx(4.35403, abs=5e-4)
         assert d2 == pytest.approx(-30.7996, abs=5e-3)
 
     def test_maxweight_no_ordering(self):
-        d1 = cvx.maxweight_lower(EXP, 4.0, 1.0, 0.25) - cvx.maxweight_upper(EXP, 4.0, 1.0, 0.25)
-        d2 = cvx.maxweight_lower(EXP, 8.0, 1.0, 0.25) - cvx.maxweight_upper(EXP, 8.0, 1.0, 0.25)
+        d1, d2 = (maxweight_difference(EXP, a, 1.0, 0.25) for a in (4.0, 8.0))
         assert d1 > 0.0 > d2
 
     def test_maxweight_brackets_estimates(self):
@@ -111,12 +119,9 @@ class TestSharpenedBounds:
             v = rng.uniform(0.01, 0.99)
             f = ALL_FNS[rng.integers(len(ALL_FNS))]
             scale = max(1.0, abs(float(f.fn(a))), abs(float(f.fn(b))))
-            assert cvx.midpoint_estimate(f, a, b, v) <= cvx.maxweight_lower(
-                f, a, b, v
-            ) + 1e-9 * scale
-            assert cvx.maxweight_upper(f, a, b, v) <= cvx.trapezoid_estimate(
-                f, a, b, v
-            ) + 1e-9 * scale
+            t = cvx.chain_terms(f, a, b, v)
+            assert t.midpoint_estimate <= t.maxweight_lower + 1e-9 * scale
+            assert t.maxweight_upper <= t.trapezoid_estimate + 1e-9 * scale
 
 
 class TestSplitIntegralAvg:
@@ -395,8 +400,22 @@ def test_point_terms_equal_pointwise_evaluation(f):
         a, b = np.sort(np.exp(rng.uniform(-3.0, 3.0, 2)))
         v = float(rng.choice([0.0, 0.5, 1.0, rng.uniform()]))
         expected = pointwise_terms(f, float(a), float(b), v)
-        got = {name: getattr(cvx, name)(f, float(a), float(b), v) for name in POINT_TERMS}
+        terms = cvx.chain_terms(f, float(a), float(b), v)
+        got = {name: getattr(terms, name) for name in POINT_TERMS}
+        assert all(type(x) is float for x in got.values()), got
         assert got == expected
+
+
+def term_reader(*names):
+    """(f, a, b, v) -> the terms ``names`` read from one chain_terms call, named
+    after the term it reads, or ``chain_terms`` if it reads several."""
+
+    def read(f, a, b, v):
+        terms = cvx.chain_terms(f, a, b, v)
+        return [getattr(terms, name) for name in names]
+
+    read.__name__ = names[0] if len(names) == 1 else "chain_terms"
+    return read
 
 
 class TestEvaluationCount:
@@ -414,8 +433,9 @@ class TestEvaluationCount:
 
     @pytest.mark.parametrize(
         "func, expected",
-        [(getattr(cvx, name), 1) for name in POINT_TERMS]
+        [(term_reader(name), 1) for name in POINT_TERMS]
         + [
+            (term_reader(*POINT_TERMS), 1),
             (cvx.gap_sandwich_check, 2),
             (cvx.refined_gap_check, 2),
             # one for the chain points, 2 x 2 quadrature levels, 3 for the convexity spot check

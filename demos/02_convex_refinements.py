@@ -33,7 +33,8 @@ print("  pass:", rep.passed)
 print("\n== convexity gap sandwich, f = exp on [1, 4] ==")
 for v in (0.1, 0.25, 0.5, 0.9):
     res = gap_sandwich_check(exp, 1.0, 4.0, v)
-    print(f"  v={v:4.2f}: {res.lhs:9.5f} <= {res.mid:9.5f} <= {res.rhs:9.5f}  pass={res.passed}")
+    print(f"  v={v:4.2f}: {res.lower_bound:9.5f} <= {res.gap:9.5f} <= {res.upper_bound:9.5f}"
+          f"  pass={res.passed}")
 
 print("\n== refined lower bound on the gap ==")
 res = refined_gap_check(exp, 1.0, 4.0, 0.25)

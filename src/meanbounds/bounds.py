@@ -21,6 +21,7 @@ from . import scalar as sc
 from .convex import (
     ConvexFnSpec,
     _central_difference,
+    _interval,
     _terms,
     get_builtin,
     require_ordered_interval,
@@ -37,35 +38,36 @@ _IDENTRIC_NAMES = ("log_arithmix_minus_identric", "log_identric_minus_geomix")
 _LOG_FLOOR = 1.0  # -log(x) at a rounded x is off by about eps, so log-domain scales stay >= 1
 
 
-def derivative_bounds(f: ConvexFnSpec, a, b, allow_finite_differences: bool = True) -> tuple:
-    """(K, m, M) = (sup |f'|, inf f'', sup f'') over [a, b].
+def derivative_bounds(f: ConvexFnSpec, a, b) -> tuple:
+    """(K, m, M) = (sup |f'|, inf f'', sup f'') over [a, b], either order.
 
-    Uses the exact closed-form bounds for builtins; otherwise samples the
-    derivatives (or finite differences of fn) on DERIV_GRID points and
-    pads K and M up, m down, by 1% so downstream sandwich checks stay
-    conservative.
+    Checks that a and b are finite and inside f's domain.  Uses the exact
+    closed-form bounds for builtins; otherwise samples the derivatives (or
+    finite differences of fn) on DERIV_GRID points and pads K and M up, m
+    down, by 1% so downstream sandwich checks stay conservative.
     """
+    return _derivative_bounds(f, *_interval(f, a, b))
+
+
+def _derivative_bounds(f: ConvexFnSpec, a, b) -> tuple:
+    # derivative_bounds on an interval that the caller has checked
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     if f.exact_bounds is not None:
         return tuple(map(sc._float_if_0d, f.exact_bounds(lo, hi)))
     xs = np.linspace(lo, hi, DERIV_GRID)
     if f.deriv1 is not None:
         d1 = np.asarray(f.deriv1(xs), dtype=float)
-    elif allow_finite_differences:
-        d1 = _central_difference(f.fn, xs)
     else:
-        raise ValueError(f"{f.name!r} has no deriv1 and finite differences are disabled")
+        d1 = _central_difference(f.fn, xs)
     if f.deriv2 is not None:
         d2 = np.asarray(f.deriv2(xs), dtype=float)
-    elif allow_finite_differences:
+    else:
         h = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(xs))
         d2 = (
             np.asarray(f.fn(xs + h), float)
             - 2.0 * np.asarray(f.fn(xs), float)
             + np.asarray(f.fn(xs - h), float)
         ) / (h * h)
-    else:
-        raise ValueError(f"{f.name!r} has no deriv2 and finite differences are disabled")
     d1, d2, _ = np.broadcast_arrays(d1, d2, xs)  # a derivative may return a constant
     big_k, m_raw, m_big_raw = 1.01 * np.abs(d1).max(axis=0), d2.min(axis=0), d2.max(axis=0)
     bounds = (big_k, m_raw - 0.01 * abs(m_raw), m_big_raw + 0.01 * abs(m_big_raw))
@@ -74,7 +76,7 @@ def derivative_bounds(f: ConvexFnSpec, a, b, allow_finite_differences: bool = Tr
 
 def _resolve_mM(f: ConvexFnSpec, a, b, m, M) -> tuple:
     if m is None or M is None:
-        _, m_est, m_big_est = derivative_bounds(f, a, b)
+        _, m_est, m_big_est = _derivative_bounds(f, a, b)
     return (m_est if m is None else float(m)), (m_big_est if M is None else float(M))
 
 
@@ -157,7 +159,7 @@ def deriv_gap_bounds(f: ConvexFnSpec, a, b, v, K: float | None = None,
     """
     v = sc.check_weight(v)
     a, b = require_ordered_interval(f, a, b)
-    big_k = float(K) if K is not None else derivative_bounds(f, a, b)[0]
+    big_k = float(K) if K is not None else _derivative_bounds(f, a, b)[0]
     return _thm32(f, a, b, v, big_k, tol)
 
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .quadrature import NonFiniteIntegrandError, QuadConfig, integrate
-from .reports import ChainReport, PointCheck, check_result
+from .reports import ChainReport, GapBoundReport, PointCheck, check_result
 from .scalar import _float_if_0d, check_weight
 
 HH_CHAIN_LABELS = (
@@ -374,23 +374,15 @@ def chain_eval(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
     return ChainReport.from_values(HH_CHAIN_LABELS, values, tol, certified=certified)
 
 
-class SandwichResult(NamedTuple):
-    lhs: float
-    mid: float
-    rhs: float
-    passed: bool
-
-
-def gap_sandwich_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> SandwichResult:
-    """Two-sided weight interpolation of the convexity gap.
+def gap_sandwich_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> GapBoundReport:
+    """Two-sided weight interpolation of the convexity gap, as the report ``convexity_gap``.
 
     2 min(v,1-v) gap(a,b,1/2) <= gap(a,b,v) <= 2 max(v,1-v) gap(a,b,1/2).
     """
     t = chain_terms(f, a, b, v)
-    lhs, rhs, gap = 2.0 * t.low * t.half_gap, 2.0 * t.high * t.half_gap, t.convexity_gap
-    scale = reduce(np.maximum, (abs(lhs), abs(gap), abs(rhs), _fn_scale(f, a, b)))
-    passed = ((lhs - tol * scale) <= gap) & (gap <= (rhs + tol * scale))
-    return check_result(SandwichResult, lhs, gap, rhs, passed)
+    lower, upper, gap = 2.0 * t.low * t.half_gap, 2.0 * t.high * t.half_gap, t.convexity_gap
+    scale = reduce(np.maximum, (abs(lower), abs(gap), abs(upper), _fn_scale(f, a, b)))
+    return GapBoundReport.build("convexity_gap", gap, lower, upper, tol, scale)
 
 
 def refined_gap_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> PointCheck:
@@ -404,4 +396,4 @@ def refined_gap_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> PointCheck
     rhs, gap = t.low * (t.half_gap + 2.0 * t.split_gap), t.convexity_gap
     scale = reduce(np.maximum, (abs(gap), abs(rhs), _fn_scale(f, a, b)))
     passed = (gap >= rhs - tol * scale) & (rhs >= -tol * scale)
-    return check_result(PointCheck, gap, rhs, passed)
+    return check_result(gap, rhs, passed)

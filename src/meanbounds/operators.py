@@ -278,4 +278,4 @@ def logmean_gm_check(x, tol: float = 1e-12) -> PointCheck:
         raise ValueError(f"x must be finite and positive, got {bad[0]}")
     lhs = log_mean_unit(x * x, 0.5)
     passed = lhs >= x - tol * np.maximum(1.0, x)
-    return check_result(PointCheck, lhs, x, passed)
+    return check_result(lhs, x, passed)

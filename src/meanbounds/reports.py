@@ -10,6 +10,14 @@ from typing import NamedTuple
 import numpy as np
 
 
+def require_finite(message, *numbers):
+    """Raise FloatingPointError(message) unless every number is finite: an inequality
+    whose sides or bounds overflowed or are NaN would pass vacuously or fail as a
+    violation, where it is a numeric failure."""
+    if not reduce(operator.and_, map(np.isfinite, numbers)).all():
+        raise FloatingPointError(message)
+
+
 def chain_links(values, tol):
     """Links of a chain given as its terms, numbers or arrays of one shape: the
     slacks values[k+1] - values[k], and for each whether it is at least
@@ -17,9 +25,7 @@ def chain_links(values, tol):
     overflowed or is NaN makes that allowance non-finite, which would let every
     link hold: that raises FloatingPointError."""
     floor = -tol * reduce(np.maximum, map(abs, values))
-    finite = abs(floor) < np.inf
-    if not (finite.all() if finite.ndim else finite):
-        raise FloatingPointError("chain terms are not finite")
+    require_finite("chain terms are not finite", floor)
     slacks = [y - x for x, y in zip(values, values[1:])]
     return slacks, [s >= floor for s in slacks]
 
@@ -32,9 +38,12 @@ class PointCheck(NamedTuple):
     passed: bool
 
 
-def check_result(cls, *fields):
-    """A check's numbers and verdict as ``cls``: arrays, or floats and a bool at one point."""
-    return cls(*fields) if np.ndim(fields[-1]) else cls(*map(float, fields[:-1]), bool(fields[-1]))
+def check_result(lhs, rhs, passed) -> PointCheck:
+    """A check's sides and verdict: arrays, or floats and a bool at one point.  A
+    non-finite side raises FloatingPointError."""
+    require_finite("inequality sides are not finite", lhs, rhs)
+    return PointCheck(lhs, rhs, passed) if np.ndim(passed) else \
+        PointCheck(float(lhs), float(rhs), bool(passed))
 
 
 class Report:
@@ -111,9 +120,7 @@ class GapBoundReport(Report):
     def build(cls, name, gap, lower, upper, tol, scale):
         """Numbers, or arrays that broadcast to one shape (fields per point).  Raises
         FloatingPointError on a non-finite number, which would pass vacuously."""
-        finite = np.isfinite(gap) & np.isfinite(lower) & np.isfinite(upper) & np.isfinite(scale)
-        if not finite.all():
-            raise FloatingPointError(f"{name}: gap, bounds or scale are not finite")
+        require_finite(f"{name}: gap, bounds or scale are not finite", gap, lower, upper, scale)
         if not np.ndim(gap):
             gap, lower, upper, scale = map(float, (gap, lower, upper, scale))
         passed = (lower - tol * scale <= gap) & (gap <= upper + tol * scale)

@@ -167,18 +167,6 @@ def _identric_rho(rho):
     return np.where(small, rho / 2.0 + rho * rho / 12.0, safe / (-np.expm1(-safe)) - 1.0)
 
 
-def identric_unit_log(r):
-    """log of the equal-weight identric mean of 1 and r.
-
-    Equals r log r / (r - 1) - 1, computed as rho / (-expm1(-rho)) - 1
-    with rho = log r; series rho/2 + rho^2/12 below the switch.
-    """
-    r = np.asarray(r, dtype=float)
-    if not (np.isfinite(r) & (r > 0.0)).all():
-        raise ValueError("identric_unit_log needs finite positive arguments")
-    return _float_if_0d(_identric_rho(np.log(r)))
-
-
 def log_weighted_identric(a, b, v):
     """log of the weighted identric mean.
 

@@ -206,10 +206,11 @@ def reference_scalar_slice(cfg, start, count):
 
         def gap_sandwich():
             res = cvx.gap_sandwich_check(f, lo, hi, v, tol=tol)
-            rep._note("gap_sandwich.lower", res.mid - res.lhs)
-            rep._note("gap_sandwich.upper", res.rhs - res.mid)
+            rep._note("gap_sandwich.lower", res.gap - res.lower_bound)
+            rep._note("gap_sandwich.upper", res.upper_bound - res.gap)
             if not res.passed:
-                rep._fail(i, "gap_sandwich", inputs, lhs=res.lhs, mid=res.mid, rhs=res.rhs)
+                rep._fail(i, "gap_sandwich", inputs, gap=res.gap, lower_bound=res.lower_bound,
+                          upper_bound=res.upper_bound)
 
         def refined_gap():
             res = cvx.refined_gap_check(f, lo, hi, v, tol=tol)

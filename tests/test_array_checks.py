@@ -20,10 +20,11 @@ def numbers(res):
     """Every number and verdict of a producer's result, in a fixed order."""
     if isinstance(res, ChainReport):
         return [*res.values, *res.slacks, res.passed, res.certified]
-    if isinstance(res[0], GapBoundReport):
-        return [x for gap in res for x in (gap.gap, gap.lower_bound, gap.upper_bound,
-                                            gap.scale, gap.passed)]
-    return list(res)  # SandwichResult, PointCheck
+    gaps = [res] if isinstance(res, GapBoundReport) else res
+    if isinstance(gaps[0], GapBoundReport):
+        return [x for gap in gaps for x in (gap.gap, gap.lower_bound, gap.upper_bound,
+                                             gap.scale, gap.passed)]
+    return list(res)  # PointCheck
 
 
 @pytest.mark.parametrize("key, fname", CASES, ids=lambda x: x or "-")

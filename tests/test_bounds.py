@@ -50,10 +50,17 @@ class TestDerivativeBounds:
         assert m == pytest.approx(0.99 * E, rel=1e-3)
         assert big_m == pytest.approx(1.01 * E**2, rel=1e-3)
 
-    def test_finite_differences_disabled(self):
-        bare = cvx.ConvexFnSpec("exp-bare", np.exp)
-        with pytest.raises(ValueError):
-            bnd.derivative_bounds(bare, 1.0, 2.0, allow_finite_differences=False)
+    @pytest.mark.parametrize("f, a, b, message", [
+        (NEG_LOG, -1.0, 2.0, "not inside the domain of 'neg-log'"),  # was K = -1.0
+        (EXP, math.nan, 1.0, "^interval endpoints must be finite$"),  # was OverflowError
+        (XLOGX, -2.0, -1.0, "not inside the domain of 'xlogx'"),  # was NaN and a warning
+    ], ids=["neg-log-outside", "exp-nan", "xlogx-outside"])
+    def test_interval_is_checked(self, f, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            bnd.derivative_bounds(f, a, b)
+
+    def test_either_order(self):
+        assert bnd.derivative_bounds(XLOGX, 4.0, 1.0) == bnd.derivative_bounds(XLOGX, 1.0, 4.0)
 
 
 class TestHHGapBounds:

@@ -274,14 +274,14 @@ class TestGapSandwich:
     def test_half_weight_equalities(self):
         res = cvx.gap_sandwich_check(EXP, 1.0, 4.0, 0.5)
         assert res.passed
-        assert res.lhs == pytest.approx(res.mid, rel=1e-14)
-        assert res.rhs == pytest.approx(res.mid, rel=1e-14)
+        assert res.lower_bound == pytest.approx(res.gap, rel=1e-14)
+        assert res.upper_bound == pytest.approx(res.gap, rel=1e-14)
 
     def test_zero_weight(self):
         res = cvx.gap_sandwich_check(EXP, 1.0, 4.0, 0.0)
         assert res.passed
-        assert res.lhs == 0.0
-        assert res.mid == 0.0
+        assert res.lower_bound == 0.0
+        assert res.gap == 0.0
 
     def test_exp_quarter(self):
         assert cvx.gap_sandwich_check(EXP, 1.0, 4.0, 0.25).passed
@@ -301,6 +301,14 @@ class TestGapSandwich:
         assert res.passed
         assert res.lhs == pytest.approx(2.0 / 9.0, rel=1e-14)
         assert res.rhs == pytest.approx(1.0 / 8.0, rel=1e-14)
+
+    @pytest.mark.parametrize("check", [cvx.gap_sandwich_check, cvx.refined_gap_check])
+    def test_overflow_raises(self, check):
+        # exp overflows at 710: a numeric failure, not a violated inequality
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+            check(EXP, 700.0, 710.0, 0.5)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+            check(EXP, np.array([1.0, 700.0, 2.0]), np.array([4.0, 710.0, 3.0]), 0.5)
 
     def test_random_suite(self):
         rng = np.random.default_rng(55)

@@ -13,23 +13,23 @@ Every function broadcasts over ``a``, ``b`` and ``v``; scalar arguments are the
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from . import scalar as sc
 from .convex import (
+    DERIV_GRID,
     ConvexFnSpec,
-    _central_difference,
+    _derivative_bounds,
     _interval,
-    _terms,
+    _Terms,
     get_builtin,
     require_ordered_interval,
     split_integral_avg,
 )
 from .reports import GapBoundReport
 
-DERIV_GRID = 201
 _EXP = get_builtin("exp")
 _NEG_LOG = get_builtin("neg-log")
 _GAP_NAMES = ("integral_minus_midpoint", "trapezoid_minus_integral")
@@ -44,39 +44,17 @@ def derivative_bounds(f: ConvexFnSpec, a, b) -> tuple:
     Checks that a and b are finite and inside f's domain.  Uses the exact
     closed-form bounds for builtins; otherwise samples the derivatives (or
     finite differences of fn) on DERIV_GRID points and pads K and M up, m
-    down, by 1% so downstream sandwich checks stay conservative.
+    down, by 1% so downstream sandwich checks stay conservative; a sampled
+    bound that is not finite raises FloatingPointError.
     """
-    return _derivative_bounds(f, *_interval(f, a, b))
+    a, b = _interval(f, a, b)
+    return _derivative_bounds(f, np.minimum(a, b), np.maximum(a, b))
 
 
-def _derivative_bounds(f: ConvexFnSpec, a, b) -> tuple:
-    # derivative_bounds on an interval that the caller has checked
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    if f.exact_bounds is not None:
-        return tuple(map(sc._float_if_0d, f.exact_bounds(lo, hi)))
-    xs = np.linspace(lo, hi, DERIV_GRID)
-    if f.deriv1 is not None:
-        d1 = np.asarray(f.deriv1(xs), dtype=float)
-    else:
-        d1 = _central_difference(f.fn, xs)
-    if f.deriv2 is not None:
-        d2 = np.asarray(f.deriv2(xs), dtype=float)
-    else:
-        h = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(xs))
-        d2 = (
-            np.asarray(f.fn(xs + h), float)
-            - 2.0 * np.asarray(f.fn(xs), float)
-            + np.asarray(f.fn(xs - h), float)
-        ) / (h * h)
-    d1, d2, _ = np.broadcast_arrays(d1, d2, xs)  # a derivative may return a constant
-    big_k, m_raw, m_big_raw = 1.01 * np.abs(d1).max(axis=0), d2.min(axis=0), d2.max(axis=0)
-    bounds = (big_k, m_raw - 0.01 * abs(m_raw), m_big_raw + 0.01 * abs(m_big_raw))
-    return tuple(map(sc._float_if_0d, bounds))
-
-
-def _resolve_mM(f: ConvexFnSpec, a, b, m, M) -> tuple:
+def _resolve_mM(estimate, m, M) -> tuple:
+    # m and M as given; those not given from estimate(), the (K, m, M) of f
     if m is None or M is None:
-        _, m_est, m_big_est = _derivative_bounds(f, a, b)
+        _, m_est, m_big_est = estimate()
     return (m_est if m is None else float(m)), (m_big_est if M is None else float(M))
 
 
@@ -105,7 +83,7 @@ def _half_weight_gap(f, a, b, m, M, tol, name):
     # the gap of the trapezoid (or midpoint) rule on [a, b] lies in [m, M] / 3 (or / 6)
     # times ((b - a) / 2)^2
     a, b = require_ordered_interval(f, a, b)
-    m, M = _resolve_mM(f, a, b, m, M)
+    m, M = _resolve_mM(lambda: _derivative_bounds(f, a, b), m, M)
     avg = split_integral_avg(f, a, b, 0.5)
     if name == "trapezoid_gap":
         estimate = 0.5 * (f.fn(a) + f.fn(b))
@@ -119,17 +97,9 @@ def _half_weight_gap(f, a, b, m, M, tol, name):
                                 scale)
 
 
-def _central_gaps(f, a, b, v, tol, names, windows, bound_scale):
-    # a <= b, v and the derivative bounds already checked; one report per central gap
-    t = _terms(f, a, b, v)
-    ordered = a < b
-    if ordered.all():
-        c = split_integral_avg(f, a, b, v)
-    else:  # the split average is f(a) where a == b
-        c, ordered = np.array(t.node), np.broadcast_to(ordered, np.shape(t.node))
-        if ordered.any():
-            points = (np.broadcast_to(x, ordered.shape)[ordered] for x in (a, b, v))
-            c[ordered] = split_integral_avg(f, *points)
+def _central_gaps(t, tol, names, windows, bound_scale):
+    # one report per central gap of the terms t at a <= b; the split average is f(a) at a == b
+    c = np.where(t.a < t.b, t.average, t.node)
     midpoint, trapezoid = t.midpoint_estimate, t.trapezoid_estimate
     scale = reduce(np.maximum, (abs(c), abs(midpoint), abs(trapezoid), bound_scale))
     return tuple(
@@ -138,16 +108,30 @@ def _central_gaps(f, a, b, v, tol, names, windows, bound_scale):
     )
 
 
-def _thm32(f, a, b, v, big_k, tol, names=_GAP_NAMES, floor=0.0):
-    bound = v * (1.0 - v) * big_k * (b - a) / 2.0
-    return _central_gaps(f, a, b, v, tol, names, ((0.0, bound),) * 2, np.maximum(bound, floor))
+def _thm32(t, tol, K=None, names=_GAP_NAMES, floor=0.0):
+    big_k = t.bounds[0] if K is None else float(K)
+    bound = t.v * (1.0 - t.v) * big_k * (t.b - t.a) / 2.0
+    return _central_gaps(t, tol, names, ((0.0, bound),) * 2, np.maximum(bound, floor))
 
 
-def _thm33(f, a, b, v, m, M, tol, names=_GAP_NAMES, floor=0.0):
-    factor = v * (1.0 - v) * np.square((b - a) / 2.0)
+def _thm33(t, tol, m=None, M=None, names=_GAP_NAMES, floor=0.0):
+    m, M = _resolve_mM(lambda: t.bounds, m, M)
+    factor = t.v * (1.0 - t.v) * np.square((t.b - t.a) / 2.0)
     windows = ((m / 6.0 * factor, M / 6.0 * factor), (m / 3.0 * factor, M / 3.0 * factor))
     bound_scale = reduce(np.maximum, (abs(m) * factor, abs(M) * factor, floor))
-    return _central_gaps(f, a, b, v, tol, names, windows, bound_scale)
+    return _central_gaps(t, tol, names, windows, bound_scale)
+
+
+# The corollaries: the theorems at exp on [log a, log b], (K, m, M) = (b, a, b), or -log on [a, b]
+def _exp_terms(a, b, v):
+    return _Terms(_EXP, np.log(a), np.log(b), v, bounds=(b, a, b))
+
+
+_neg_log_terms = partial(_Terms, _NEG_LOG)
+_cor31 = partial(_thm32, names=_LOGMEAN_NAMES)
+_cor32 = partial(_thm32, names=_IDENTRIC_NAMES, floor=_LOG_FLOOR)
+_cor33 = partial(_thm33, names=_LOGMEAN_NAMES)
+_cor34 = partial(_thm33, names=_IDENTRIC_NAMES, floor=_LOG_FLOOR)
 
 
 def deriv_gap_bounds(f: ConvexFnSpec, a, b, v, K: float | None = None,
@@ -158,17 +142,14 @@ def deriv_gap_bounds(f: ConvexFnSpec, a, b, v, K: float | None = None,
     trapezoid_estimate - split_integral_avg lie in [0, v(1-v) K (b-a)/2].
     """
     v = sc.check_weight(v)
-    a, b = require_ordered_interval(f, a, b)
-    big_k = float(K) if K is not None else _derivative_bounds(f, a, b)[0]
-    return _thm32(f, a, b, v, big_k, tol)
+    return _thm32(_Terms(f, *require_ordered_interval(f, a, b), v), tol, K)
 
 
 def curvature_gap_bounds(f: ConvexFnSpec, a, b, v, m: float | None = None, M: float | None = None,
                          tol: float = 1e-9) -> tuple[GapBoundReport, ...]:
     """Two-sided curvature sandwiches for the two central chain gaps (Theorem 3.3)."""
     v = sc.check_weight(v)
-    a, b = require_ordered_interval(f, a, b)
-    return _thm33(f, a, b, v, *_resolve_mM(f, a, b, m, M), tol)
+    return _thm33(_Terms(f, *require_ordered_interval(f, a, b), v), tol, m, M)
 
 
 def logmean_diff_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -177,8 +158,7 @@ def logmean_diff_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, G
     Both gaps of the five-term scalar chain are at most
     v(1-v) b log(b/a) / 2; requires b >= a.
     """
-    a, b, v = _check_oriented(a, b, v)
-    return _thm32(_EXP, np.log(a), np.log(b), v, b, tol, _LOGMEAN_NAMES)
+    return _cor31(_exp_terms(*_check_oriented(a, b, v)), tol)
 
 
 def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -187,8 +167,7 @@ def logmean_diff_refinement(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport
     v(1-v) a log^2(b/a)/24 <= L - geommix <= v(1-v) b log^2(b/a)/24 and the
     analogous /12 sandwich for avgmix - L; requires b >= a.
     """
-    a, b, v = _check_oriented(a, b, v)
-    return _thm33(_EXP, np.log(a), np.log(b), v, a, b, tol, _LOGMEAN_NAMES)
+    return _cor33(_exp_terms(*_check_oriented(a, b, v)), tol)
 
 
 def identric_ratio_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:
@@ -197,8 +176,7 @@ def identric_ratio_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport,
     With x = v(1-v)(b-a)/(2a):  arithmix <= e^x I_v and I_v <= e^x geomix;
     requires b >= a.  Gaps and bounds are reported on logarithms.
     """
-    a, b, v = _check_oriented(a, b, v)
-    return _thm32(_NEG_LOG, a, b, v, 1.0 / a, tol, _IDENTRIC_NAMES, _LOG_FLOOR)
+    return _cor32(_neg_log_terms(*_check_oriented(a, b, v)), tol)
 
 
 def identric_ratio_refinement(
@@ -210,6 +188,4 @@ def identric_ratio_refinement(
     [v(1-v)(b-a)^2/(24 b^2), v(1-v)(b-a)^2/(24 a^2)], and the log-gap to
     the geometric mix in the analogous /12 window; requires b >= a.
     """
-    a, b, v = _check_oriented(a, b, v)
-    m, M = 1.0 / (b * b), 1.0 / (a * a)
-    return _thm33(_NEG_LOG, a, b, v, m, M, tol, _IDENTRIC_NAMES, _LOG_FLOOR)
+    return _cor34(_neg_log_terms(*_check_oriented(a, b, v)), tol)

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import NonFiniteIntegrandError, QuadConfig, integrate
-from .reports import ChainReport, GapBoundReport, PointCheck, check_result
+from .reports import ChainReport, GapBoundReport, PointCheck, check_result, require_finite
 from .scalar import _float_if_0d, check_weight
 
 HH_CHAIN_LABELS = (
@@ -44,6 +44,7 @@ HH_CHAIN_LABELS = (
 
 # violation threshold for the convexity spot check, relative to max(1, |f|)
 CONVEXITY_REJECT = 1e-9
+DERIV_GRID = 201  # sample points of the derivatives of a spec without exact bounds
 
 
 class ConvexityError(ValueError):
@@ -270,13 +271,22 @@ def _term(formula):
 
 
 class _Terms:
-    """f at the seven chain points of each point (n = node_point(a, b, v), m1 and m2
-    the midpoints of [a, n] and [n, b]) and the chain terms, each made when first read."""
+    """f at the seven chain points of each checked (a, b, v) (n = node_point(a, b, v), m1
+    and m2 the midpoints of [a, n] and [n, b]); each chain term, the split integral average,
+    f's scale and, at a <= b, its (K, m, M) unless given, are made when first read."""
 
-    def __init__(self, v, fx):
+    def __init__(self, f, a, b, v, quad: QuadConfig | None = None, bounds=None):
+        self.f, self.a, self.b, self.v, self.quad = f, a, b, v, quad
+        n = node_point(a, b, v)
+        m1 = node_point(a, b, v / 2.0)
+        m2 = node_point(a, b, (1.0 + v) / 2.0)
+        points = _stack(a, b, n, m1, m2, node_point(a, b, 0.5), node_point(m1, m2, 0.5))
+        fx = np.asarray(f.fn(points), dtype=float)
         # f at a, b, n, m1, m2, (a + b) / 2 and (m1 + m2) / 2
-        self.v, (self.fa, self.fb, self.node, self.f1, self.f2, self.fh, self.fmh) = v, fx
+        self.fa, self.fb, self.node, self.f1, self.f2, self.fh, self.fmh = fx
         self.arrays = fx.ndim > 1
+        if bounds is not None:
+            self.bounds = bounds
 
     low = cached_property(lambda t: np.minimum(t.v, 1.0 - t.v))  # the smaller split weight
     high = cached_property(lambda t: np.maximum(t.v, 1.0 - t.v))
@@ -290,6 +300,9 @@ class _Terms:
     sharp_upper = _term(lambda t: t.endpoint_average - t.low * t.half_gap)
     maxweight_lower = _term(lambda t: t.node + 2.0 * t.high * t.split_gap)
     maxweight_upper = _term(lambda t: t.endpoint_average - t.high * t.half_gap)
+    fn_scale = cached_property(lambda t: _fn_scale(t.f, t.a, t.b))
+    bounds = cached_property(lambda t: _derivative_bounds(t.f, t.a, t.b))
+    average = cached_property(lambda t: _split_avg(t.f, t.a, t.b, t.v, t.quad))
 
 
 def _stack(*xs) -> np.ndarray:
@@ -297,16 +310,6 @@ def _stack(*xs) -> np.ndarray:
     if len({getattr(x, "shape", ()) for x in xs}) > 1:
         xs = np.broadcast_arrays(*xs)
     return np.array(xs)
-
-
-def _terms(f: ConvexFnSpec, a, b, v) -> _Terms:
-    """Evaluate f once at the seven chain points of every point; a, b and v are
-    float numbers or arrays that the caller has checked."""
-    n = node_point(a, b, v)
-    m1 = node_point(a, b, v / 2.0)
-    m2 = node_point(a, b, (1.0 + v) / 2.0)
-    points = _stack(a, b, n, m1, m2, node_point(a, b, 0.5), node_point(m1, m2, 0.5))
-    return _Terms(v, np.asarray(f.fn(points), dtype=float))
 
 
 def chain_terms(f: ConvexFnSpec, a, b, v) -> _Terms:
@@ -323,7 +326,7 @@ def chain_terms(f: ConvexFnSpec, a, b, v) -> _Terms:
     sits below the trapezoid estimate, but the two carry no mutual ordering.
     """
     a, b = _interval(f, a, b)
-    return _terms(f, a, b, check_weight(v))
+    return _Terms(f, a, b, check_weight(v))
 
 
 def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
@@ -335,7 +338,11 @@ def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None)
     independently.  A non-finite result raises NonFiniteIntegrandError.
     """
     v = check_weight(v)
-    a, b = require_ordered_interval(f, a, b)
+    return _float_if_0d(_split_avg(f, *require_ordered_interval(f, a, b), v, quad))
+
+
+def _split_avg(f: ConvexFnSpec, a, b, v, quad):
+    # split_integral_avg on checked v and a <= b (where a == b, a v-mix of f(a) with itself)
     n = node_point(a, b, v)
     avg = _AVERAGES.get(id(f.fn))
     with np.errstate(all="ignore"):  # non-finite values raise below; masked ones go unused
@@ -353,7 +360,33 @@ def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None)
         value = first + second
     if not np.isfinite(value).all():
         raise NonFiniteIntegrandError("integrand returned non-finite values")
-    return _float_if_0d(value)
+    return value
+
+
+def _derivative_bounds(f: ConvexFnSpec, lo, hi) -> tuple:
+    # bounds.derivative_bounds on an interval lo <= hi that the caller has checked
+    with np.errstate(all="ignore"):  # a sampled bound that is not finite raises below
+        if f.exact_bounds is not None:
+            return tuple(map(_float_if_0d, f.exact_bounds(lo, hi)))
+        xs = np.linspace(lo, hi, DERIV_GRID)
+        if f.deriv1 is not None:
+            d1 = np.asarray(f.deriv1(xs), dtype=float)
+        else:
+            d1 = _central_difference(f.fn, xs)
+        if f.deriv2 is not None:
+            d2 = np.asarray(f.deriv2(xs), dtype=float)
+        else:
+            h = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(xs))
+            d2 = (
+                np.asarray(f.fn(xs + h), float)
+                - 2.0 * np.asarray(f.fn(xs), float)
+                + np.asarray(f.fn(xs - h), float)
+            ) / (h * h)
+        d1, d2, _ = np.broadcast_arrays(d1, d2, xs)  # a derivative may return a constant
+        big_k, m_raw, m_big_raw = 1.01 * np.abs(d1).max(axis=0), d2.min(axis=0), d2.max(axis=0)
+        bounds = (big_k, m_raw - 0.01 * abs(m_raw), m_big_raw + 0.01 * abs(m_big_raw))
+    require_finite("derivative bounds are not finite", *bounds)
+    return tuple(map(_float_if_0d, bounds))
 
 
 def chain_eval(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
@@ -364,12 +397,15 @@ def chain_eval(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
     convexity spot check on [a, b], and on violation the report is still
     produced but flagged ``certified=False`` (per point for arrays).
     """
-    c = split_integral_avg(f, a, b, v, quad)  # checks v, then a < b and the interval
-    t = _terms(f, *(np.asarray(x, dtype=float) for x in (a, b, v)))
-    values = (t.node, t.sharp_lower, t.midpoint_estimate, c, t.trapezoid_estimate,
+    v = check_weight(v)
+    return _chain_report(_Terms(f, *require_ordered_interval(f, a, b), v, quad), tol)
+
+
+def _chain_report(t: _Terms, tol) -> ChainReport:
+    values = (t.node, t.sharp_lower, t.midpoint_estimate, t.average, t.trapezoid_estimate,
               t.sharp_upper, t.endpoint_average)
-    certified = id(f.fn) in _AVERAGES or (
-        convexity_violation(f, a, b, samples=17) <= CONVEXITY_REJECT * _fn_scale(f, a, b)
+    certified = id(t.f.fn) in _AVERAGES or (
+        convexity_violation(t.f, t.a, t.b, samples=17) <= CONVEXITY_REJECT * t.fn_scale
     )
     return ChainReport.from_values(HH_CHAIN_LABELS, values, tol, certified=certified)
 
@@ -379,9 +415,12 @@ def gap_sandwich_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> GapBoundR
 
     2 min(v,1-v) gap(a,b,1/2) <= gap(a,b,v) <= 2 max(v,1-v) gap(a,b,1/2).
     """
-    t = chain_terms(f, a, b, v)
+    return _gap_sandwich(chain_terms(f, a, b, v), tol)
+
+
+def _gap_sandwich(t: _Terms, tol) -> GapBoundReport:
     lower, upper, gap = 2.0 * t.low * t.half_gap, 2.0 * t.high * t.half_gap, t.convexity_gap
-    scale = reduce(np.maximum, (abs(lower), abs(gap), abs(upper), _fn_scale(f, a, b)))
+    scale = reduce(np.maximum, (abs(lower), abs(gap), abs(upper), t.fn_scale))
     return GapBoundReport.build("convexity_gap", gap, lower, upper, tol, scale)
 
 
@@ -392,8 +431,11 @@ def refined_gap_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> PointCheck
     with m1, m2 the midpoints of the two split subintervals.
     """
     v = check_weight(v)  # before the interval, as chain_eval and the bounds producers check
-    t = _terms(f, *_interval(f, a, b), v)
+    return _refined_gap(_Terms(f, *_interval(f, a, b), v), tol)
+
+
+def _refined_gap(t: _Terms, tol) -> PointCheck:
     rhs, gap = t.low * (t.half_gap + 2.0 * t.split_gap), t.convexity_gap
-    scale = reduce(np.maximum, (abs(gap), abs(rhs), _fn_scale(f, a, b)))
+    scale = reduce(np.maximum, (abs(gap), abs(rhs), t.fn_scale))
     passed = (gap >= rhs - tol * scale) & (rhs >= -tol * scale)
     return check_result(gap, rhs, passed)

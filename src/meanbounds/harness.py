@@ -165,31 +165,31 @@ def _slice(cfg_total: int, start: int, count):
     return range(start, start + count)
 
 
-# Every check of the scalar and bounds suites: key -> (module, producer, takes a
-# convex function, needs b - a >= MIN_GAP).  Producers are named, not referenced,
-# so each call resolves through the module attribute at call time.  The bounds
-# suite runs BOUNDS_CHECKS, which are also the CLI's `bounds` subcommands.
+# Every check of the scalar and bounds suites: key -> (module, producer, takes a convex
+# function, needs b - a >= MIN_GAP, None or the builder of the chain terms that the producer
+# checks its input for and the body it calls on them), named so that each call resolves
+# through the module attribute.  The bounds suite runs BOUNDS_CHECKS, the CLI's `bounds`.
 CHECKS = {
-    "log_chain": (sc, "logarithmic_chain", False, False),
-    "identric_chain": (sc, "identric_chain", False, False),
-    "hh_chain": (cvx, "chain_eval", True, True),
-    "gap_sandwich": (cvx, "gap_sandwich_check", True, False),
-    "refined_gap": (cvx, "refined_gap_check", True, False),
-    "thm32": (bnd, "deriv_gap_bounds", True, True),
-    "thm33": (bnd, "curvature_gap_bounds", True, True),
-    "cor31": (bnd, "logmean_diff_reverse", False, False),
-    "cor32": (bnd, "identric_ratio_reverse", False, False),
-    "cor33": (bnd, "logmean_diff_refinement", False, False),
-    "cor34": (bnd, "identric_ratio_refinement", False, False),
+    "log_chain": (sc, "logarithmic_chain", False, False, None),
+    "identric_chain": (sc, "identric_chain", False, False, None),
+    "hh_chain": (cvx, "chain_eval", True, True, ("_Terms", "_chain_report")),
+    "gap_sandwich": (cvx, "gap_sandwich_check", True, False, ("_Terms", "_gap_sandwich")),
+    "refined_gap": (cvx, "refined_gap_check", True, False, ("_Terms", "_refined_gap")),
+    "thm32": (bnd, "deriv_gap_bounds", True, True, ("_Terms", "_thm32")),
+    "thm33": (bnd, "curvature_gap_bounds", True, True, ("_Terms", "_thm33")),
+    "cor31": (bnd, "logmean_diff_reverse", False, False, ("_exp_terms", "_cor31")),
+    "cor32": (bnd, "identric_ratio_reverse", False, False, ("_neg_log_terms", "_cor32")),
+    "cor33": (bnd, "logmean_diff_refinement", False, False, ("_exp_terms", "_cor33")),
+    "cor34": (bnd, "identric_ratio_refinement", False, False, ("_neg_log_terms", "_cor34")),
 }
 BOUNDS_CHECKS = ("thm32", "thm33", "cor31", "cor32", "cor33", "cor34")
 
 
-def _producer(key: str, fname: str | None = None):
-    """Check ``key``'s producer as a function of (a, b, v, tol=...), bound to the
-    builtin ``fname`` if it takes a convex function."""
-    module, name, takes_f, _ = CHECKS[key]
-    produce = getattr(module, name)
+def _producer(key: str, fname: str | None = None, name: str | None = None):
+    """Check ``key``'s producer (or its module's function ``name``) as a function of
+    (a, b, v, ...), bound to the builtin ``fname`` if the check takes a convex function."""
+    module, producer, takes_f = CHECKS[key][:3]
+    produce = getattr(module, name or producer)
     return functools.partial(produce, cvx.get_builtin(fname)) if takes_f else produce
 
 
@@ -219,16 +219,26 @@ def _record(rep: SuiteReport, key: str, res, trials: list):
             rep._fail(index, name, inputs, **extra)
 
 
-def _check_slice(rep: SuiteReport, key: str, trials: list, fname: str | None, tol: float):
+def _check_slice(rep: SuiteReport, key: str, trials: list, fname: str | None, tol: float,
+                 terms: dict):
     """Check ``key`` over ``trials``, a list of (index, inputs), in one array call
-    on their (lo, hi, v), or (a, b, v) if it takes no f.  Inputs are valid by
-    construction, so a raise is a numeric failure: then it reruns trial by trial,
-    and a trial whose call raises gets a record of the error."""
+    on their (lo, hi, v), or (a, b, v) if it takes no f, reading chain terms from
+    ``terms``, where each is built once per slice.  Inputs are valid by construction,
+    so a raise is a numeric failure: then it reruns trial by trial through the
+    producer, and a trial whose call raises gets a record of the error."""
+    module, _, _, _, reads = CHECKS[key]
     produce = _producer(key, fname)
     points = [(min(x["a"], x["b"]), max(x["a"], x["b"]), x["v"]) if fname
               else (x["a"], x["b"], x["v"]) for _, x in trials]
+    arrays = map(np.array, zip(*points))
     try:
-        res = produce(*map(np.array, zip(*points)), tol=tol)
+        if reads is None:
+            res = produce(*arrays, tol=tol)
+        else:
+            at = (reads[0], fname, tuple(index for index, _ in trials))
+            if at not in terms:
+                terms[at] = _producer(key, fname, reads[0])(*arrays)
+            res = getattr(module, reads[1])(terms[at], tol)
     except (QuadratureError, ArithmeticError, ValueError):
         for (index, inputs), point in zip(trials, points):
             try:
@@ -257,14 +267,15 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool
         trials.append((i, {"a": a, "b": b, "v": _draw_weight(rng, cfg), "f": fname}))
     rep = SuiteReport(suite, cfg.seed, len(trials))
     groups = {fname: [t for t in trials if t[1]["f"] == fname] for fname in cfg.functions}
+    terms = {}  # the chain terms built in this slice, shared by the checks that read them
     with np.errstate(all="ignore"):  # non-finite numbers raise where they are checked
         for key in keys:
-            _, _, takes_f, ordered = CHECKS[key]
+            _, _, takes_f, ordered, _ = CHECKS[key]
             for fname, group in groups.items() if takes_f else [(None, trials)]:
                 if ordered:
                     group = [(i, x) for i, x in group if abs(x["b"] - x["a"]) >= MIN_GAP]
                 if group:
-                    _check_slice(rep, key, group, fname, cfg.tol)
+                    _check_slice(rep, key, group, fname, cfg.tol, terms)
     rep.failures.sort(key=lambda record: record["trial"])  # stable: check order stays
     rep.wall_ms = (time.perf_counter() - t0) * 1e3
     return rep

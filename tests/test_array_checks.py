@@ -11,7 +11,7 @@ from meanbounds import convex as cvx
 from meanbounds import harness
 from meanbounds.reports import ChainReport, GapBoundReport
 
-CASES = [(key, fname) for key, (_, _, takes_f, _) in harness.CHECKS.items()
+CASES = [(key, fname) for key, (_, _, takes_f, *_) in harness.CHECKS.items()
          for fname in (cvx.BUILTINS if takes_f else (None,))]
 DRAWS = 2000
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ class TestDerivativeBounds:
 
     def test_either_order(self):
         assert bnd.derivative_bounds(XLOGX, 4.0, 1.0) == bnd.derivative_bounds(XLOGX, 1.0, 4.0)
+
+    def test_sampled_overflow_raises_without_a_warning(self):
+        # the sampled derivatives of exp overflow on [700, 710]
+        plain = cvx.ConvexFnSpec("e", np.exp, np.exp, np.exp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="^derivative bounds are not finite$"):
+                bnd.derivative_bounds(plain, 700.0, 710.0)
+            with pytest.raises(FloatingPointError, match="^derivative bounds are not finite$"):
+                bnd.derivative_bounds(plain, np.array([1.0, 700.0]), np.array([2.0, 710.0]))
+            with pytest.raises(OverflowError):  # the builtin's exact bounds, as before
+                bnd.derivative_bounds(EXP, 700.0, 710.0)
 
 
 class TestHHGapBounds:

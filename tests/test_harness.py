@@ -241,6 +241,28 @@ class TestIntegrateCalls:
             assert len(calls) == 0, trial
 
 
+class TestChainEvaluations:
+    """A slice evaluates each function group's chain terms once for every check that
+    reads them: hh_chain and both gap checks, thm32 and thm33, cor31 and cor33 (exp on
+    [log a, log b]), cor32 and cor34 (-log on [a, b])."""
+
+    @pytest.mark.parametrize("run, trials, most", [
+        (harness.run_scalar_suite, 10_000, 5),  # one per builtin
+        (harness.run_bounds_suite, 2000, 7),  # one per builtin, one each for exp and -log
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_at_most_one_evaluation_per_group(self, run, trials, most, monkeypatch):
+        calls = []
+        init = cvx._Terms.__init__  # the one builder, however a module binds the class
+
+        def counted(terms, *args, **kwargs):
+            calls.append(args)
+            init(terms, *args, **kwargs)
+
+        monkeypatch.setattr(cvx._Terms, "__init__", counted)
+        assert run(harness.SuiteConfig(seed=42, trials=trials), 0, 20).passed
+        assert 0 < len(calls) <= most
+
+
 def reference_operator_slice(cfg, start, count):
     """The operator suite's chains trial by trial through the public one-pair
     API: (min_slacks of the op_chain keys, failure records)."""

@@ -23,10 +23,10 @@ from .convex import (
     ConvexFnSpec,
     _derivative_bounds,
     _interval,
+    _ordered_terms,
+    _split_avg,
     _Terms,
     get_builtin,
-    require_ordered_interval,
-    split_integral_avg,
 )
 from .reports import GapBoundReport
 
@@ -82,9 +82,9 @@ def midpoint_gap_bounds(f: ConvexFnSpec, a, b, m: float | None = None,
 def _half_weight_gap(f, a, b, m, M, tol, name):
     # the gap of the trapezoid (or midpoint) rule on [a, b] lies in [m, M] / 3 (or / 6)
     # times ((b - a) / 2)^2
-    a, b = require_ordered_interval(f, a, b)
+    a, b = _interval(f, a, b, ordered=True)
     m, M = _resolve_mM(lambda: _derivative_bounds(f, a, b), m, M)
-    avg = split_integral_avg(f, a, b, 0.5)
+    avg = _split_avg(f, a, b, 0.5, None)
     if name == "trapezoid_gap":
         estimate = 0.5 * (f.fn(a) + f.fn(b))
         gap, divisor = estimate - avg, 3.0
@@ -141,15 +141,13 @@ def deriv_gap_bounds(f: ConvexFnSpec, a, b, v, K: float | None = None,
     Both split_integral_avg - midpoint_estimate and
     trapezoid_estimate - split_integral_avg lie in [0, v(1-v) K (b-a)/2].
     """
-    v = sc.check_weight(v)
-    return _thm32(_Terms(f, *require_ordered_interval(f, a, b), v), tol, K)
+    return _thm32(_ordered_terms(f, a, b, v), tol, K)
 
 
 def curvature_gap_bounds(f: ConvexFnSpec, a, b, v, m: float | None = None, M: float | None = None,
                          tol: float = 1e-9) -> tuple[GapBoundReport, ...]:
     """Two-sided curvature sandwiches for the two central chain gaps (Theorem 3.3)."""
-    v = sc.check_weight(v)
-    return _thm33(_Terms(f, *require_ordered_interval(f, a, b), v), tol, m, M)
+    return _thm33(_ordered_terms(f, a, b, v), tol, m, M)
 
 
 def logmean_diff_reverse(a, b, v, tol: float = 1e-12) -> tuple[GapBoundReport, GapBoundReport]:

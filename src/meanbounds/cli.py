@@ -252,19 +252,14 @@ def _flatten(prefix, value, out):
 
 
 def _to_csv(payload: dict) -> str:
-    buf = io.StringIO()
     rows = payload.get("rows")
-    if isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows):
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-    else:
-        flat: dict = {}
-        _flatten("", payload, flat)
-        writer = csv.DictWriter(buf, fieldnames=list(flat.keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerow({k: _csv_cell(v) for k, v in flat.items()})
+    if not (isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows)):
+        rows = [{}]  # the flattened payload as one row
+        _flatten("", payload, rows[0])
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
     return buf.getvalue()
 
 
@@ -284,7 +279,8 @@ def main(argv=None) -> int:
         sys.stdout.write(_to_csv(payload))
     else:
         print(json.dumps(payload, indent=2))
-    failed = payload.get("pass") is False or bool(payload.get("failures"))
+    failed = payload.get("pass") is False or bool(payload.get("failures")) or (
+        args.handler is _cmd_scan and not all(row["pass"] for row in payload["rows"]))
     return 1 if failed else 0
 
 

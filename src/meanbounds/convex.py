@@ -176,28 +176,18 @@ def get_builtin(name: str) -> ConvexFnSpec:
         raise KeyError(f"unknown builtin function {name!r}; choose from {sorted(BUILTINS)}")
 
 
-def _interval(f: ConvexFnSpec, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """a and b as float arrays, checked finite and inside f's domain."""
+def _interval(f: ConvexFnSpec, a, b, ordered=False) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as float arrays, checked finite and inside f's domain, and a < b if ``ordered``."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return _check_ends(f, a, b, a.min(), a.max(), b.min(), b.max())
-
-
-def _check_ends(f: ConvexFnSpec, a, b, *ends):
-    # ends: the extremes of a and b, NaN if a point is NaN
+    if ordered and not (a < b).all():
+        raise ValueError(f"need a < b, got ({a}, {b})")
+    # the extremes of a and b (a.min and b.max if a < b), NaN if a point is NaN
+    ends = (a.min(), b.max()) if ordered else (a.min(), a.max(), b.min(), b.max())
     if not all(map(math.isfinite, ends)):
         raise ValueError("interval endpoints must be finite")
     if not f.contains(min(ends), max(ends)):
         raise ValueError(f"[{a}, {b}] not inside the domain of {f.name!r}")
     return a, b
-
-
-def require_ordered_interval(f: ConvexFnSpec, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Reject [a, b] unless a < b, both ends are finite and inside f's domain;
-    return a and b as float arrays."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if not (a < b).all():
-        raise ValueError(f"need a < b, got ({a}, {b})")
-    return _check_ends(f, a, b, a.min(), b.max())  # with a < b, the extremes of both
 
 
 def convexity_violation(f: ConvexFnSpec, a, b, samples: int = 33):
@@ -315,7 +305,7 @@ def _stack(*xs) -> np.ndarray:
 def chain_terms(f: ConvexFnSpec, a, b, v) -> _Terms:
     """The chain terms at (a, b, v), from one evaluation of f at the seven chain points.
 
-    Checks [a, b] (either order) and then v, and returns an object whose
+    Checks v and then [a, b] (either order), and returns an object whose
     attributes ``endpoint_average``, ``midpoint_estimate`` (the weighted midpoint
     rule on [a, n] and [n, b]), ``trapezoid_estimate``, ``convexity_gap``,
     ``sharp_lower``, ``sharp_upper``, ``maxweight_lower`` and ``maxweight_upper``
@@ -325,8 +315,14 @@ def chain_terms(f: ConvexFnSpec, a, b, v) -> _Terms:
     convex f, maxweight_lower dominates the midpoint estimate and maxweight_upper
     sits below the trapezoid estimate, but the two carry no mutual ordering.
     """
-    a, b = _interval(f, a, b)
-    return _Terms(f, a, b, check_weight(v))
+    v = check_weight(v)
+    return _Terms(f, *_interval(f, a, b), v)
+
+
+def _ordered_terms(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None) -> _Terms:
+    # chain_terms on a < b, whose split average integrates with quad if f has no closed form
+    v = check_weight(v)
+    return _Terms(f, *_interval(f, a, b, ordered=True), v, quad)
 
 
 def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
@@ -338,7 +334,7 @@ def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None)
     independently.  A non-finite result raises NonFiniteIntegrandError.
     """
     v = check_weight(v)
-    return _float_if_0d(_split_avg(f, *require_ordered_interval(f, a, b), v, quad))
+    return _float_if_0d(_split_avg(f, *_interval(f, a, b, ordered=True), v, quad))
 
 
 def _split_avg(f: ConvexFnSpec, a, b, v, quad):
@@ -397,8 +393,7 @@ def chain_eval(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
     convexity spot check on [a, b], and on violation the report is still
     produced but flagged ``certified=False`` (per point for arrays).
     """
-    v = check_weight(v)
-    return _chain_report(_Terms(f, *require_ordered_interval(f, a, b), v, quad), tol)
+    return _chain_report(_ordered_terms(f, a, b, v, quad), tol)
 
 
 def _chain_report(t: _Terms, tol) -> ChainReport:
@@ -430,8 +425,7 @@ def refined_gap_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> PointCheck
     gap(a,b,v) >= min(v,1-v) * (gap(a,b,1/2) + 2 gap(m1,m2,1/2)) >= 0,
     with m1, m2 the midpoints of the two split subintervals.
     """
-    v = check_weight(v)  # before the interval, as chain_eval and the bounds producers check
-    return _refined_gap(_Terms(f, *_interval(f, a, b), v), tol)
+    return _refined_gap(chain_terms(f, a, b, v), tol)
 
 
 def _refined_gap(t: _Terms, tol) -> PointCheck:

@@ -194,7 +194,7 @@ def _producer(key: str, fname: str | None = None, name: str | None = None):
 
 
 def _record(rep: SuiteReport, key: str, res, trials: list):
-    """Note the minimum of each slack of a producer's result over ``trials``, a
+    """Note the minimum of each slack of a check's result over ``trials``, a
     list of (index, inputs), and record each trial where a verdict fails."""
     if isinstance(res, ChainReport):
         verdicts = [(key, dict(enumerate(res.slacks, start=1)), res.passed,
@@ -223,28 +223,27 @@ def _check_slice(rep: SuiteReport, key: str, trials: list, fname: str | None, to
                  terms: dict):
     """Check ``key`` over ``trials``, a list of (index, inputs), in one array call
     on their (lo, hi, v), or (a, b, v) if it takes no f, reading chain terms from
-    ``terms``, where each is built once per slice.  Inputs are valid by construction,
-    so a raise is a numeric failure: then it reruns trial by trial through the
-    producer, and a trial whose call raises gets a record of the error."""
+    ``terms``, where each is built once per slice and trial set.  Inputs are valid by
+    construction, so a raise is a numeric failure: then each trial reruns alone
+    through the same builder and body, and one whose call raises gets a record of the error."""
     module, _, _, _, reads = CHECKS[key]
-    produce = _producer(key, fname)
+    build = _producer(key, fname, reads and reads[0])  # the producer if it reads no terms
     points = [(min(x["a"], x["b"]), max(x["a"], x["b"]), x["v"]) if fname
               else (x["a"], x["b"], x["v"]) for _, x in trials]
     arrays = map(np.array, zip(*points))
     try:
         if reads is None:
-            res = produce(*arrays, tol=tol)
+            res = build(*arrays, tol=tol)
         else:
             at = (reads[0], fname, tuple(index for index, _ in trials))
             if at not in terms:
-                terms[at] = _producer(key, fname, reads[0])(*arrays)
+                terms[at] = build(*arrays)
             res = getattr(module, reads[1])(terms[at], tol)
-    except (QuadratureError, ArithmeticError, ValueError):
-        for (index, inputs), point in zip(trials, points):
-            try:
-                _record(rep, key, produce(*point, tol=tol), [(index, inputs)])
-            except (QuadratureError, ArithmeticError, ValueError) as exc:
-                rep._fail(index, key, inputs, error=str(exc))
+    except (QuadratureError, ArithmeticError, ValueError) as exc:
+        if len(trials) == 1:
+            return rep._fail(trials[0][0], key, trials[0][1], error=str(exc))
+        for trial in trials:
+            _check_slice(rep, key, [trial], fname, tol, terms)
         return
     _record(rep, key, res, trials)
 

@@ -128,7 +128,7 @@ def matrix_function(a, g) -> np.ndarray:
     return _sym((u * vals) @ u.T)
 
 
-def _check_operands(a: SpdMatrix, b: SpdMatrix, v) -> float:
+def _check_operands(a: SpdMatrix, b: SpdMatrix, v):
     v = check_weight(v)
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -239,7 +239,7 @@ def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10):
     Stacks ``a``, ``b`` of n pairs and n weights ``v`` give the n pairs' reports.
     """
     stacked = a.entries.ndim == 3
-    weights = np.array([_check_operands(a, b, w) for w in (v if stacked else [v])])
+    weights = _check_operands(a, b, v if stacked else [v])
     lam, frame = _congruence_spectrum(*(m.entries.reshape(-1, a.dim, a.dim) for m in (a, b)))
     chain = logarithmic_chain(1.0, lam, weights[:, None], tol)
     slack, allowed = np.array(chain.slacks), tol * chain.scale

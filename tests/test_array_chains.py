@@ -320,6 +320,36 @@ def test_bounds_slice_equals_trial_by_trial_reference(overrides, start, count):
         {key: repr(x) for key, x in mins.items()}
 
 
+PUBLIC_PRODUCERS = {
+    cvx: ("chain_terms", "split_integral_avg", "convexity_violation", "chain_eval",
+          "gap_sandwich_check", "refined_gap_check"),
+    bnd: ("derivative_bounds", "trapezoid_gap_bounds", "midpoint_gap_bounds", "deriv_gap_bounds",
+          "curvature_gap_bounds", "logmean_diff_reverse", "identric_ratio_reverse",
+          "logmean_diff_refinement", "identric_ratio_refinement"),
+}
+
+
+@pytest.mark.parametrize("run, overrides", [
+    (harness.run_bounds_suite, {"seed": 2, "a_range": (1.0, 2.0), "b_range": (1e200, 1e201)}),
+    (harness.run_scalar_suite, {"seed": 5, **WIDE}),
+])
+def test_a_raising_slice_reruns_through_its_builder_and_body(monkeypatch, run, overrides):
+    # array calls raise on these configs; each trial then reruns alone through the same
+    # builder and body, so the suites give the same records with every producer refusing
+    cfg = harness.SuiteConfig(**{"trials": 40, **overrides})
+    expected = run(cfg)
+    assert any("error" in record for record in expected.failures)
+    for module, names in PUBLIC_PRODUCERS.items():
+        for name in names:
+            def refuse(*args, name=name, **kwargs):
+                raise AssertionError(f"the suite called {name}")
+            monkeypatch.setattr(module, name, refuse)
+    rep = run(cfg)
+    assert rep.failures == expected.failures
+    assert {key: repr(x) for key, x in rep.min_slacks.items()} == \
+        {key: repr(x) for key, x in expected.min_slacks.items()}
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_near_max_slice_records_an_error_not_infinite_slacks():
     cfg = harness.SuiteConfig(seed=3, trials=40, **NEAR_MAX)

@@ -336,6 +336,18 @@ class TestScan:
         assert json.loads(out, parse_constant=reject_constant)["error"]["type"] == \
             "FloatingPointError"
 
+    def test_failing_row_exits_1(self, capsys):
+        # subnormal point: the allowance tol * max|values| underflows to 0, so slack_2 = -5e-324
+        # fails; the output is the rows as ever, and the exit status says that one failed
+        point = ("--a", "1.1956e-320:1.1956e-320:1", "--b", "1.1186e-320:1.1186e-320:1",
+                 "--v", "0.035762931627806416:0.035762931627806416:1")
+        code, payload, _ = run_json(capsys, "scan", *point)
+        assert code == 1
+        assert [(row["slack_2"], row["pass"]) for row in payload["rows"]] == [(-5e-324, False)]
+        code, out, _ = run_cli(capsys, "scan", *point, "--format", "csv")
+        assert code == 1
+        assert out.splitlines()[1].endswith(",false")
+
     def test_empty_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--a", "2:1:3")
         assert code == 2

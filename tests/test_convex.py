@@ -248,17 +248,19 @@ class TestChainEval:
             cvx.chain_eval(EXP, 2.0, 1.0, 0.5)
 
     def test_full_random_suite_per_function(self):
-        # every builtin, seeded draws; zero slack violations at 1e-9 scale
+        # every builtin, one array call on 10,000 seeded draws of (a, b, v), each row drawn
+        # as the two ends and then v; zero slack violations at 1e-9 scale
+        log_lo, log_hi = np.log(0.1), np.log(10.0)
+        u = np.random.default_rng(4242).uniform((log_lo, log_lo, 0.01), (log_hi, log_hi, 0.99),
+                                                (10_000, 3))
+        a, b, v = np.exp(u[:, 0]), np.exp(u[:, 1]), u[:, 2]
+        keep = abs(b - a) >= 1e-6
+        lo, hi, v = np.minimum(a, b)[keep], np.maximum(a, b)[keep], v[keep]
         for f in ALL_FNS:
-            rng = np.random.default_rng(4242)
-            for _ in range(10_000):
-                a, b = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
-                v = rng.uniform(0.01, 0.99)
-                lo, hi = min(a, b), max(a, b)
-                if hi - lo < 1e-6:
-                    continue
-                rep = cvx.chain_eval(f, lo, hi, v)
-                assert rep.passed, (f.name, lo, hi, v, rep.slacks)
+            rep = cvx.chain_eval(f, lo, hi, v)
+            first = np.argmin(rep.passed)  # the first failing point, if one fails
+            assert rep.passed.all(), (f.name, lo[first], hi[first], v[first],
+                                      [slack[first] for slack in rep.slacks])
 
     def test_propagates_quadrature_failure(self):
         from meanbounds.quadrature import QuadratureError
@@ -268,6 +270,13 @@ class TestChainEval:
         )
         with pytest.raises(QuadratureError):
             cvx.chain_eval(spiky, 0.0, 1.0, 0.5, quad=QuadConfig(rel_tol=1e-13, max_levels=4))
+
+
+@pytest.mark.parametrize("check", [cvx.chain_terms, cvx.gap_sandwich_check, cvx.refined_gap_check,
+                                   cvx.chain_eval, bnd.deriv_gap_bounds])
+def test_weight_is_checked_before_the_interval(check):
+    with pytest.raises(ValueError, match=r"weight must lie in \[0, 1\], got 1.5"):
+        check(EXP, 2.0, math.nan, 1.5)
 
 
 class TestGapSandwich:

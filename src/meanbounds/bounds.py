@@ -124,10 +124,10 @@ def _thm33(t, tol, m=None, M=None, names=_GAP_NAMES, floor=0.0):
 
 # The corollaries: the theorems at exp on [log a, log b], (K, m, M) = (b, a, b), or -log on [a, b]
 def _exp_terms(a, b, v):
-    return _Terms(_EXP, np.log(a), np.log(b), v, bounds=(b, a, b))
+    return _Terms((_EXP,), 0, np.log(a), np.log(b), v, bounds=(b, a, b))
 
 
-_neg_log_terms = partial(_Terms, _NEG_LOG)
+_neg_log_terms = partial(_Terms, (_NEG_LOG,), 0)
 _cor31 = partial(_thm32, names=_LOGMEAN_NAMES)
 _cor32 = partial(_thm32, names=_IDENTRIC_NAMES, floor=_LOG_FLOOR)
 _cor33 = partial(_thm33, names=_LOGMEAN_NAMES)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -255,33 +255,54 @@ def node_point(a, b, v):
     return a + v * (b - a)
 
 
+class _lazy:
+    """An attribute made by ``make(obj)`` on first read and kept in the instance dict, which
+    shadows this non-data descriptor from then on (as does a value set in __init__)."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.make(obj))
+
+
 def _term(formula):
     # a chain term, made when first read: a float at one point, arrays otherwise
-    return cached_property(lambda t: formula(t) if t.arrays else float(formula(t)))
+    return _lazy(lambda t: formula(t) if t.arrays else float(formula(t)))
 
 
 class _Terms:
-    """f at the seven chain points of each checked (a, b, v) (n = node_point(a, b, v), m1
-    and m2 the midpoints of [a, n] and [n, b]); each chain term, the split integral average,
-    f's scale and, at a <= b, its (K, m, M) unless given, are made when first read."""
+    """f at the seven chain points of each checked (a, b, v) (n = node_point(a, b, v), m1 and
+    m2 the midpoints of [a, n] and [n, b]), f being ``fs[which]`` at each point (``which`` of
+    the shape of a, b and v if there are several specs; each spec runs on its points alone);
+    each chain term, the split integral average, f's scale, whether f is certified convex
+    and, at a <= b, its (K, m, M) unless given, are made when first read."""
 
-    def __init__(self, f, a, b, v, quad: QuadConfig | None = None, bounds=None):
-        self.f, self.a, self.b, self.v, self.quad = f, a, b, v, quad
-        n = node_point(a, b, v)
-        m1 = node_point(a, b, v / 2.0)
-        m2 = node_point(a, b, (1.0 + v) / 2.0)
-        points = _stack(a, b, n, m1, m2, node_point(a, b, 0.5), node_point(m1, m2, 0.5))
-        fx = np.asarray(f.fn(points), dtype=float)
+    def __init__(self, fs, which, a, b, v, quad: QuadConfig | None = None, bounds=None):
+        self.fs, self.which, self.a, self.b, self.v, self.quad = fs, which, a, b, v, quad
+        fx = self._each(_at_chain_points, a, b, v)
         # f at a, b, n, m1, m2, (a + b) / 2 and (m1 + m2) / 2
         self.fa, self.fb, self.node, self.f1, self.f2, self.fh, self.fmh = fx
         self.arrays = fx.ndim > 1
         if bounds is not None:
             self.bounds = bounds
 
-    low = cached_property(lambda t: np.minimum(t.v, 1.0 - t.v))  # the smaller split weight
-    high = cached_property(lambda t: np.maximum(t.v, 1.0 - t.v))
-    half_gap = cached_property(lambda t: 0.5 * t.fa + 0.5 * t.fb - t.fh)  # gap(a, b, 1/2)
-    split_gap = cached_property(lambda t: 0.5 * t.f1 + 0.5 * t.f2 - t.fmh)  # gap(m1, m2, 1/2)
+    def _each(self, fn, *xs):
+        # fn(f, *xs) for each spec f on the points that take it, put back point by point
+        if len(self.fs) == 1:
+            return fn(self.fs[0], *xs)
+        return _gather([(at, fn(f, *(x[at] for x in xs))) for f, at in self.groups],
+                       self.which.shape)
+
+    # each spec that some point takes, with the mask of those points
+    groups = _lazy(lambda t: [(f, at) for k, f in enumerate(t.fs) if (at := t.which == k).any()])
+    low = _lazy(lambda t: np.minimum(t.v, 1.0 - t.v))  # the smaller split weight
+    high = _lazy(lambda t: np.maximum(t.v, 1.0 - t.v))
+    half_gap = _lazy(lambda t: 0.5 * t.fa + 0.5 * t.fb - t.fh)  # gap(a, b, 1/2)
+    split_gap = _lazy(lambda t: 0.5 * t.f1 + 0.5 * t.f2 - t.fmh)  # gap(m1, m2, 1/2)
     endpoint_average = _term(lambda t: (1.0 - t.v) * t.fa + t.v * t.fb)
     midpoint_estimate = _term(lambda t: (1.0 - t.v) * t.f1 + t.v * t.f2)
     trapezoid_estimate = _term(lambda t: 0.5 * (t.endpoint_average + t.node))
@@ -290,9 +311,31 @@ class _Terms:
     sharp_upper = _term(lambda t: t.endpoint_average - t.low * t.half_gap)
     maxweight_lower = _term(lambda t: t.node + 2.0 * t.high * t.split_gap)
     maxweight_upper = _term(lambda t: t.endpoint_average - t.high * t.half_gap)
-    fn_scale = cached_property(lambda t: _fn_scale(t.f, t.a, t.b))
-    bounds = cached_property(lambda t: _derivative_bounds(t.f, t.a, t.b))
-    average = cached_property(lambda t: _split_avg(t.f, t.a, t.b, t.v, t.quad))
+    fn_scale = _lazy(lambda t: t._each(_fn_scale, t.a, t.b))
+    bounds = _lazy(lambda t: t._each(_derivative_bounds, t.a, t.b))
+    average = _lazy(lambda t: t._each(lambda f, *abv: _split_avg(f, *abv, t.quad), t.a, t.b, t.v))
+    # a builtin is convex by proof; any other f must pass a convexity spot check on [a, b]
+    certified = _lazy(lambda t: t._each(lambda f, a, b: id(f.fn) in _AVERAGES or (
+        convexity_violation(f, a, b, samples=17) <= CONVEXITY_REJECT * _fn_scale(f, a, b)
+    ), t.a, t.b))
+
+
+def _at_chain_points(f, a, b, v) -> np.ndarray:
+    # f at a, b, n, m1, m2, (a + b) / 2 and (m1 + m2) / 2, stacked on a new first axis
+    m1, m2 = node_point(a, b, v / 2.0), node_point(a, b, (1.0 + v) / 2.0)
+    points = _stack(a, b, node_point(a, b, v), m1, m2, node_point(a, b, 0.5),
+                    node_point(m1, m2, 0.5))
+    return np.asarray(f.fn(points), dtype=float)
+
+
+def _gather(parts, shape):
+    # the (mask, value) parts as one array whose trailing axes have ``shape``; a tuple
+    # value (the (K, m, M) of a spec) is stacked on a new first axis
+    values = [_stack(*value) if isinstance(value, tuple) else value for _, value in parts]
+    out = np.empty(np.shape(values[0])[:-1] + shape, np.result_type(*values))
+    for (at, _), value in zip(parts, values):
+        out[..., at] = value
+    return out
 
 
 def _stack(*xs) -> np.ndarray:
@@ -316,13 +359,13 @@ def chain_terms(f: ConvexFnSpec, a, b, v) -> _Terms:
     sits below the trapezoid estimate, but the two carry no mutual ordering.
     """
     v = check_weight(v)
-    return _Terms(f, *_interval(f, a, b), v)
+    return _Terms((f,), 0, *_interval(f, a, b), v)
 
 
 def _ordered_terms(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None) -> _Terms:
     # chain_terms on a < b, whose split average integrates with quad if f has no closed form
     v = check_weight(v)
-    return _Terms(f, *_interval(f, a, b, ordered=True), v, quad)
+    return _Terms((f,), 0, *_interval(f, a, b, ordered=True), v, quad)
 
 
 def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
@@ -399,10 +442,7 @@ def chain_eval(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None,
 def _chain_report(t: _Terms, tol) -> ChainReport:
     values = (t.node, t.sharp_lower, t.midpoint_estimate, t.average, t.trapezoid_estimate,
               t.sharp_upper, t.endpoint_average)
-    certified = id(t.f.fn) in _AVERAGES or (
-        convexity_violation(t.f, t.a, t.b, samples=17) <= CONVEXITY_REJECT * t.fn_scale
-    )
-    return ChainReport.from_values(HH_CHAIN_LABELS, values, tol, certified=certified)
+    return ChainReport.from_values(HH_CHAIN_LABELS, values, tol, certified=t.certified)
 
 
 def gap_sandwich_check(f: ConvexFnSpec, a, b, v, tol: float = 1e-9) -> GapBoundReport:

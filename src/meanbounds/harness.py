@@ -168,7 +168,9 @@ def _slice(cfg_total: int, start: int, count):
 # Every check of the scalar and bounds suites: key -> (module, producer, takes a convex
 # function, needs b - a >= MIN_GAP, None or the builder of the chain terms that the producer
 # checks its input for and the body it calls on them), named so that each call resolves
-# through the module attribute.  The bounds suite runs BOUNDS_CHECKS, the CLI's `bounds`.
+# through the module attribute.  A suite makes one array call per check and slice; a check
+# that takes f reads terms built over all the slice's trials, each at its own builtin.  The
+# bounds suite runs BOUNDS_CHECKS, the CLI's `bounds`.
 CHECKS = {
     "log_chain": (sc, "logarithmic_chain", False, False, None),
     "identric_chain": (sc, "identric_chain", False, False, None),
@@ -185,11 +187,11 @@ CHECKS = {
 BOUNDS_CHECKS = ("thm32", "thm33", "cor31", "cor32", "cor33", "cor34")
 
 
-def _producer(key: str, fname: str | None = None, name: str | None = None):
-    """Check ``key``'s producer (or its module's function ``name``) as a function of
-    (a, b, v, ...), bound to the builtin ``fname`` if the check takes a convex function."""
+def _producer(key: str, fname: str | None = None):
+    """Check ``key``'s producer as a function of (a, b, v, ...), bound to the builtin
+    ``fname`` if the check takes a convex function."""
     module, producer, takes_f = CHECKS[key][:3]
-    produce = getattr(module, name or producer)
+    produce = getattr(module, producer)
     return functools.partial(produce, cvx.get_builtin(fname)) if takes_f else produce
 
 
@@ -219,31 +221,32 @@ def _record(rep: SuiteReport, key: str, res, trials: list):
             rep._fail(index, name, inputs, **extra)
 
 
-def _check_slice(rep: SuiteReport, key: str, trials: list, fname: str | None, tol: float,
+def _check_slice(rep: SuiteReport, key: str, trials: list, specs: tuple, tol: float,
                  terms: dict):
-    """Check ``key`` over ``trials``, a list of (index, inputs), in one array call
-    on their (lo, hi, v), or (a, b, v) if it takes no f, reading chain terms from
-    ``terms``, where each is built once per slice and trial set.  Inputs are valid by
-    construction, so a raise is a numeric failure: then each trial reruns alone
-    through the same builder and body, and one whose call raises gets a record of the error."""
-    module, _, _, _, reads = CHECKS[key]
-    build = _producer(key, fname, reads and reads[0])  # the producer if it reads no terms
-    points = [(min(x["a"], x["b"]), max(x["a"], x["b"]), x["v"]) if fname
+    """Check ``key`` over ``trials``, a list of (index, inputs), in one array call on their
+    (lo, hi, v), trial i taking ``specs[i % len(specs)]``, or on their (a, b, v) if it takes
+    no f, reading chain terms from ``terms``, each built once per slice and trial set.
+    Inputs are valid by construction, so a raise is a numeric failure: then each trial reruns
+    alone through the same builder and body, and one whose call raises gets a record of it."""
+    module, producer, takes_f, _, reads = CHECKS[key]
+    index = [i for i, _ in trials]
+    points = [(min(x["a"], x["b"]), max(x["a"], x["b"]), x["v"]) if takes_f
               else (x["a"], x["b"], x["v"]) for _, x in trials]
     arrays = map(np.array, zip(*points))
     try:
         if reads is None:
-            res = build(*arrays, tol=tol)
+            res = getattr(module, producer)(*arrays, tol=tol)
         else:
-            at = (reads[0], fname, tuple(index for index, _ in trials))
-            if at not in terms:
-                terms[at] = build(*arrays)
+            at = (reads[0], tuple(index))
+            if at not in terms:  # with f, the specs and an index into them per trial
+                fs = (specs, np.array(index) % len(specs)) if takes_f else ()
+                terms[at] = getattr(module, reads[0])(*fs, *arrays)
             res = getattr(module, reads[1])(terms[at], tol)
     except (QuadratureError, ArithmeticError, ValueError) as exc:
         if len(trials) == 1:
             return rep._fail(trials[0][0], key, trials[0][1], error=str(exc))
         for trial in trials:
-            _check_slice(rep, key, [trial], fname, tol, terms)
+            _check_slice(rep, key, [trial], specs, tol, terms)
         return
     _record(rep, key, res, trials)
 
@@ -253,8 +256,8 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool
 
     Trial i draws (a, b, v) and takes the builtin ``cfg.functions[i % n]``; its
     failure inputs hold the drawn (a, b), or (lo, hi) when ``oriented``.  Each
-    check in ``keys`` runs once over the slice, or once per function group if it
-    takes f, leaving out trials with b - a < MIN_GAP if it needs a < b.
+    check in ``keys`` runs once over the slice, whatever builtins its trials take,
+    leaving out trials with b - a < MIN_GAP if it needs a < b.
     """
     t0 = time.perf_counter()
     trials = []
@@ -265,16 +268,14 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool
         fname = cfg.functions[i % len(cfg.functions)]
         trials.append((i, {"a": a, "b": b, "v": _draw_weight(rng, cfg), "f": fname}))
     rep = SuiteReport(suite, cfg.seed, len(trials))
-    groups = {fname: [t for t in trials if t[1]["f"] == fname] for fname in cfg.functions}
+    specs = tuple(map(cvx.get_builtin, cfg.functions))
     terms = {}  # the chain terms built in this slice, shared by the checks that read them
     with np.errstate(all="ignore"):  # non-finite numbers raise where they are checked
         for key in keys:
-            _, _, takes_f, ordered, _ = CHECKS[key]
-            for fname, group in groups.items() if takes_f else [(None, trials)]:
-                if ordered:
-                    group = [(i, x) for i, x in group if abs(x["b"] - x["a"]) >= MIN_GAP]
-                if group:
-                    _check_slice(rep, key, group, fname, cfg.tol, terms)
+            group = [(i, x) for i, x in trials  # without b - a < MIN_GAP if it needs a < b
+                     if not CHECKS[key][3] or abs(x["b"] - x["a"]) >= MIN_GAP]
+            if group:
+                _check_slice(rep, key, group, specs, cfg.tol, terms)
     rep.failures.sort(key=lambda record: record["trial"])  # stable: check order stays
     rep.wall_ms = (time.perf_counter() - t0) * 1e3
     return rep

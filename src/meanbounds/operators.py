@@ -129,9 +129,13 @@ def matrix_function(a, g) -> np.ndarray:
 
 
 def _check_operands(a: SpdMatrix, b: SpdMatrix, v):
+    # v checked, and one weight per pair of A and B: a number for one pair, n for stacks of n
     v = check_weight(v)
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if not np.shape(v) == a.entries.shape[:-2] == b.entries.shape[:-2]:
+        raise ValueError(f"need one weight per pair: {np.shape(v)} weights, A stack "
+                         f"{a.entries.shape[:-2]}, B stack {b.entries.shape[:-2]}")
     return v
 
 
@@ -236,10 +240,10 @@ def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10):
               <= (geometric + arithmetic)/2 <= arithmetic.
     Each term is F g_k(Lambda) F^T for one frame F, so by Sylvester's law of
     inertia the verdicts are the representing chain's links on Lambda.
-    Stacks ``a``, ``b`` of n pairs and n weights ``v`` give the n pairs' reports.
+    Stacks ``a``, ``b`` of n pairs take exactly n weights ``v`` and give n reports.
     """
     stacked = a.entries.ndim == 3
-    weights = _check_operands(a, b, v if stacked else [v])
+    weights = np.reshape(_check_operands(a, b, v), -1)
     lam, frame = _congruence_spectrum(*(m.entries.reshape(-1, a.dim, a.dim) for m in (a, b)))
     chain = logarithmic_chain(1.0, lam, weights[:, None], tol)
     slack, allowed = np.array(chain.slacks), tol * chain.scale

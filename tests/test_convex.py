@@ -423,6 +423,41 @@ def test_point_terms_equal_pointwise_evaluation(f):
         assert got == expected
 
 
+# every builtin, one spec that integrates and has no derivatives, and one that is convex
+# only on part of the range (sin, convex on [pi, 2 pi]), so its certification varies
+MIXED_SPECS = (*ALL_FNS, QUAD_NEG_LOG, cvx.ConvexFnSpec("sin", np.sin, np.cos))
+
+
+def test_mixed_terms_equal_one_spec_terms():
+    # each point of terms over several specs holds the bits of one spec's terms on that
+    # spec's points alone
+    rng = np.random.default_rng(16)
+    a, b = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(6.0), (2, 70))), axis=0)
+    v = rng.uniform(0.01, 0.99, 70)
+    which = rng.integers(0, len(MIXED_SPECS), 70)
+    mixed = cvx._Terms(MIXED_SPECS, which, a, b, v)
+    certified = set()
+    for k, f in enumerate(MIXED_SPECS):
+        at = which == k
+        one = cvx._Terms((f,), 0, a[at], b[at], v[at])
+        names = ("fa", "fb", "node", "f1", "f2", "fh", "fmh", "average", "fn_scale", "certified")
+        pairs = [(getattr(mixed, name)[at], getattr(one, name)) for name in names]
+        pairs += [(got[at], want) for got, want in zip(mixed.bounds, one.bounds)]
+        assert at.any() and len(pairs) == 13
+        for got, want in pairs:
+            assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes(), f.name
+        certified |= set(mixed.certified[at].tolist())
+    assert certified == {True, False}
+
+
+def test_given_bounds_win_and_first_reads_are_kept():
+    terms = cvx._Terms((EXP,), 0, np.array([1.0, 2.0]), np.array([2.0, 3.0]), 0.3,
+                       bounds=(1.0, 2.0, 3.0))
+    assert terms.bounds == (1.0, 2.0, 3.0)
+    assert "average" not in vars(terms)
+    assert terms.average is terms.average is vars(terms)["average"]
+
+
 def term_reader(*names):
     """(f, a, b, v) -> the terms ``names`` read from one chain_terms call, named
     after the term it reads, or ``chain_terms`` if it reads several."""

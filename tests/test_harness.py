@@ -242,15 +242,12 @@ class TestIntegrateCalls:
 
 
 class TestChainEvaluations:
-    """A slice evaluates each function group's chain terms once for every check that
-    reads them: hh_chain and both gap checks, thm32 and thm33, cor31 and cor33 (exp on
-    [log a, log b]), cor32 and cor34 (-log on [a, b])."""
+    """A slice builds each set of chain terms once, over all its trials whatever builtin
+    each takes, for every check that reads it: hh_chain and both gap checks, thm32 and
+    thm33, cor31 and cor33 (exp on [log a, log b]), cor32 and cor34 (-log on [a, b])."""
 
-    @pytest.mark.parametrize("run, trials, most", [
-        (harness.run_scalar_suite, 10_000, 5),  # one per builtin
-        (harness.run_bounds_suite, 2000, 7),  # one per builtin, one each for exp and -log
-    ], ids=lambda x: getattr(x, "__name__", x))
-    def test_at_most_one_evaluation_per_group(self, run, trials, most, monkeypatch):
+    @staticmethod
+    def builds(run, cfg, start, monkeypatch):
         calls = []
         init = cvx._Terms.__init__  # the one builder, however a module binds the class
 
@@ -259,8 +256,56 @@ class TestChainEvaluations:
             init(terms, *args, **kwargs)
 
         monkeypatch.setattr(cvx._Terms, "__init__", counted)
-        assert run(harness.SuiteConfig(seed=42, trials=trials), 0, 20).passed
-        assert 0 < len(calls) <= most
+        assert run(cfg, start, 20).passed
+        monkeypatch.undo()
+        return len(calls)
+
+    @pytest.mark.parametrize("run, trials, builds", [
+        (harness.run_scalar_suite, 10_000, 1),
+        (harness.run_bounds_suite, 2000, 3),  # all builtins, exp on [log a, log b], -log
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_at_most_one_evaluation_per_group(self, run, trials, builds, monkeypatch):
+        # the slice is the one group of every check that reads chain terms
+        for start in (0, 20, 1980):
+            assert self.builds(run, harness.SuiteConfig(seed=42, trials=trials), start,
+                               monkeypatch) == builds
+
+    def test_one_more_where_hh_chain_leaves_out_a_pair(self, monkeypatch):
+        # b - a < MIN_GAP after every redraw at some trials: hh_chain leaves them out, so
+        # its terms are built apart from the gap checks' terms, which keep them
+        cfg = harness.SuiteConfig(seed=3, trials=200, a_range=(1.0, 1.0),
+                                  b_range=(1.0 + 1e-7, 1.0 + 1.1e-6))
+        for start in range(0, 200, 20):
+            close = [abs(b - a) < harness.MIN_GAP for a, b in (
+                harness._draw_pair(harness._trial_rng(cfg.seed, i), cfg)
+                for i in range(start, start + 20))]
+            assert any(close) and not all(close)
+            assert self.builds(harness.run_scalar_suite, cfg, start, monkeypatch) == 2
+
+
+class TestFunctionAxis:
+    """A slice checks all its builtins in one array call per check, and gives the
+    min_slacks and failure records of its one-trial slices merged."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("run", [harness.run_scalar_suite, harness.run_bounds_suite],
+                             ids=lambda run: run.__name__)
+    @pytest.mark.parametrize("overrides, start, errors", [
+        ({}, 0, False),  # the CLI defaults
+        ({"functions": ("xlogx", "exp", "quartic")}, 40, False),
+        # exp overflows at some trials of this slice: every check that takes f raises on
+        # the whole slice and reruns it trial by trial
+        ({"a_range": (1.0, 800.0), "b_range": (1.0, 800.0)}, 120, True),
+    ], ids=["defaults", "subset-reordered", "exp-overflows"])
+    def test_slice_equals_merged_one_trial_slices(self, run, overrides, start, errors):
+        cfg = harness.SuiteConfig(**overrides)
+        whole = run(cfg, start, 20)
+        merged = functools.reduce(harness.merge_reports,
+                                  (run(cfg, i, 1) for i in range(start, start + 20)))
+        assert whole.failures == merged.failures
+        assert any("error" in record for record in whole.failures) == errors
+        assert {key: repr(val) for key, val in whole.min_slacks.items()} == \
+            {key: repr(val) for key, val in merged.min_slacks.items()}
 
 
 def reference_operator_slice(cfg, start, count):

@@ -237,8 +237,12 @@ class TestOperatorChain:
             one = ops.operator_chain(spd(a), spd(b), v)
             assert rep.to_dict() == one.to_dict()
             assert all(np.array_equal(x, y) for x, y in zip(rep.terms, one.terms))
-        with pytest.raises(ValueError):
-            ops.operator_chain(stack_a, stack_b, weights[:-1])
+        # one weight per pair: a shorter list, one weight in a list or a bare number raises
+        for short in (weights[:-1], weights[:1], weights[0]):
+            with pytest.raises(ValueError, match="one weight per pair"):
+                ops.operator_chain(stack_a, stack_b, short)
+        with pytest.raises(ValueError, match="one weight per pair"):  # one A, a stack of B
+            ops.operator_chain(spd(stack_a.entries[0]), stack_b, weights[0])
 
     def test_terms_bitwise_symmetric(self):
         rng = np.random.default_rng(10)

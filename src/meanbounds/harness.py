@@ -230,17 +230,17 @@ def _check_slice(rep: SuiteReport, key: str, trials: list, specs: tuple, tol: fl
     alone through the same builder and body, and one whose call raises gets a record of it."""
     module, producer, takes_f, _, reads = CHECKS[key]
     index = [i for i, _ in trials]
-    points = [(min(x["a"], x["b"]), max(x["a"], x["b"]), x["v"]) if takes_f
-              else (x["a"], x["b"], x["v"]) for _, x in trials]
-    arrays = map(np.array, zip(*points))
+    arrays = lambda: map(np.array, zip(*(  # made only if a call takes them; built terms don't
+        (min(x["a"], x["b"]), max(x["a"], x["b"]), x["v"]) if takes_f else (x["a"], x["b"], x["v"])
+        for _, x in trials)))
     try:
         if reads is None:
-            res = getattr(module, producer)(*arrays, tol=tol)
+            res = getattr(module, producer)(*arrays(), tol=tol)
         else:
             at = (reads[0], tuple(index))
             if at not in terms:  # with f, the specs and an index into them per trial
                 fs = (specs, np.array(index) % len(specs)) if takes_f else ()
-                terms[at] = getattr(module, reads[0])(*fs, *arrays)
+                terms[at] = getattr(module, reads[0])(*fs, *arrays())
             res = getattr(module, reads[1])(terms[at], tol)
     except (QuadratureError, ArithmeticError, ValueError) as exc:
         if len(trials) == 1:

@@ -3,6 +3,9 @@
 Trial i derives its generator from ``seed XOR i``, so any slice of the
 trial range produces exactly the per-trial results of a full serial run;
 reports from disjoint slices merge associatively via :func:`merge_reports`.
+The scalar and bounds suites replay a slice's streams as arrays, bit for bit
+what ``np.random.default_rng(seed ^ i)`` draws (numpy keeps SeedSequence and
+PCG64 streams stable, NEP 19); the operator suite draws trial by trial.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -64,8 +68,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not 0 <= int(self.seed) <= _U64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Real)
+                                               and 0 <= self.seed <= _U64 and self.seed % 1 == 0):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         _positive_range("a_range", self.a_range)
         _positive_range("b_range", self.b_range)
         v_lo, v_hi = self.v_range
@@ -136,25 +142,84 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed) ^ int(index)) & _U64)
 
 
-def _log_uniform(rng, lo: float, hi: float) -> float:
-    if lo == hi:
-        return lo
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-
-def _draw_pair(rng, cfg: SuiteConfig) -> tuple[float, float]:
-    a = _log_uniform(rng, *cfg.a_range)
-    b = _log_uniform(rng, *cfg.b_range)
-    for _ in range(8):
-        if abs(b - a) >= MIN_GAP:
-            break
-        b = _log_uniform(rng, *cfg.b_range)
-    return a, b
-
-
 def _draw_weight(rng, cfg: SuiteConfig) -> float:
     lo, hi = cfg.v_range
     return float(rng.uniform(lo, hi))
+
+
+# default_rng(seed ^ i) replayed on arrays: numpy's SeedSequence on its pool of 4 words, then
+# PCG64 (O'Neill, HMC-CS-2014-0905, 2014).  SeedSequence's hash constants do not depend on the
+# data: _HASH[:4] hash the pool, then mixing round src hashes word src with _MIX[:, src, dst]
+# (xor, multiplier) for each word dst != src, and _STATE_HASH hash the state words.
+_HASH, _STATE_HASH = (np.array([[x * pow(m, k, 1 << 32) & 0xFFFFFFFF] for k in range(n)], np.uint32)
+                      for x, m, n in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9)))
+_MIX = np.zeros((2, 4, 4, 1), np.uint32)
+_MIX[:, ~np.eye(4, dtype=bool)] = _HASH[4:16], _HASH[5:17]
+# draw k's state is seed * M**(k+2) + inc * (1 + M + ... + M**(k+2)) mod 2**128, k over a, b,
+# 8 redraws of b and v: [hi, lo, lo >> 32, lo & 0xFFFFFFFF][seed, inc][k]
+_POWERS = [pow(0x2360ED051FC65DA44385DF649FCCF645, j, 1 << 128) for j in range(13)]
+_JUMPS = np.array([[[c >> 64, c & _U64, c >> 32 & 0xFFFFFFFF, c & 0xFFFFFFFF] for c in (
+    _POWERS[k + 2], sum(_POWERS[:k + 3]) % (1 << 128))] for k in range(11)], np.uint64).T
+
+
+def _pcg64_seeds(seeds: np.ndarray):
+    """PCG64's 128-bit (seed, inc) per uint64 seed as numpy derives them, rows 0 and 1 of the
+    (hi, lo) returned: the seed's two 32-bit words fill the pool (a missing high word hashes
+    as 0), and generate_state(4, uint64) gives (seed, seq)."""
+    pool = np.zeros((4, len(seeds)), np.uint32)
+    pool[:2] = seeds, seeds >> 32
+    pool = (pool ^ _HASH[:4]) * _HASH[1:5]
+    pool ^= pool >> 16
+    for src in range(4):  # word src into every other word, all four rows at once
+        y = (pool[src] ^ _MIX[0, src]) * _MIX[1, src]
+        y = 0xCA01F9DD * pool - 0x4973F715 * (y ^ y >> 16)
+        y ^= y >> 16
+        y[src], pool = pool[src], y
+    words = (np.concatenate([pool, pool]) ^ _STATE_HASH[:8]) * _STATE_HASH[1:]
+    words = (words ^ words >> 16).astype(np.uint64)
+    val = words[0::2] | words[1::2] << 32  # seed hi, seed lo, seq hi, seq lo
+    return np.stack([val[0], val[2] << 1 | val[3] >> 63]), np.stack([val[1], val[3] << 1 | 1])
+
+
+def _doubles(hi: np.ndarray, lo: np.ndarray, cols) -> np.ndarray:
+    """``Generator.random`` of draws ``cols`` of the streams (hi, lo) from _pcg64_seeds: the
+    state from one 128-bit product per row, its XSL-RR output, its top 53 bits."""
+    ch, cl, c1, c0 = _JUMPS[:, :, cols]
+    x1, x0 = lo >> 32, lo & 0xFFFFFFFF
+    p01, p10 = x0 * c1, x1 * c0
+    mid = (x0 * c0 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)  # high half by 32-bit limbs
+    hi = x1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * ch + hi * cl
+    lo = lo * cl
+    out = lo[0] + lo[1]
+    hi = hi[0] + hi[1] + (out < lo[0])
+    out, rot = hi ^ out, hi >> 58
+    return ((out >> rot | out << (-rot & 63)) >> 11) * 2.0 ** -53
+
+
+def _replay(cfg: SuiteConfig, index: np.ndarray):
+    """(a, b, v) of trials ``index`` as arrays, bit for bit the draws of
+    ``np.random.default_rng(cfg.seed ^ i)`` for trial i: a and b log-uniform over their
+    ranges (no draw for a one-point range), b redrawn up to 8 times while |b - a| < MIN_GAP,
+    then v uniform."""
+    hi, lo = _pcg64_seeds(np.uint64(cfg.seed) ^ index.astype(np.uint64))
+    na, nb = (int(lo_ != hi_) for lo_, hi_ in (cfg.a_range, cfg.b_range))
+
+    def log_uniform(rng, d):  # a one-point range takes no draw
+        lo_, hi_ = map(float, rng)
+        return np.full(len(d), lo_) if lo_ == hi_ else \
+            np.exp(np.log(lo_) + (np.log(hi_) - np.log(lo_)) * d)
+
+    d = _doubles(hi[:, None], lo[:, None], np.arange(na + nb + 1)[:, None])
+    a, b, dv = log_uniform(cfg.a_range, d[0]), log_uniform(cfg.b_range, d[na]), d[na + nb]
+    need = np.arange(len(index))
+    for col in range(na + 1, na + 9 * nb):  # redraw b from column col, then v from col + 1
+        need = need[np.abs(b[need] - a[need]) < MIN_GAP]
+        if not len(need):
+            break
+        d = _doubles(hi[:, None, need], lo[:, None, need], np.array([[col], [col + 1]]))
+        b[need], dv[need] = log_uniform(cfg.b_range, d[0]), d[1]
+    v_lo, v_hi = map(float, cfg.v_range)
+    return a, b, v_lo + (v_hi - v_lo) * dv
 
 
 def _slice(cfg_total: int, start: int, count):
@@ -195,9 +260,18 @@ def _producer(key: str, fname: str | None = None):
     return functools.partial(produce, cvx.get_builtin(fname)) if takes_f else produce
 
 
-def _record(rep: SuiteReport, key: str, res, trials: list):
-    """Note the minimum of each slack of a check's result over ``trials``, a
-    list of (index, inputs), and record each trial where a verdict fails."""
+def _fail_at(rep: SuiteReport, draws: tuple, pos: int, check: str, **extra):
+    """Record a failure of ``check`` at position ``pos`` of a slice's draws."""
+    index, a, b, v, specs = draws
+    i = int(index[pos])
+    inputs = {"a": a[pos].item(), "b": b[pos].item(), "v": v[pos].item(),
+              "f": specs[i % len(specs)].name}
+    rep._fail(i, check, inputs, **extra)
+
+
+def _record(rep: SuiteReport, key: str, res, pos: np.ndarray, draws: tuple):
+    """Note the minimum of each slack of a check's result at positions ``pos`` of the
+    slice's draws, and record each trial where a verdict fails."""
     if isinstance(res, ChainReport):
         verdicts = [(key, dict(enumerate(res.slacks, start=1)), res.passed,
                      {"slacks": res.slacks})]
@@ -213,42 +287,40 @@ def _record(rep: SuiteReport, key: str, res, trials: list):
     for name, slacks, passed, fields in verdicts:
         for suffix, slack in slacks.items():
             rep._note(f"{name}.{suffix}", np.minimum.reduce(slack, axis=None))
-        for pos in np.flatnonzero(np.logical_not(passed)).tolist():
-            index, inputs = trials[pos]
-            extra = {field: [x.flat[pos].item() for x in map(np.asarray, value)]
+        for k in np.flatnonzero(np.logical_not(passed)).tolist():
+            extra = {field: [x.flat[k].item() for x in map(np.asarray, value)]
                      if isinstance(value, tuple) else np.broadcast_to(value, np.shape(passed))
-                     .flat[pos].item() for field, value in fields.items()}
-            rep._fail(index, name, inputs, **extra)
+                     .flat[k].item() for field, value in fields.items()}
+            _fail_at(rep, draws, pos[k], name, **extra)
 
 
-def _check_slice(rep: SuiteReport, key: str, trials: list, specs: tuple, tol: float,
+def _check_slice(rep: SuiteReport, key: str, pos: np.ndarray, draws: tuple, tol: float,
                  terms: dict):
-    """Check ``key`` over ``trials``, a list of (index, inputs), in one array call on their
-    (lo, hi, v), trial i taking ``specs[i % len(specs)]``, or on their (a, b, v) if it takes
-    no f, reading chain terms from ``terms``, each built once per slice and trial set.
-    Inputs are valid by construction, so a raise is a numeric failure: then each trial reruns
-    alone through the same builder and body, and one whose call raises gets a record of it."""
+    """Check ``key`` at positions ``pos`` of the slice's draws (index, a, b, v, specs) in one
+    array call on their (lo, hi, v), trial i taking ``specs[i % len(specs)]``, or on their
+    (a, b, v) if it takes no f, reading chain terms from ``terms``, each built once per slice
+    and position set.  Inputs are valid by construction, so a raise is a numeric failure: then
+    each trial reruns alone through the same builder and body, and gets a record if it raises."""
     module, producer, takes_f, _, reads = CHECKS[key]
-    index = [i for i, _ in trials]
-    arrays = lambda: map(np.array, zip(*(  # made only if a call takes them; built terms don't
-        (min(x["a"], x["b"]), max(x["a"], x["b"]), x["v"]) if takes_f else (x["a"], x["b"], x["v"])
-        for _, x in trials)))
+    index, a, b, v, specs = draws
+    arrays = lambda: (np.minimum(a[pos], b[pos]), np.maximum(a[pos], b[pos]), v[pos]) \
+        if takes_f else (a[pos], b[pos], v[pos])  # made only if a call takes them
     try:
         if reads is None:
             res = getattr(module, producer)(*arrays(), tol=tol)
         else:
-            at = (reads[0], tuple(index))
+            at = (reads[0], pos.tobytes())
             if at not in terms:  # with f, the specs and an index into them per trial
-                fs = (specs, np.array(index) % len(specs)) if takes_f else ()
+                fs = (specs, index[pos] % len(specs)) if takes_f else ()
                 terms[at] = getattr(module, reads[0])(*fs, *arrays())
             res = getattr(module, reads[1])(terms[at], tol)
     except (QuadratureError, ArithmeticError, ValueError) as exc:
-        if len(trials) == 1:
-            return rep._fail(trials[0][0], key, trials[0][1], error=str(exc))
-        for trial in trials:
-            _check_slice(rep, key, [trial], specs, tol, terms)
+        if len(pos) == 1:
+            return _fail_at(rep, draws, pos[0], key, error=str(exc))
+        for one in pos[:, None]:
+            _check_slice(rep, key, one, draws, tol, terms)
         return
-    _record(rep, key, res, trials)
+    _record(rep, key, res, pos, draws)
 
 
 def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool):
@@ -260,22 +332,20 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool
     leaving out trials with b - a < MIN_GAP if it needs a < b.
     """
     t0 = time.perf_counter()
-    trials = []
-    for i in _slice(cfg.trials, start, count):
-        rng = _trial_rng(cfg.seed, i)
-        a, b = _draw_pair(rng, cfg)
-        a, b = (min(a, b), max(a, b)) if oriented else (a, b)
-        fname = cfg.functions[i % len(cfg.functions)]
-        trials.append((i, {"a": a, "b": b, "v": _draw_weight(rng, cfg), "f": fname}))
-    rep = SuiteReport(suite, cfg.seed, len(trials))
-    specs = tuple(map(cvx.get_builtin, cfg.functions))
+    trials = _slice(cfg.trials, start, count)
+    index = np.arange(trials.start, trials.stop)
+    a, b, v = _replay(cfg, index)
+    a, b = (np.minimum(a, b), np.maximum(a, b)) if oriented else (a, b)
+    draws = (index, a, b, v, tuple(map(cvx.get_builtin, cfg.functions)))
+    rep = SuiteReport(suite, cfg.seed, len(index))
+    # every position, or those without b - a < MIN_GAP for a check that needs a < b
+    positions = (np.arange(len(index)), np.flatnonzero(np.abs(b - a) >= MIN_GAP))
     terms = {}  # the chain terms built in this slice, shared by the checks that read them
     with np.errstate(all="ignore"):  # non-finite numbers raise where they are checked
         for key in keys:
-            group = [(i, x) for i, x in trials  # without b - a < MIN_GAP if it needs a < b
-                     if not CHECKS[key][3] or abs(x["b"] - x["a"]) >= MIN_GAP]
-            if group:
-                _check_slice(rep, key, group, specs, cfg.tol, terms)
+            pos = positions[CHECKS[key][3]]
+            if len(pos):
+                _check_slice(rep, key, pos, draws, cfg.tol, terms)
     rep.failures.sort(key=lambda record: record["trial"])  # stable: check order stays
     rep.wall_ms = (time.perf_counter() - t0) * 1e3
     return rep

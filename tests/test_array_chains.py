@@ -186,14 +186,62 @@ def test_scan_rows_equal_the_0d_chains(chain, capsys):
         assert row["pass"] is rep.passed
 
 
+def draw_trial(cfg, i):
+    """Trial i's (a, b, v), drawn one at a time from ``np.random.default_rng(seed ^ i)`` as
+    the scalar and bounds suites define them: a, then b, log-uniform over their ranges (no
+    draw for a one-point range), b redrawn up to 8 times while |b - a| < MIN_GAP, then v."""
+    rng = np.random.default_rng(cfg.seed ^ i)
+
+    def log_uniform(lo, hi):
+        return lo if lo == hi else float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    a, b = log_uniform(*cfg.a_range), log_uniform(*cfg.b_range)
+    for _ in range(8):
+        if abs(b - a) >= harness.MIN_GAP:
+            break
+        b = log_uniform(*cfg.b_range)
+    return a, b, float(rng.uniform(*cfg.v_range))
+
+
+class TestReplay:
+    """The suites replay the seed ^ i streams on arrays, bit for bit the draws above."""
+
+    SEEDS = (0, 42, 2**32 - 1, 2**32, 2**63, 2**64 - 20, 2**64 - 1)
+    # indices below 2**32 and across it, where seed ^ i changes its high word: with the eight
+    # cases below, 21,280 trials
+    INDEX = np.r_[0:320, 2**32 - 30:2**32 + 30]
+
+    @pytest.mark.parametrize("overrides, close", [
+        ({}, (0.0, 0.0)),  # the CLI defaults
+        ({"a_range": (2.0, 2.0)}, None),  # one-point ranges take no draw: a, b or both
+        ({"b_range": (0.5, 0.5)}, None),
+        ({"a_range": (3.0, 3.0), "b_range": (3.0, 3.0), "v_range": (0.4, 0.4)}, (1.0, 1.0)),
+        ({"a_range": (5e-324, 1.7e308), "b_range": (5e-324, 1.7e308)}, None),
+        # 3/4 of the first pairs are closer than MIN_GAP: most trials redraw b, few 8 times
+        ({"a_range": (1.0, 1.0 + 2e-6), "b_range": (1.0, 1.0 + 2e-6)}, (0.01, 0.2)),
+        ({"a_range": (1.0, 1.0), "b_range": (1.0, 1.0 + 2e-6)}, (0.0, 0.01)),
+        # every pair is closer than MIN_GAP: every trial draws b nine times
+        ({"a_range": (1.0, 1.0 + 1e-9), "b_range": (1.0, 1.0 + 1e-9)}, (1.0, 1.0)),
+    ], ids=["defaults", "a-point", "b-point", "all-points", "full-range", "redraws",
+            "a-point-redraws", "exhausted"])
+    def test_draws_equal_default_rng(self, overrides, close):
+        pairs_close = []
+        for seed in self.SEEDS:
+            cfg = harness.SuiteConfig(seed=seed, **overrides)
+            got = np.array(harness._replay(cfg, self.INDEX))
+            want = np.array([draw_trial(cfg, i) for i in self.INDEX.tolist()]).T
+            assert got.tobytes() == want.tobytes(), (seed, np.argwhere(got != want)[:3])
+            pairs_close.extend(np.abs(got[1] - got[0]) < harness.MIN_GAP)
+        if close is not None:
+            assert close[0] <= np.mean(pairs_close) <= close[1]
+
+
 def reference_scalar_slice(cfg, start, count):
     """The scalar suite trial by trial through the public chains and checks,
     collected in a SuiteReport: (min_slacks, failures)."""
     rep = harness.SuiteReport("scalar", cfg.seed, count)
     for i in range(start, start + count):
-        rng = harness._trial_rng(cfg.seed, i)
-        a, b = harness._draw_pair(rng, cfg)
-        v = harness._draw_weight(rng, cfg)
+        a, b, v = draw_trial(cfg, i)
         fname = cfg.functions[i % len(cfg.functions)]
         f, lo, hi, tol = cvx.get_builtin(fname), min(a, b), max(a, b), cfg.tol
         inputs = {"a": a, "b": b, "v": v, "f": fname}
@@ -276,9 +324,7 @@ def reference_bounds_slice(cfg, start, count):
     in a SuiteReport: (min_slacks, failures)."""
     rep = harness.SuiteReport("bounds", cfg.seed, count)
     for i in range(start, start + count):
-        rng = harness._trial_rng(cfg.seed, i)
-        a, b = harness._draw_pair(rng, cfg)
-        v = harness._draw_weight(rng, cfg)
+        a, b, v = draw_trial(cfg, i)
         fname = cfg.functions[i % len(cfg.functions)]
         f, lo, hi = cvx.get_builtin(fname), min(a, b), max(a, b)
         inputs = {"a": lo, "b": hi, "v": v, "f": fname}

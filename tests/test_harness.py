@@ -41,8 +41,20 @@ class TestConfigValidation:
             harness.SuiteConfig(functions=("cube",))
 
     def test_rejects_bad_seed(self):
-        with pytest.raises(ValueError):
-            harness.SuiteConfig(seed=-1)
+        # out of range, or not an integer: 42.5 would run seed 42's streams, True is a bool
+        for seed in (-1, 2**64, 42.5, True, float("nan"), float("inf"), "42"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                harness.SuiteConfig(seed=seed)
+
+    def test_integral_seed_is_stored_as_int(self):
+        cfg = harness.SuiteConfig(seed=42.0, trials=40)
+        assert type(cfg.seed) is int and cfg.seed == 42
+        assert type(harness.SuiteConfig(seed=np.uint64(2**64 - 1)).seed) is int
+        rep = harness.run_scalar_suite(cfg, 0, 20)
+        assert json.loads(rep.to_json())["seed"] == 42
+        whole = harness.run_scalar_suite(harness.SuiteConfig(seed=42, trials=40))
+        assert harness.merge_reports(rep, harness.run_scalar_suite(cfg, 20, 20)).to_json() == \
+            whole.to_json()
 
 
 class TestDeterminism:
@@ -276,9 +288,8 @@ class TestChainEvaluations:
         cfg = harness.SuiteConfig(seed=3, trials=200, a_range=(1.0, 1.0),
                                   b_range=(1.0 + 1e-7, 1.0 + 1.1e-6))
         for start in range(0, 200, 20):
-            close = [abs(b - a) < harness.MIN_GAP for a, b in (
-                harness._draw_pair(harness._trial_rng(cfg.seed, i), cfg)
-                for i in range(start, start + 20))]
+            a, b, _ = harness._replay(cfg, np.arange(start, start + 20))
+            close = np.abs(b - a) < harness.MIN_GAP
             assert any(close) and not all(close)
             assert self.builds(harness.run_scalar_suite, cfg, start, monkeypatch) == 2
 
@@ -296,7 +307,11 @@ class TestFunctionAxis:
         # exp overflows at some trials of this slice: every check that takes f raises on
         # the whole slice and reruns it trial by trial
         ({"a_range": (1.0, 800.0), "b_range": (1.0, 800.0)}, 120, True),
-    ], ids=["defaults", "subset-reordered", "exp-overflows"])
+        ({"seed": 2**64 - 1}, 9980, False),  # seed ^ i at the top of the uint64 range
+        # every pair stays closer than MIN_GAP after 8 redraws: hh_chain, thm32 and thm33
+        # check no trial, and v comes from each stream's eleventh draw
+        ({"a_range": (1.0, 1.0 + 1e-9), "b_range": (1.0, 1.0 + 1e-9)}, 20, False),
+    ], ids=["defaults", "subset-reordered", "exp-overflows", "top-seed", "exhausted-redraws"])
     def test_slice_equals_merged_one_trial_slices(self, run, overrides, start, errors):
         cfg = harness.SuiteConfig(**overrides)
         whole = run(cfg, start, 20)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -29,6 +30,7 @@ from . import harness
 from . import operators as ops
 from . import scalar as sc
 from .quadrature import QuadratureError
+from .reports import to_json
 
 FUNCTION_CHOICES = tuple(sorted(cvx.BUILTINS))
 
@@ -57,6 +59,7 @@ def _add_abv(p):
     p.add_argument("--v", type=float, required=True)
 
 
+@functools.cache  # built on the first main call, not at import; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meanbounds",
@@ -232,14 +235,6 @@ def _cmd_scan(args):
     return {"rows": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]}
 
 
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
-
-
 def _flatten(prefix, value, out):
     if isinstance(value, dict):
         for key, sub in value.items():
@@ -259,7 +254,9 @@ def _to_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    writer.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
+    # csv writes a float as its repr; a bool is written as in JSON
+    writer.writerows({k: json.dumps(v) if isinstance(v, bool) else v for k, v in row.items()}
+                     for row in rows)
     return buf.getvalue()
 
 
@@ -275,10 +272,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"meanbounds: error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         sys.stdout.write(_to_csv(payload))
     else:
-        print(json.dumps(payload, indent=2))
+        print(to_json(payload))
     failed = payload.get("pass") is False or bool(payload.get("failures")) or (
         args.handler is _cmd_scan and not all(row["pass"] for row in payload["rows"]))
     return 1 if failed else 0

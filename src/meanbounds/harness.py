@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import numbers
 import time
@@ -25,7 +24,7 @@ from . import convex as cvx
 from . import operators as ops
 from . import scalar as sc
 from .quadrature import QuadratureError
-from .reports import ChainReport, GapBoundReport, PointCheck, Report
+from .reports import ChainReport, GapBoundReport, PointCheck, Report, to_json
 
 DEFAULT_FUNCTIONS = tuple(cvx.BUILTINS)
 
@@ -53,6 +52,15 @@ def _positive_range(name, rng):
     return lo, hi
 
 
+def _count(name, value):
+    """``value`` as an int; anything but an integer of at least 1 raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} takes integers only, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
@@ -66,8 +74,7 @@ class SuiteConfig:
     dims: tuple[int, ...] = (2, 3, 5, 8)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        object.__setattr__(self, "trials", _count("trials", self.trials))
         if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Real)
                                                and 0 <= self.seed <= _U64 and self.seed % 1 == 0):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
@@ -81,8 +88,9 @@ class SuiteConfig:
             cvx.get_builtin(name)
         if not self.functions:
             raise ValueError("functions must be nonempty")
-        if any(d < 1 for d in self.dims) or not self.dims:
-            raise ValueError("dims must be positive")
+        object.__setattr__(self, "dims", tuple(_count("dims", d) for d in self.dims))
+        if not self.dims:
+            raise ValueError("dims must be nonempty")
 
 
 @dataclass
@@ -105,7 +113,7 @@ class SuiteReport(Report):
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2)
+        return to_json(self.to_dict(include_timing))
 
     def _note(self, key: str, value: float):
         """Keep the smallest slack of ``key``; NaN ranks below every number."""

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +29,34 @@ def chain_links(values, tol):
     require_finite("chain terms are not finite", floor)
     slacks = [y - x for x, y in zip(values, values[1:])]
     return slacks, [s >= floor for s in slacks]
+
+
+def to_json(value) -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, for the CLI and the suite reports, without
+    the pure-Python encoder that ``indent`` selects: a container of scalars is one C-encoder call
+    whose item separator breaks and indents the items; its brackets then get lines of their own."""
+    return _indented(value, 0)
+
+
+@cache
+def _encoder(depth):
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _indented(value, depth):
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = _encoder(depth + 1)
+    items = value.values() if isinstance(value, dict) else value
+    if not any(isinstance(x, (dict, list, tuple)) for x in items):
+        text = inner.encode(value)
+    elif isinstance(value, dict):  # '{KEY: null}'[1:-5] is KEY and ": " as json writes them
+        text = "{%s}" % inner.item_separator.join(
+            json.dumps({k: None})[1:-5] + _indented(x, depth + 1)
+            for k, x in value.items())
+    else:
+        text = "[%s]" % inner.item_separator.join(_indented(x, depth + 1) for x in value)
+    return f"{text[0]}{inner.item_separator[1:]}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
 
 
 class PointCheck(NamedTuple):

@@ -358,6 +358,46 @@ class TestScan:
         assert code == 2
 
 
+GRID = ("--a", "0.5:2:3", "--b", "1:4:3", "--v", "0.2:0.8:3")
+
+
+class TestParserReuse:
+    """``cli.main`` builds its parser once per process, so each call in a sequence must
+    print and exit as the same call does alone, in a fresh interpreter."""
+
+    SEQUENCES = (  # (argv, exit code) of the first call, then of the second
+        ((("scan", "--chain", "identric"), 0), (("scan",), 0)),
+        ((("scan", *GRID, "--format", "csv"), 0), (("scan", *GRID), 0)),
+        ((("verify", "scalar", "--trials", "20", "--tol=-1"), 1),
+         (("verify", "scalar", "--trials", "20"), 0)),
+        ((("means", "eval", "--mean", "log", "--a", "1"), 2),
+         (("means", "eval", "--mean", "log", "--a", "1", "--b", "2", "--v", "0.5"), 0)),
+    )
+
+    @pytest.mark.parametrize("sequence", SEQUENCES, ids=lambda seq: " then ".join(
+        " ".join(argv[:2]) for argv, _ in seq))
+    def test_each_call_as_alone(self, capsys, monkeypatch, sequence):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this width
+        alone = [run_process(*argv) for argv, _ in sequence]
+        assert [proc.returncode for proc in alone] == [code for _, code in sequence]
+        cli._build_parser.cache_clear()
+        for (argv, _), proc in zip(sequence, alone):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # an argparse error
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout,
+                                                          proc.stderr)
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        code = "import meanbounds.cli as c; raise SystemExit(c._build_parser.cache_info().misses)"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        assert subprocess.run([sys.executable, "-c", code], check=False,
+                              env={**os.environ, "PYTHONPATH": src}).returncode == 0
+
+
 class TestParseErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

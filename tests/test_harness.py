@@ -46,6 +46,24 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="seed must be an integer"):
                 harness.SuiteConfig(seed=seed)
 
+    def test_rejects_non_integer_counts(self):
+        # at run time 2.5 and 10.0 would raise TypeError in range() and True would run one trial
+        for trials in (2.5, 10.0, True, float("nan"), "10"):
+            with pytest.raises(ValueError, match="trials takes integers only"):
+                harness.SuiteConfig(trials=trials)
+        for dims in ((2.5,), (3, 2.0), (True,), ("2",)):
+            with pytest.raises(ValueError, match="dims takes integers only"):
+                harness.SuiteConfig(dims=dims)
+        for dims in ((0,), (2, -1), ()):
+            with pytest.raises(ValueError, match="dims must be"):
+                harness.SuiteConfig(dims=dims)
+
+    def test_integer_counts_are_stored_as_int(self):
+        cfg = harness.SuiteConfig(seed=7, trials=np.int64(3), dims=[np.uint8(2), 3])
+        assert type(cfg.trials) is int and cfg.dims == (2, 3)
+        assert all(type(d) is int for d in cfg.dims)
+        assert json.loads(harness.run_operator_suite(cfg).to_json())["trials"] == 6
+
     def test_integral_seed_is_stored_as_int(self):
         cfg = harness.SuiteConfig(seed=42.0, trials=40)
         assert type(cfg.seed) is int and cfg.seed == 42

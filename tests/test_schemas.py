@@ -1,5 +1,6 @@
 """Report schemas: each JSON object is its report's fields, each CLI --tol
-default is the library's, and README's min-slack key lists match the suites."""
+default is the library's, README's min-slack key lists match the suites, and
+the JSON writer is ``json.dumps(value, indent=2)`` byte for byte."""
 
 import dataclasses
 import inspect
@@ -9,8 +10,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from meanbounds import bounds, cli, convex, harness, operators, scalar
+from meanbounds import bounds, cli, convex, harness, operators, reports, scalar
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -91,3 +94,24 @@ def test_readme_key_lists_match_the_suites(suite, runner):
     report = runner(harness.SuiteConfig(seed=5, trials=5, dims=(2,)))
     prefixes = {key.split(".")[0] for key in report.min_slacks}
     assert prefixes == _readme_key_prefixes()[suite]
+
+
+# every value json writes: scalars (NaN and infinities among the floats, any characters in
+# the strings), and lists, tuples and dicts of them with str, int, bool, float or None keys
+JSON_KEYS = st.text() | st.integers() | st.booleans() | st.floats() | st.none()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda items: st.lists(items) | st.lists(items).map(tuple)
+    | st.dictionaries(JSON_KEYS, items),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"rows": [{"a": 0.5, "pass": True}, {}], "e": [[], {}, ()], "n": None})
+@example(value=[float("nan"), float("inf"), -float("inf"), {"x": [-0.0, 5e-324, 1e308]}])
+@example(value={"\u00e9\u2028\U0001f600": "\x00\x1f\n\t\"\\", "\x7f": ["\ud7ff"]})
+@example(value={1: [2], False: {}, 2.5: [], float("nan"): {float("-inf"): 0}, None: "n"})
+@example(value=((1, (2, ())), [{}], "x"))
+def test_to_json_is_json_dumps_indent_2(value):
+    assert reports.to_json(value) == json.dumps(value, indent=2)

@@ -18,16 +18,8 @@ from functools import partial, reduce
 import numpy as np
 
 from . import scalar as sc
-from .convex import (
-    DERIV_GRID,
-    ConvexFnSpec,
-    _derivative_bounds,
-    _interval,
-    _ordered_terms,
-    _split_avg,
-    _Terms,
-    get_builtin,
-)
+from .convex import (DERIV_GRID, ConvexFnSpec, _derivative_bounds, _interval, _ordered_terms,
+                     _Terms, get_builtin)
 from .reports import GapBoundReport
 
 _EXP = get_builtin("exp")
@@ -51,17 +43,16 @@ def derivative_bounds(f: ConvexFnSpec, a, b) -> tuple:
     return _derivative_bounds(f, np.minimum(a, b), np.maximum(a, b))
 
 
-def _resolve_mM(estimate, m, M) -> tuple:
-    # m and M as given; those not given from estimate(), the (K, m, M) of f
+def _resolve_mM(t, m, M) -> tuple:
+    # m and M as given; those not given from the (K, m, M) of the terms t
     if m is None or M is None:
-        _, m_est, m_big_est = estimate()
+        _, m_est, m_big_est = t.bounds
     return (m_est if m is None else float(m)), (m_big_est if M is None else float(M))
 
 
 def _check_oriented(a, b, v):
-    v = sc.check_weight(v)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    sc.check_pair(a.min(), b.max())  # with a <= b below, every point is valid iff these are
+    v = sc.check_weight(v)  # first, as for every check; then the means' rule on a and b
+    a, b, _ = sc._args(a, b, v)
     if not (a <= b).all():
         raise ValueError(f"these bounds require b >= a, got ({a}, {b})")
     return a, b, v
@@ -80,18 +71,18 @@ def midpoint_gap_bounds(f: ConvexFnSpec, a, b, m: float | None = None,
 
 
 def _half_weight_gap(f, a, b, m, M, tol, name):
-    # the gap of the trapezoid (or midpoint) rule on [a, b] lies in [m, M] / 3 (or / 6)
-    # times ((b - a) / 2)^2
-    a, b = _interval(f, a, b, ordered=True)
-    m, M = _resolve_mM(lambda: _derivative_bounds(f, a, b), m, M)
-    avg = _split_avg(f, a, b, 0.5, None)
+    # the gap of the trapezoid (or midpoint) rule on [a, b], the chain at v = 1/2, lies in
+    # [m, M] / 3 (or / 6) times ((b - a) / 2)^2
+    t = _ordered_terms(f, a, b, 0.5)
+    m, M = _resolve_mM(t, m, M)
+    avg = t.average
     if name == "trapezoid_gap":
-        estimate = 0.5 * (f.fn(a) + f.fn(b))
+        estimate = t.endpoint_average
         gap, divisor = estimate - avg, 3.0
     else:
-        estimate = f.fn(0.5 * (a + b))
+        estimate = t.node
         gap, divisor = avg - estimate, 6.0
-    quarter = np.square((b - a) / 2.0)
+    quarter = np.square((t.b - t.a) / 2.0)
     scale = reduce(np.maximum, (abs(avg), abs(estimate), abs(m) * quarter, abs(M) * quarter))
     return GapBoundReport.build(name, gap, m / divisor * quarter, M / divisor * quarter, tol,
                                 scale)
@@ -115,7 +106,7 @@ def _thm32(t, tol, K=None, names=_GAP_NAMES, floor=0.0):
 
 
 def _thm33(t, tol, m=None, M=None, names=_GAP_NAMES, floor=0.0):
-    m, M = _resolve_mM(lambda: t.bounds, m, M)
+    m, M = _resolve_mM(t, m, M)
     factor = t.v * (1.0 - t.v) * np.square((t.b - t.a) / 2.0)
     windows = ((m / 6.0 * factor, M / 6.0 * factor), (m / 3.0 * factor, M / 3.0 * factor))
     bound_scale = reduce(np.maximum, (abs(m) * factor, abs(M) * factor, floor))

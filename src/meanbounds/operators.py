@@ -31,7 +31,7 @@ OPERATOR_CHAIN_LABELS = (
 SYMMETRY_TOL = 1e-12
 
 
-class NumericalBreakdown(RuntimeError):
+class NumericalBreakdown(ArithmeticError, RuntimeError):
     """A computed operator mean failed its SPD validation.
 
     Signals loss of positivity beyond tolerance, typically from extreme

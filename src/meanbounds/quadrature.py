@@ -32,7 +32,7 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError, RuntimeError):
     """Raised when refinement hits max_levels before reaching rel_tol.
 
     Carries the best estimate and the achieved error estimate so callers

@@ -55,20 +55,14 @@ def check_weight(v):
     return arr if arr.ndim else float(arr)
 
 
-def check_pair(a, b) -> tuple[float, float]:
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0):
-        raise ValueError(f"mean arguments must be finite and positive, got ({a}, {b})")
-    return a, b
-
-
 def _args(a, b, v) -> list[np.ndarray]:
     """(a, b, v) as float arrays, checked: a and b finite and positive, v in [0, 1].
-    Every point is valid iff the extremes are; a bad one raises as the scalar checks do."""
+    Every point is valid iff the extremes are; a bad one raises as it would alone."""
     a, b, v = (np.asarray(x, dtype=float) for x in (a, b, v))
     for pick in (np.ndarray.min, np.ndarray.max):
-        check_pair(pick(a), pick(b))
+        x, y = float(pick(a)), float(pick(b))
+        if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+            raise ValueError(f"mean arguments must be finite and positive, got ({x}, {y})")
         check_weight(pick(v))
     return [a, b, v]
 

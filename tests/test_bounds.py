@@ -116,6 +116,24 @@ class TestHHGapBounds:
         assert (rep.lower_bound, rep.upper_bound) == pytest.approx((1.0 / 24.0, E / 24.0))
 
 
+    @pytest.mark.parametrize("f", list(cvx.BUILTINS.values()), ids=lambda f: f.name)
+    def test_half_weight_gaps_are_the_chain_at_one_half(self, f):
+        # the trapezoid rule is the endpoint average, the midpoint rule f at the node, bit for bit
+        rng = np.random.default_rng(19)
+        a, b = np.sort(rng.uniform(0.1, 10.0, (2, 200)), axis=0)
+        t = cvx.chain_terms(f, a, b, 0.5)
+        _, m, big_m = bnd.derivative_bounds(f, a, b)
+        quarter = np.square((b - a) / 2.0)
+        for rep, gap, divisor in ((bnd.trapezoid_gap_bounds(f, a, b),
+                                   t.endpoint_average - t.average, 3.0),
+                                  (bnd.midpoint_gap_bounds(f, a, b),
+                                   t.average - t.node, 6.0)):
+            assert rep.gap.tolist() == gap.tolist()
+            assert rep.lower_bound.tolist() == (m / divisor * quarter).tolist()
+            assert rep.upper_bound.tolist() == (big_m / divisor * quarter).tolist()
+            assert rep.passed.all()
+
+
 class TestDerivGapBounds:
     def test_vanishing_weight_bound(self):
         rep1, rep2 = bnd.deriv_gap_bounds(EXP, 1.0, 2.0, 1e-9)

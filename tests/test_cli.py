@@ -203,6 +203,14 @@ class TestBounds:
         assert exc.value.code == 0
         assert "{" + ",".join(harness.BOUNDS_CHECKS) + "}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [("means", "chain", "--a", "1", "--b", "2", "--v", "0.3"),
+                                      ("scan", "--a", "1:1:1", "--b", "2:2:1", "--v", "0.3:0.3:1")])
+    def test_chains_come_from_the_check_table(self, capsys, monkeypatch, argv):
+        monkeypatch.setitem(harness.CHECKS, "log_chain", harness.CHECKS["identric_chain"])
+        code, payload, _ = run_json(capsys, *argv)
+        report = payload["rows"][0] if "rows" in payload else dict.fromkeys(payload["labels"])
+        assert code == 0 and "identric" in report and "logarithmic" not in report
+
     def test_orientation_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "cor31", "--a", "2", "--b", "1", "--v", "0.5")
         assert code == 2
@@ -236,6 +244,13 @@ class TestOp:
         code, _, err = run_cli(capsys, "op", "chain", "--file", str(bad), "--v", "0.5")
         assert code == 2
         assert "positive definite" in err
+
+    def test_rejects_pair_without_b(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"A": {"dim": 1, "rows": [[1.0]]}}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "op", "chain", "--file", str(path), "--v", "0.5")
+        assert (code, out) == (2, "")
+        assert err == 'meanbounds: error: matrix pair JSON needs keys "A" and "B"\n'
 
     def test_rejects_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "op", "chain", "--file", "/nonexistent.json",

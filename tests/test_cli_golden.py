@@ -5,10 +5,13 @@ Each case's recorded stdout lives in ``fixtures/cli/<case>.out``; its exit
 code and, for exit-2 cases, the ``meanbounds: error:`` line live in
 ``fixtures/cli/expected.json``.  Commands run with the fixture directory as
 the working directory, so ``pair.json`` is the committed matrix pair and
-``missing.json`` a file that does not exist.
+``missing.json`` a file that does not exist.  ``fixtures/cli/help.json`` holds
+the ``--help`` text of every parser at ``COLUMNS=80``, keyed by its command.
 """
 
+import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,25 @@ def test_cli_output_matches_fixture(case, capsys, monkeypatch):
     assert out == (FIXTURES / f"{case}.out").read_text(encoding="utf-8")
     if code == 2:
         assert err.splitlines()[0] == expected["error"]
+
+
+def _commands(parser, path=()):
+    """The command path of ``parser`` and of every subcommand under it, in tree order."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, path + (name,))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="argparse titles its sections "
+                    "differently before Python 3.11")
+def test_help_matches_fixture(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
+    texts = {}
+    for path in _commands(cli._build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*path, "--help"])
+        assert exc.value.code == 0
+        texts[" ".join(("meanbounds", *path))] = capsys.readouterr().out
+    assert texts == json.loads((FIXTURES / "help.json").read_text(encoding="utf-8"))

@@ -19,6 +19,11 @@ QUAD_EXP = cvx.make_convex_fn("exp", lambda t: np.exp(t), np.exp, np.exp)
 QUAD_NEG_LOG = cvx.make_convex_fn("neg-log", lambda t: -np.log(t), domain=(0.0, math.inf))
 
 
+def test_spec_rejects_an_empty_domain():
+    with pytest.raises(ValueError, match="empty domain"):
+        cvx.ConvexFnSpec("point", np.exp, domain=(1.0, 1.0))
+
+
 class TestTermEvaluators:
     def test_midpoint_estimate_collapse(self):
         got = cvx.chain_terms(EXP, 1.0, 1.0, 0.37).midpoint_estimate

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from meanbounds import cli, harness
 from meanbounds import convex as cvx
-from meanbounds import harness
 from meanbounds import operators as ops
+from meanbounds.quadrature import QuadratureError
 
 
 def small_cfg(**overrides):
@@ -39,6 +40,10 @@ class TestConfigValidation:
     def test_rejects_unknown_function(self):
         with pytest.raises(KeyError):
             harness.SuiteConfig(functions=("cube",))
+
+    def test_rejects_empty_functions(self):
+        with pytest.raises(ValueError, match="functions must be nonempty"):
+            harness.SuiteConfig(functions=())
 
     def test_rejects_bad_seed(self):
         # out of range, or not an integer: 42.5 would run seed 42's streams, True is a bool
@@ -442,7 +447,36 @@ class TestOperatorBatch:
         assert rep.min_slacks == clean.min_slacks
 
 
+class TestNumericFailureClass:
+    """A numeric failure is an ArithmeticError: the CLI's exit 1, and a record in a suite."""
+
+    def test_library_errors_are_arithmetic_errors(self):
+        for cls in (QuadratureError, ops.NumericalBreakdown):
+            assert issubclass(cls, ArithmeticError) and issubclass(cls, RuntimeError)
+
+    def test_operator_suite_records_an_arithmetic_error(self, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("operator chain overflowed")
+
+        monkeypatch.setattr(ops, "operator_chain", overflow)
+        rep = harness.run_operator_suite(harness.SuiteConfig(seed=7, trials=4), 0, 4)
+        chain_records = [r for r in rep.failures if r["check"] == "op_chain"]
+        assert [r["trial"] for r in chain_records] == [0, 1, 2, 3]
+        assert all(r["error"] == "operator chain overflowed" for r in chain_records)
+
+
 class TestReferenceValues:
+    def test_failing_references_become_records(self, monkeypatch, capsys):
+        # (2, 1) has the same sign as (4, 1), and its expected value is off
+        refs = (((4.0, 1.0), 4.35403, 5e-4), ((2.0, 1.0), -1.0, 1e-3))
+        monkeypatch.setattr(harness, "REFERENCE_DIFFS", refs)
+        rep = harness.reference_value_check()
+        assert [r["check"] for r in rep.failures] == ["reference_2_1", "sign_flip"]
+        assert rep.failures[0]["expected"] == -1.0 and rep.failures[0]["tol"] == 1e-3
+        assert rep.min_slacks["sign_flip"] == -1.0
+        assert cli.main(["verify", "paper-numbers"]) == 1
+        assert json.loads(capsys.readouterr().out)["failures"] == rep.failures
+
     def test_passes(self):
         rep = harness.reference_value_check()
         assert rep.passed

@@ -58,6 +58,9 @@ class TestSpdMatrix:
         with pytest.raises(ValueError):
             ops.matrix_function(ops.SpdMatrix([good, good]), np.sqrt)
 
+    def test_repr(self):
+        assert repr(spd(np.eye(3))) == "SpdMatrix(dim=3)"
+
     def test_from_dict_missing_keys(self):
         with pytest.raises(ValueError):
             ops.SpdMatrix.from_dict({"rows": [[1.0]]})
@@ -104,6 +107,11 @@ class TestWeightedMeans:
         for fn in (ops.weighted_arithmetic, ops.weighted_geometric, ops.weighted_logarithmic):
             assert np.allclose(fn(a, b, 0.0).entries, a.entries, atol=1e-13)
             assert np.allclose(fn(a, b, 1.0).entries, b.entries, atol=1e-13)
+
+    def test_a_lift_that_is_not_spd_is_a_breakdown(self):
+        a, b = spd(np.eye(2)), spd(np.diag([2.0, 3.0]))
+        with pytest.raises(ops.NumericalBreakdown, match="computed mean failed SPD validation"):
+            ops._lift(a, b, 0.5, lambda lam, v: -lam)
 
     def test_geometric_commuting_diagonal(self):
         out = ops.weighted_geometric(spd(np.diag([1.0, 4.0])), spd(np.diag([9.0, 1.0])), 0.5)

@@ -143,7 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _tol(args, keys=("tol",)) -> dict:
     """``--tol`` under each of ``keys`` if it was given; otherwise nothing,
-    so the library default holds."""
+    so the library default holds.  A non-finite ``--tol`` is bad input."""
+    if args.tol is not None and not np.isfinite(args.tol):
+        raise ValueError(f"--tol must be finite, got {args.tol!r}")
     return {} if args.tol is None else dict.fromkeys(keys, args.tol)
 
 

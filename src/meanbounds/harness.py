@@ -1,11 +1,11 @@
 """Seeded randomized verification suites with replayable failure records.
 
-Trial i derives its generator from ``seed XOR i``, so any slice of the
-trial range produces exactly the per-trial results of a full serial run;
-reports from disjoint slices merge associatively via :func:`merge_reports`.
-The scalar and bounds suites replay a slice's streams as arrays, bit for bit
-what ``np.random.default_rng(seed ^ i)`` draws (numpy keeps SeedSequence and
-PCG64 streams stable, NEP 19); the operator suite draws trial by trial.
+Trial i derives its generator from ``seed XOR i``, so any slice of the trial
+range gives exactly the per-trial results of a full serial run, and reports
+from disjoint slices merge associatively via :func:`merge_reports`.  The scalar
+and bounds suites replay a slice's ``np.random.default_rng(seed ^ i)`` streams
+as arrays, bit for bit (numpy keeps SeedSequence and PCG64 streams stable, NEP
+19); the operator suite sets one generator to each trial's replayed seeding.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ def _positive_range(name, rng):
     lo, hi = (float(rng[0]), float(rng[1]))
     if not (0.0 < lo <= hi and np.isfinite(hi)):
         raise ValueError(f"{name} must be a nonempty positive interval, got {rng}")
-    return lo, hi
 
 
 def _count(name, value):
@@ -83,6 +82,8 @@ class SuiteConfig:
         v_lo, v_hi = self.v_range
         if not (0.0 < v_lo <= v_hi < 1.0):
             raise ValueError(f"v_range must sit inside (0, 1), got {self.v_range}")
+        if not np.isfinite([self.tol, self.op_tol]).all():  # a negative tolerance is valid
+            raise ValueError(f"tol and op_tol must be finite, got {self.tol!r}, {self.op_tol!r}")
         for name in self.functions:
             cvx.get_builtin(name)
         if not self.functions:
@@ -143,15 +144,6 @@ def merge_reports(first: SuiteReport, second: SuiteReport) -> SuiteReport:
     for key, val in (*first.min_slacks.items(), *second.min_slacks.items()):
         out._note(key, val)
     return out
-
-
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed) ^ int(index)) & _U64)
-
-
-def _draw_weight(rng, cfg: SuiteConfig) -> float:
-    lo, hi = cfg.v_range
-    return float(rng.uniform(lo, hi))
 
 
 # default_rng(seed ^ i) replayed on arrays: numpy's SeedSequence on its pool of 4 words, then
@@ -371,13 +363,11 @@ def run_bounds_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteRepor
     return _run_trials("bounds", cfg, start, count, BOUNDS_CHECKS, oriented=True)
 
 
-def _spd_stack(rngs, dim: int, log10_cond_half: float = 2.0) -> np.ndarray:
-    """Q diag(10^U(-c, c)) Q^T from each generator: one stacked QR, signs so diag(R) > 0."""
-    gauss, exps = zip(*((rng.standard_normal((dim, dim)),
-                         rng.uniform(-log10_cond_half, log10_cond_half, dim)) for rng in rngs))
-    q, r = np.linalg.qr(np.array(gauss))
+def _spd_stack(gauss: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Q diag(10^exps) Q^T from each Gaussian matrix: one stacked QR, signs so diag(R) > 0."""
+    q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    return ops._sym((q * 10.0 ** np.array(exps)[..., None, :]) @ q.swapaxes(-1, -2))
+    return ops._sym((q * 10.0 ** exps[..., None, :]) @ q.swapaxes(-1, -2))
 
 
 def random_spd(rng, dim: int, log10_cond_half: float = 2.0) -> ops.SpdMatrix:
@@ -387,7 +377,9 @@ def random_spd(rng, dim: int, log10_cond_half: float = 2.0) -> ops.SpdMatrix:
     the condition number ranges up to 10^(2c).  Given a list of generators,
     it draws one matrix from each and returns them as one stack.
     """
-    stack = _spd_stack(rng if isinstance(rng, list) else [rng], dim, log10_cond_half)
+    c, gens = log10_cond_half, rng if isinstance(rng, list) else [rng]
+    gauss, exps = zip(*((g.standard_normal((dim, dim)), g.uniform(-c, c, dim)) for g in gens))
+    stack = _spd_stack(np.array(gauss), np.array(exps))
     return ops.SpdMatrix(stack if isinstance(rng, list) else stack[0])
 
 
@@ -411,37 +403,53 @@ def _representing_grid(rep: SuiteReport, cfg: SuiteConfig):
         rep._fail(-1, "logmean_gm", {"t": float(ts[worst])}, slack=float(slack[worst]))
 
 
-def _operator_block(rep: SuiteReport, cfg: SuiteConfig, dim: int, block: list):
-    """One dimension's trials as one stack of pairs.  If the stack raises, its
-    trials rerun one by one and the failing one gets a record with the error."""
-    rngs = [_trial_rng(cfg.seed, i) for i in block]
+def _trial_draws(gen: np.random.Generator, seed: int, inc: int, dim: int) -> tuple:
+    """One trial's draws from ``gen`` set to the state ((seed + inc) M + inc) mod 2**128 that
+    seeding PCG64 with (seed, inc) reaches: A's normals and exponent doubles, B's, v's double."""
+    state = {"state": ((seed + inc) * _POWERS[1] + inc) % (1 << 128), "inc": inc}
+    gen.bit_generator.state = dict(bit_generator="PCG64", state=state, has_uint32=0, uinteger=0)
+    return (gen.standard_normal((dim, dim)), gen.random(dim), gen.standard_normal((dim, dim)),
+            gen.random(dim), gen.random())
+
+
+def _operator_draws(cfg: SuiteConfig, dim: int, block) -> tuple:
+    """(index, A, B, v) of trials ``block``, bit for bit ``random_spd`` (c = 2) and ``uniform``
+    of ``default_rng(cfg.seed ^ i)``; ``uniform(lo, hi)`` is lo + (hi - lo) times a double."""
+    index = np.fromiter(block, np.uint64)
+    hi, lo = (x.astype(object) for x in _pcg64_seeds(np.uint64(cfg.seed) ^ index))
+    gen = np.random.Generator(np.random.PCG64(0))
+    draws = [_trial_draws(gen, seed, inc, dim) for seed, inc in zip(*(hi << 64 | lo))]
+    gauss_a, da, gauss_b, db, dv = map(np.array, zip(*draws))
+    v_lo, v_hi = map(float, cfg.v_range)
+    return index, _spd_stack(gauss_a, -2.0 + 4.0 * da), _spd_stack(gauss_b, -2.0 + 4.0 * db), \
+        v_lo + (v_hi - v_lo) * dv
+
+
+def _operator_block(rep: SuiteReport, draws: tuple, tol: float):
+    """One dimension's trials as one stack of pairs, from their (index, A, B, v).  If the stack
+    raises, its trials rerun one by one and the failing one gets a record with the error."""
+    index, a, b, v = draws
+    inputs = lambda k: dict(dim=a.shape[-1], v=v[k].item(), A=a[k].tolist(), B=b[k].tolist())
     try:
-        mat_a, mat_b = random_spd(rngs, dim), random_spd(rngs, dim)
-        weights = [_draw_weight(rng, cfg) for rng in rngs]
-        reports = ops.operator_chain(mat_a, mat_b, weights, tol=cfg.op_tol)
+        reports = ops.operator_chain(ops.SpdMatrix(a), ops.SpdMatrix(b), v, tol=tol)
     except (ArithmeticError, ValueError) as exc:  # LinAlgError is a ValueError
-        if len(block) > 1:
-            for i in block:
-                _operator_block(rep, cfg, dim, [i])
-            return
-        rng = _trial_rng(cfg.seed, block[0])
-        a, b = _spd_stack([rng, rng], dim)  # A, then B, then the weight, as drawn above
-        inputs = {"dim": dim, "v": _draw_weight(rng, cfg), "A": a.tolist(), "B": b.tolist()}
-        return rep._fail(block[0], "op_chain", inputs, error=str(exc))
-    for i, v, a, b, report in zip(block, weights, mat_a.entries, mat_b.entries, reports):
-        margins = [vd.margin for vd in report.verdicts]
-        for idx, margin in enumerate(margins, start=1):
-            rep._note(f"op_chain.{idx}", margin)
-        if not report.passed:
-            inputs = {"dim": dim, "v": v, "A": a.tolist(), "B": b.tolist()}
-            rep._fail(i, "op_chain", inputs, margins=margins)
+        if len(index) == 1:
+            return rep._fail(index[0].item(), "op_chain", inputs(0), error=str(exc))
+        for k in range(len(index)):
+            _operator_block(rep, tuple(x[k:k + 1] for x in draws), tol)
+        return
+    margins = np.array([[vd.margin for vd in report.verdicts] for report in reports])
+    for idx, low in enumerate(np.minimum.reduce(margins), start=1):
+        rep._note(f"op_chain.{idx}", low)
+    for k in np.flatnonzero([not report.passed for report in reports]).tolist():
+        rep._fail(index[k].item(), "op_chain", inputs(k), margins=margins[k].tolist())
 
 
 def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
     """Operator chains on random SPD pairs for every configured dimension,
     plus the representing-function and helper-inequality grids.
 
-    Each dimension's trials in a slice run as one stack: two random_spd and one
+    Each dimension's trials in a slice run as one stack: two stacked QRs and one
     operator_chain call, whatever their number; a trial that raises becomes a
     failure record.  The grid checks run once, attached to the slice containing trial 0.
     """
@@ -449,7 +457,7 @@ def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteRep
     indices = _slice(cfg.trials * len(cfg.dims), start, count)
     rep = SuiteReport("operator", cfg.seed, len(indices))
     for dim, block in itertools.groupby(indices, lambda i: cfg.dims[i // cfg.trials]):
-        _operator_block(rep, cfg, dim, list(block))
+        _operator_block(rep, _operator_draws(cfg, dim, block), cfg.op_tol)
     if 0 in indices:
         _representing_grid(rep, cfg)
     rep.wall_ms = (time.perf_counter() - t0) * 1e3

@@ -446,8 +446,8 @@ def parent_operator_chain(a, b, v, tol):
 @pytest.mark.parametrize("tol", [1e-10, -3e-2])
 def test_operator_chain_equals_parent_terms(dim, tol):
     rng = np.random.default_rng(100 + dim)
-    mats = [harness.random_spd([harness._trial_rng(dim, i) for i in range(12)], dim)
-            for _ in range(2)]
+    gens = [np.random.default_rng(dim ^ i) for i in range(12)]
+    mats = [harness.random_spd(gens, dim) for _ in range(2)]  # A, then B from each generator
     weights = rng.uniform(0.01, 0.99, 12).tolist()
     stacked = ops.operator_chain(*mats, weights, tol=tol)
     for k, rep in enumerate(stacked):

@@ -431,6 +431,23 @@ class TestParseErrors:
         assert code == 2
         assert err.strip().splitlines()[0].startswith("meanbounds: error:")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ("means", "chain", "--a", "1", "--b", "2", "--v", "0.3"),
+        ("hh", "chain", "--f", "exp", "--a", "1", "--b", "2", "--v", "0.3"),
+        ("bounds", "thm32", "--f", "exp", "--a", "1", "--b", "2", "--v", "0.3"),
+        ("op", "chain", "--v", "0.3"),
+        ("verify", "scalar", "--trials", "4"),
+        ("verify", "operator", "--trials", "4"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_non_finite_tol_exits_2(self, capsys, pair_file, argv, tol):
+        # bad input, one diagnostic line; a negative --tol stays valid
+        argv = (*argv, "--file", pair_file) if argv[0] == "op" else argv
+        code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"meanbounds: error: --tol must be finite, got {tol}"]
+        assert run_cli(capsys, *argv, "--tol=-1")[0] in (0, 1)
+
     def test_weight_out_of_range_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "means", "eval", "--mean", "log", "--a", "1", "--b", "2", "--v", "1.5"

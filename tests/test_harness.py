@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ class TestConfigValidation:
         for seed in (-1, 2**64, 42.5, True, float("nan"), float("inf"), "42"):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 harness.SuiteConfig(seed=seed)
+
+    def test_rejects_non_finite_tolerances(self):
+        # a NaN tolerance made every verdict a numeric failure; a negative one fails them
+        for key in ("tol", "op_tol"):
+            for value in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ValueError, match="tol and op_tol must be finite"):
+                    harness.SuiteConfig(**{key: value})
+        cfg = harness.SuiteConfig(tol=-1.0, op_tol=-1e-3)
+        assert (cfg.tol, cfg.op_tol) == (-1.0, -1e-3)
 
     def test_rejects_non_integer_counts(self):
         # at run time 2.5 and 10.0 would raise TypeError in range() and True would run one trial
@@ -371,11 +381,13 @@ class TestOperatorBatch:
     """A slice's trials of one dimension run as one batch of stacked calls."""
 
     @pytest.mark.parametrize("op_tol", [1e-10, -3e-2])
-    @pytest.mark.parametrize("start,count", [(0, 10), (7, 6), (21, 19)])
-    def test_slice_matches_reference_loop(self, start, count, op_tol):
+    @pytest.mark.parametrize("start,count,seed", [
+        pytest.param(start, count, seed, id=f"{start}-{count}" + ("" if seed == 9001 else "-top"))
+        for seed in (9001, 2**64 - 1) for start, count in ((0, 10), (7, 6), (21, 19))])
+    def test_slice_matches_reference_loop(self, start, count, seed, op_tol):
         # 10 trials per dimension: (7, 6) crosses from dim 2 into dim 3 and
-        # (21, 19) from dim 5 into dim 8
-        cfg = harness.SuiteConfig(seed=9001, trials=10, op_tol=op_tol)
+        # (21, 19) from dim 5 into dim 8; seed ^ i at the top of the uint64 range
+        cfg = harness.SuiteConfig(seed=seed, trials=10, op_tol=op_tol)
         rep = harness.run_operator_suite(cfg, start, count)
         mins, failures = reference_operator_slice(cfg, start, count)
         got = {key: val for key, val in rep.min_slacks.items() if key.startswith("op_chain")}
@@ -407,27 +419,19 @@ class TestOperatorBatch:
     def test_broken_trial_becomes_its_record(self, kind, error, monkeypatch):
         cfg = harness.SuiteConfig(seed=11, trials=12, dims=(3,))
         bad = 5
-        trial_rng = harness._trial_rng
+        bad_inc = np.random.default_rng(cfg.seed ^ bad).bit_generator.state["state"]["inc"]
+        trial_draws = harness._trial_draws
 
-        class BrokenRng:
-            """Trial ``bad``'s generator: its matrices are NaN ("invalid"), or
-            A is near 1e10 I and B near 1e-320 I.  Both are then valid, but the
-            congruence A^{-1/2} B A^{-1/2} underflows to zero."""
-
-            def __init__(self, rng):
-                self.rng, self.exps = rng, iter([10.0, -320.0])
-
-            def standard_normal(self, shape):
-                gauss = self.rng.standard_normal(shape)
-                return np.full(shape, np.nan) if kind == "invalid" else gauss
-
-            def uniform(self, lo, hi, size=None):
-                x = self.rng.uniform(lo, hi, size)
-                return x if size is None or kind == "invalid" else np.full(size, next(self.exps))
-
-        def broken_rng(seed, index):
-            rng = trial_rng(seed, index)
-            return BrokenRng(rng) if index == bad else rng
+        def broken_draws(gen, seed, inc, dim):
+            """Trial ``bad``'s draws: its normals are NaN ("invalid"), or its exponent
+            doubles 3 and -79.5 (10^(-2 + 4u)) put A near 1e10 I and B near 1e-320 I.
+            Both are then valid, but the congruence A^{-1/2} B A^{-1/2} underflows to zero."""
+            gauss_a, da, gauss_b, db, dv = trial_draws(gen, seed, inc, dim)
+            if inc != bad_inc:
+                return gauss_a, da, gauss_b, db, dv
+            if kind == "invalid":
+                return np.full_like(gauss_a, np.nan), da, np.full_like(gauss_b, np.nan), db, dv
+            return gauss_a, np.full(dim, 3.0), gauss_b, np.full(dim, -79.5), dv
 
         def eigh(m, *args, _eigh=np.linalg.eigh):
             if np.abs(m).max() > 1e9:
@@ -436,7 +440,7 @@ class TestOperatorBatch:
 
         clean = harness.merge_reports(harness.run_operator_suite(cfg, 1, bad - 1),
                                       harness.run_operator_suite(cfg, bad + 1, 11 - bad))
-        monkeypatch.setattr(harness, "_trial_rng", broken_rng)
+        monkeypatch.setattr(harness, "_trial_draws", broken_draws)
         if kind == "linalg":
             monkeypatch.setattr(np.linalg, "eigh", eigh)
         rep = harness.run_operator_suite(cfg, 1, 11)
@@ -445,6 +449,44 @@ class TestOperatorBatch:
         assert record["error"].startswith(error)
         assert set(record["inputs"]) == {"dim", "v", "A", "B"}
         assert rep.min_slacks == clean.min_slacks
+
+
+class TestOperatorDraws:
+    """The operator suite re-states one generator per trial: its draws are those of
+    ``default_rng(seed ^ i)``, and concurrent runs share no generator."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**64 - 1])
+    def test_draws_replay_default_rng(self, seed, monkeypatch):
+        cfg, dim = harness.SuiteConfig(seed=seed, trials=1000), 3
+        lo, hi = cfg.v_range
+        block = [*range(40), 999, 1000, 2**20 + 3, 3999]
+        seen, trial_draws = [], harness._trial_draws
+
+        def recorded(*args):
+            seen.append(trial_draws(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(harness, "_trial_draws", recorded)
+        index, mat_a, mat_b, v = harness._operator_draws(cfg, dim, block)
+        assert index.tolist() == block and len(seen) == len(block)
+        for k, (i, (gauss_a, da, gauss_b, db, dv)) in enumerate(zip(block, seen)):
+            rng = np.random.default_rng(seed ^ i)
+            assert np.array_equal(gauss_a, rng.standard_normal((dim, dim)))
+            assert np.array_equal(-2.0 + 4.0 * da, rng.uniform(-2.0, 2.0, dim))
+            assert np.array_equal(gauss_b, rng.standard_normal((dim, dim)))
+            assert np.array_equal(-2.0 + 4.0 * db, rng.uniform(-2.0, 2.0, dim))
+            assert lo + (hi - lo) * dv == float(rng.uniform(lo, hi))
+            rng = np.random.default_rng(seed ^ i)  # the same trial through the public calls
+            for got in (mat_a[k], mat_b[k]):
+                assert np.array_equal(got, harness.random_spd(rng, dim).entries)
+            assert v[k].item() == float(rng.uniform(lo, hi))
+
+    def test_concurrent_runs_equal_serial(self):
+        cfgs = [harness.SuiteConfig(seed=seed, trials=100) for seed in (3, 2**64 - 1)]
+        run = lambda cfg: harness.run_operator_suite(cfg).to_json()
+        serial = [run(cfg) for cfg in cfgs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(run, cfgs)) == serial
 
 
 class TestNumericFailureClass:

@@ -41,7 +41,6 @@ from .operators import (
     SpdMatrix,
     loewner_leq,
     logmean_gm_check,
-    matrix_function,
     operator_chain,
     representing_chain,
 )

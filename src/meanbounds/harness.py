@@ -374,13 +374,10 @@ def random_spd(rng, dim: int, log10_cond_half: float = 2.0) -> ops.SpdMatrix:
     """Random SPD matrix Q diag(lambda) Q^T with log-uniform spectrum.
 
     Eigenvalues are drawn from 10^U(-c, c) with c = log10_cond_half, so
-    the condition number ranges up to 10^(2c).  Given a list of generators,
-    it draws one matrix from each and returns them as one stack.
+    the condition number ranges up to 10^(2c).
     """
-    c, gens = log10_cond_half, rng if isinstance(rng, list) else [rng]
-    gauss, exps = zip(*((g.standard_normal((dim, dim)), g.uniform(-c, c, dim)) for g in gens))
-    stack = _spd_stack(np.array(gauss), np.array(exps))
-    return ops.SpdMatrix(stack if isinstance(rng, list) else stack[0])
+    gauss, c = rng.standard_normal((dim, dim)), log10_cond_half
+    return ops.SpdMatrix._by_construction(_spd_stack(gauss, rng.uniform(-c, c, dim)))
 
 
 def _representing_grid(rep: SuiteReport, cfg: SuiteConfig):
@@ -430,28 +427,28 @@ def _operator_block(rep: SuiteReport, draws: tuple, tol: float):
     raises, its trials rerun one by one and the failing one gets a record with the error."""
     index, a, b, v = draws
     inputs = lambda k: dict(dim=a.shape[-1], v=v[k].item(), A=a[k].tolist(), B=b[k].tolist())
-    try:
-        reports = ops.operator_chain(ops.SpdMatrix(a), ops.SpdMatrix(b), v, tol=tol)
+    try:  # SPD by construction: the congruence's solves decide positivity
+        report = ops.operator_chain(*map(ops.SpdMatrix._by_construction, (a, b)), v, tol=tol)
     except (ArithmeticError, ValueError) as exc:  # LinAlgError is a ValueError
         if len(index) == 1:
             return rep._fail(index[0].item(), "op_chain", inputs(0), error=str(exc))
         for k in range(len(index)):
             _operator_block(rep, tuple(x[k:k + 1] for x in draws), tol)
         return
-    margins = np.array([[vd.margin for vd in report.verdicts] for report in reports])
-    for idx, low in enumerate(np.minimum.reduce(margins), start=1):
+    margins = np.array([vd.margin for vd in report.verdicts])  # (link, pair)
+    for idx, low in enumerate(margins.min(axis=1), start=1):
         rep._note(f"op_chain.{idx}", low)
-    for k in np.flatnonzero([not report.passed for report in reports]).tolist():
-        rep._fail(index[k].item(), "op_chain", inputs(k), margins=margins[k].tolist())
+    for k in np.flatnonzero(~report.passed).tolist():
+        rep._fail(index[k].item(), "op_chain", inputs(k), margins=margins[:, k].tolist())
 
 
 def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
     """Operator chains on random SPD pairs for every configured dimension,
     plus the representing-function and helper-inequality grids.
 
-    Each dimension's trials in a slice run as one stack: two stacked QRs and one
-    operator_chain call, whatever their number; a trial that raises becomes a
-    failure record.  The grid checks run once, attached to the slice containing trial 0.
+    Each dimension's trials in a slice run as one stack: two stacked QRs build SPD pairs,
+    and one operator_chain call, whatever their number, gives one report of margins; a trial
+    that raises becomes a failure record.  The grid checks run once, with trial 0's slice.
     """
     t0 = time.perf_counter()
     indices = _slice(cfg.trials * len(cfg.dims), start, count)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,11 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.swapaxes(-1, -2))
 
 
+def _require_positive(low):
+    if low <= 0.0:
+        raise ValueError(f"matrix is not positive definite (min eig {low!r})")
+
+
 class SpdMatrix:
     """Immutable symmetric positive-definite matrix, or a stack (n, d, d) of them.
 
@@ -61,11 +67,20 @@ class SpdMatrix:
         if (np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale).any():
             raise ValueError("matrix is not symmetric within tolerance")
         m = _sym(m)
-        low = np.linalg.eigvalsh(m).min()
-        if low <= 0.0:
-            raise ValueError(f"matrix is not positive definite (min eig {low!r})")
+        _require_positive(np.linalg.eigvalsh(m).min())
         m.setflags(write=False)
         self._m = m
+
+    @classmethod
+    def _by_construction(cls, m: np.ndarray) -> "SpdMatrix":
+        """A float stack SPD by how it was built (Q diag(10^e) Q^T, symmetrized), taken without
+        a copy or an eigen-solve: a congruence's own solves then decide its positivity."""
+        if not np.isfinite(m).all():
+            return cls(m)  # raises the public check's "matrix entries must be finite"
+        out = object.__new__(cls)
+        out._m = m
+        m.setflags(write=False)
+        return out
 
     @property
     def dim(self) -> int:
@@ -108,26 +123,6 @@ class LoewnerVerdict(Report):
     holds: bool
 
 
-def _as_entries(x) -> np.ndarray:
-    m = x.entries if isinstance(x, SpdMatrix) else np.asarray(x, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def matrix_function(a, g) -> np.ndarray:
-    """U diag(g(lambda)) U^T for the symmetric eigendecomposition of ``a``.
-
-    ``g`` receives the eigenvalue array; the result is symmetrized.
-    """
-    m = _as_entries(a)
-    lam, u = np.linalg.eigh(m)
-    vals = np.asarray(g(lam), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("matrix function undefined on part of the spectrum")
-    return _sym((u * vals) @ u.T)
-
-
 def _check_operands(a: SpdMatrix, b: SpdMatrix, v):
     # v checked, and one weight per pair of A and B: a number for one pair, n for stacks of n
     v = check_weight(v)
@@ -140,8 +135,10 @@ def _check_operands(a: SpdMatrix, b: SpdMatrix, v):
 
 
 def _congruence_spectrum(a: np.ndarray, b: np.ndarray):
-    """Eigen-data of A^{-1/2} B A^{-1/2} plus the frame A^{1/2} V, for pairs or stacks."""
+    """Eigen-data of A^{-1/2} B A^{-1/2} plus the frame A^{1/2} V, for pairs or stacks.  Its
+    solves decide positivity: of A (ValueError), then of B (NumericalBreakdown)."""
     lam_a, u = np.linalg.eigh(a)
+    _require_positive(lam_a[..., 0].min())
     sqrt_a, ut = np.sqrt(lam_a)[..., None, :], u.swapaxes(-1, -2)
     inv_root = (u / sqrt_a) @ ut
     lam, v = np.linalg.eigh(_sym(inv_root @ b @ inv_root))
@@ -194,19 +191,19 @@ def weighted_logarithmic(a: SpdMatrix, b: SpdMatrix, v) -> SpdMatrix:
 
 
 def loewner_leq(x, y, tol: float = 1e-10) -> LoewnerVerdict:
-    """Test X <= Y in the Loewner order.
+    """Test X <= Y in the Loewner order, for one pair or stacks (n, d, d) of pairs.
 
     Holds when the smallest eigenvalue of Y - X is at least
-    -tol * (||X||_2 + ||Y||_2).
+    -tol * (||X||_2 + ||Y||_2); stacks give (n,) arrays of the fields.
     """
-    xm = _as_entries(x)
-    ym = _as_entries(y)
-    if xm.shape != ym.shape:
-        raise ValueError(f"dimension mismatch: {xm.shape} vs {ym.shape}")
-    min_eig = float(np.linalg.eigvalsh(_sym(ym - xm))[0])
-    norm_x, norm_y = (float(np.max(np.abs(np.linalg.eigvalsh(_sym(m))))) for m in (xm, ym))
-    tol_used = tol * (norm_x + norm_y)
-    return LoewnerVerdict(min_eig, tol_used, min_eig >= -tol_used)
+    xm, ym = (m.entries if isinstance(m, SpdMatrix) else np.asarray(m, dtype=float) for m in (x, y))
+    if xm.shape != ym.shape or xm.ndim not in (2, 3) or xm.shape[-2] != xm.shape[-1]:
+        raise ValueError(f"need square matrices or stacks of one shape, got {xm.shape}, {ym.shape}")
+    lam = np.linalg.eigvalsh(_sym(np.stack([ym - xm, xm, ym])))  # Y - X, then both norms
+    min_eig, tol_used = lam[0, ..., 0], tol * np.abs(lam[1:]).max(axis=-1).sum(axis=0)
+    holds = min_eig >= -tol_used
+    return LoewnerVerdict(min_eig, tol_used, holds) if xm.ndim == 3 else \
+        LoewnerVerdict(float(min_eig), float(tol_used), bool(holds))
 
 
 @dataclass(frozen=True)
@@ -223,24 +220,33 @@ class SpectralVerdict(Report):
 
 @dataclass(frozen=True)
 class OperatorChainReport(Report):
-    """Matrix analogue of ChainReport: terms plus consecutive spectral verdicts.
-    Its dict leaves the matrices out and nests each verdict."""
+    """Matrix analogue of ChainReport: consecutive spectral verdicts, whose fields and
+    ``passed`` are (n,) arrays for stacks of n pairs, and the ``terms`` (matrices, or
+    (n, d, d) stacks), made from the frame F and g_k(Lambda) when first read.  Its
+    dict leaves them out and nests each verdict."""
 
     labels: tuple[str, ...]
-    terms: tuple[np.ndarray, ...] = field(repr=False)
     verdicts: tuple[SpectralVerdict, ...]
     tol_used: float
     passed: bool
+    frame: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, ...]:
+        terms = _from_representing(self.frame[..., None, :, :], self.values)
+        return tuple(np.moveaxis(terms, -3, 0))
 
 
-def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10):
+def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10) -> OperatorChainReport:
     """Five-term operator chain in the Loewner order.
 
     geometric <= (1-v) geo(v/2) + v geo((1+v)/2) <= logarithmic
               <= (geometric + arithmetic)/2 <= arithmetic.
     Each term is F g_k(Lambda) F^T for one frame F, so by Sylvester's law of
     inertia the verdicts are the representing chain's links on Lambda.
-    Stacks ``a``, ``b`` of n pairs take exactly n weights ``v`` and give n reports.
+    Stacks ``a``, ``b`` of n pairs take exactly n weights ``v`` and give one
+    report whose verdict fields and ``passed`` are (n,) arrays.
     """
     stacked = a.entries.ndim == 3
     weights = np.reshape(_check_operands(a, b, v), -1)
@@ -250,14 +256,12 @@ def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10):
     worst = (slack + allowed).argmin(axis=-1)
     link, pair = np.arange(4)[:, None], np.arange(len(weights))
     margin, bound = slack[link, pair, worst], allowed[pair, worst]
-    links = zip(margin.T.tolist(), lam[pair, worst].T.tolist(), bound.T.tolist(),
-                (margin >= -bound).T.tolist())
-    reports = []
-    for terms, link in zip(_from_representing(frame[:, None], np.stack(chain.values, 1)), links):
-        verdicts = tuple(SpectralVerdict(*vd) for vd in zip(*link))
-        reports.append(OperatorChainReport(OPERATOR_CHAIN_LABELS, tuple(terms), verdicts, tol,
-                                           all(vd.holds for vd in verdicts)))
-    return tuple(reports) if stacked else reports[0]
+    links, values = (margin, lam[pair, worst], bound, margin >= -bound), np.stack(chain.values, 1)
+    if not stacked:  # one pair: floats and bools
+        links, frame, values = [x[:, 0].tolist() for x in links], frame[0], values[0]
+    passed = np.logical_and.reduce(links[3])
+    return OperatorChainReport(OPERATOR_CHAIN_LABELS, tuple(map(SpectralVerdict, *links)), tol,
+                               passed if stacked else bool(passed), frame, values)
 
 
 def representing_chain(t, v, tol: float = 1e-12) -> ChainReport:

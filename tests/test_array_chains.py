@@ -447,13 +447,19 @@ def parent_operator_chain(a, b, v, tol):
 def test_operator_chain_equals_parent_terms(dim, tol):
     rng = np.random.default_rng(100 + dim)
     gens = [np.random.default_rng(dim ^ i) for i in range(12)]
-    mats = [harness.random_spd(gens, dim) for _ in range(2)]  # A, then B from each generator
+    mats = [ops.SpdMatrix([harness.random_spd(g, dim).entries for g in gens])
+            for _ in range(2)]  # A, then B from each generator
     weights = rng.uniform(0.01, 0.99, 12).tolist()
     stacked = ops.operator_chain(*mats, weights, tol=tol)
-    for k, rep in enumerate(stacked):
+    for k in range(len(gens)):
         a, b = (ops.SpdMatrix(m.entries[k]) for m in mats)
         terms, verdicts = parent_operator_chain(a, b, weights[k], tol)
-        for single in (rep, ops.operator_chain(a, b, weights[k], tol=tol)):
-            assert all(np.array_equal(x, y) for x, y in zip(single.terms, terms))
-            got = [(vd.margin, vd.eigenvalue, vd.tol_used, vd.holds) for vd in single.verdicts]
-            assert got == [(*map(float, vd[:3]), bool(vd[3])) for vd in verdicts]
+        single = ops.operator_chain(a, b, weights[k], tol=tol)
+        assert all(np.array_equal(x[k], y) for x, y in zip(stacked.terms, terms))
+        assert all(np.array_equal(x, y) for x, y in zip(single.terms, terms))
+        expected = [(*map(float, vd[:3]), bool(vd[3])) for vd in verdicts]
+        assert [(vd.margin[k].item(), vd.eigenvalue[k].item(), vd.tol_used[k].item(),
+                 vd.holds[k].item()) for vd in stacked.verdicts] == expected
+        assert [(vd.margin, vd.eigenvalue, vd.tol_used, vd.holds)
+                for vd in single.verdicts] == expected
+        assert stacked.passed[k].item() == single.passed == all(vd[3] for vd in expected)

@@ -17,6 +17,27 @@ def random_pair(rng, dim):
     return harness.random_spd(rng, dim), harness.random_spd(rng, dim)
 
 
+def matrix_function(a, g) -> np.ndarray:
+    """U diag(g(lambda)) U^T for the symmetric eigendecomposition of one matrix ``a``,
+    symmetrized; ``g`` receives the eigenvalue array."""
+    m = a.entries if isinstance(a, ops.SpdMatrix) else np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    lam, u = np.linalg.eigh(m)
+    vals = np.asarray(g(lam), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("matrix function undefined on part of the spectrum")
+    return ops._sym((u * vals) @ u.T)
+
+
+def pair_report(rep, k):
+    """Pair ``k`` of a stacked operator chain report, as a one-pair report."""
+    verdicts = tuple(ops.SpectralVerdict(*(x[k].item() for x in dataclasses.astuple(vd)))
+                     for vd in rep.verdicts)
+    return dataclasses.replace(rep, verdicts=verdicts, passed=rep.passed[k].item(),
+                               frame=rep.frame[k], values=rep.values[k])
+
+
 class TestSpdMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -56,7 +77,7 @@ class TestSpdMatrix:
             with pytest.raises(ValueError):
                 ops.SpdMatrix([1e6 * good, bad])
         with pytest.raises(ValueError):
-            ops.matrix_function(ops.SpdMatrix([good, good]), np.sqrt)
+            matrix_function(ops.SpdMatrix([good, good]), np.sqrt)
 
     def test_repr(self):
         assert repr(spd(np.eye(3))) == "SpdMatrix(dim=3)"
@@ -69,27 +90,27 @@ class TestSpdMatrix:
 class TestMatrixFunction:
     def test_identity_power(self):
         m = spd(np.eye(3))
-        out = ops.matrix_function(m, lambda lam: lam**0.37)
+        out = matrix_function(m, lambda lam: lam**0.37)
         assert np.allclose(out, np.eye(3), atol=1e-14)
 
     def test_diagonal_sqrt(self):
-        out = ops.matrix_function(spd([[1.0, 0.0], [0.0, 4.0]]), np.sqrt)
+        out = matrix_function(spd([[1.0, 0.0], [0.0, 4.0]]), np.sqrt)
         assert np.allclose(out, np.diag([1.0, 2.0]), atol=1e-14)
 
     def test_log_of_two_by_two(self):
         # eigenpairs (1, (1,-1)/sqrt2) and (3, (1,1)/sqrt2)
-        out = ops.matrix_function(spd([[2.0, 1.0], [1.0, 2.0]]), np.log)
+        out = matrix_function(spd([[2.0, 1.0], [1.0, 2.0]]), np.log)
         half_log3 = math.log(3.0) / 2.0
         assert np.allclose(out, [[half_log3, half_log3], [half_log3, half_log3]], atol=1e-14)
 
     def test_undefined_on_spectrum(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            ops.matrix_function(spd([[1.0, 0.0], [0.0, 4.0]]), lambda lam: np.log(lam - 2.0))
+            matrix_function(spd([[1.0, 0.0], [0.0, 4.0]]), lambda lam: np.log(lam - 2.0))
 
     def test_output_bitwise_symmetric(self):
         rng = np.random.default_rng(1)
         a, _ = random_pair(rng, 5)
-        out = ops.matrix_function(a, np.exp)
+        out = matrix_function(a, np.exp)
         assert np.array_equal(out, out.T)
 
 
@@ -205,6 +226,18 @@ class TestLoewner:
     def test_mismatch(self):
         with pytest.raises(ValueError):
             ops.loewner_leq(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError):
+            ops.loewner_leq(np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 2))
+
+    def test_stack_equals_pair_calls(self):
+        rng = np.random.default_rng(13)
+        xs, ys = (np.stack([harness.random_spd(rng, 4).entries for _ in range(9)]) for _ in "xy")
+        for tol in (1e-10, -1e-3):
+            stacked = ops.loewner_leq(xs, ys, tol)
+            pairs = [ops.loewner_leq(x, y, tol) for x, y in zip(xs, ys)]
+            assert {type(f) for vd in pairs for f in dataclasses.astuple(vd)} == {float, bool}
+            for name in ("min_eig_of_difference", "tol_used", "holds"):
+                assert getattr(stacked, name).tolist() == [getattr(vd, name) for vd in pairs]
 
 
 class TestOperatorChain:
@@ -237,14 +270,18 @@ class TestOperatorChain:
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_stack_gives_each_pairs_report(self, dim):
         rngs = [np.random.default_rng(seed) for seed in range(6)]
-        stack_a, stack_b = harness.random_spd(rngs, dim), harness.random_spd(rngs, dim)
+        stack_a, stack_b = (spd([harness.random_spd(rng, dim).entries for rng in rngs])
+                            for _ in "ab")  # A, then B from each generator
         weights = [float(rng.uniform(0.01, 0.99)) for rng in rngs]
-        reports = ops.operator_chain(stack_a, stack_b, weights)
-        assert len(reports) == len(rngs)
-        for a, b, v, rep in zip(stack_a.entries, stack_b.entries, weights, reports):
+        rep = ops.operator_chain(stack_a, stack_b, weights)
+        assert rep.passed.shape == (len(rngs),)
+        assert all(np.shape(x) == (len(rngs),) for vd in rep.verdicts
+                   for x in dataclasses.astuple(vd))
+        assert [term.shape for term in rep.terms] == [(len(rngs), dim, dim)] * 5
+        for k, (a, b, v) in enumerate(zip(stack_a.entries, stack_b.entries, weights)):
             one = ops.operator_chain(spd(a), spd(b), v)
-            assert rep.to_dict() == one.to_dict()
-            assert all(np.array_equal(x, y) for x, y in zip(rep.terms, one.terms))
+            assert pair_report(rep, k).to_dict() == one.to_dict()
+            assert all(np.array_equal(x[k], y) for x, y in zip(rep.terms, one.terms))
         # one weight per pair: a shorter list, one weight in a list or a bare number raises
         for short in (weights[:-1], weights[:1], weights[0]):
             with pytest.raises(ValueError, match="one weight per pair"):
@@ -303,21 +340,30 @@ class TestSpectralVerdicts:
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_matrix_domain_loewner_agrees(self, dim):
         # 2000 pairs at the suite's conditioning plus 200 at condition up to
-        # 1e8, each link tested both ways round; pair i is (M_i, M_{i+1})
+        # 1e8, each link tested both ways round; pair i is (M_i, M_{i+1}),
+        # drawn in turn as before and checked as one stack per conditioning
         rng = np.random.default_rng(2000 + dim)
         for cond_half, pairs in ((2.0, 2000), (4.0, 200)):
-            mat_b = harness.random_spd(rng, dim, cond_half)
+            mats, weights = [harness.random_spd(rng, dim, cond_half).entries], []
             for _ in range(pairs):
-                mat_a, mat_b = mat_b, harness.random_spd(rng, dim, cond_half)
-                v = float(rng.uniform(0.01, 0.99))
-                rep = ops.operator_chain(mat_a, mat_b, v)
-                for k, vd in enumerate(rep.verdicts):
-                    lo, hi = rep.terms[k], rep.terms[k + 1]
-                    assert ops.loewner_leq(lo, hi, rep.tol_used).holds == vd.holds
-                    # reversed, the link fails spectrally at the reported
-                    # eigenvalue, whose slack exceeds its tolerance; both fail
-                    assert vd.margin > vd.tol_used
-                    assert not ops.loewner_leq(hi, lo, rep.tol_used).holds
+                mats.append(harness.random_spd(rng, dim, cond_half).entries)
+                weights.append(float(rng.uniform(0.01, 0.99)))
+            rep = ops.operator_chain(spd(mats[:-1]), spd(mats[1:]), weights)
+            for k, vd in enumerate(rep.verdicts):
+                lo, hi = rep.terms[k], rep.terms[k + 1]
+                assert np.array_equal(ops.loewner_leq(lo, hi, rep.tol_used).holds, vd.holds)
+                # reversed, the link fails spectrally at the reported
+                # eigenvalue, whose slack exceeds its tolerance; both fail
+                assert (vd.margin > vd.tol_used).all()
+                assert not ops.loewner_leq(hi, lo, rep.tol_used).holds.any()
+
+    def test_indefinite_a_is_bad_input(self):
+        # the congruence's own eigh(A) decides A's positivity, as SpdMatrix does
+        a, b = np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)
+        for stack in (False, True):
+            with pytest.raises(ValueError, match=r"^matrix is not positive definite \(min eig"):
+                ops._congruence_spectrum(*((np.stack([np.eye(2), m]) if stack else m)
+                                           for m in (a, b)))
 
 
 class TestDiagonalReduction:

@@ -341,7 +341,7 @@ class TestSpectralVerdicts:
     def test_matrix_domain_loewner_agrees(self, dim):
         # 2000 pairs at the suite's conditioning plus 200 at condition up to
         # 1e8, each link tested both ways round; pair i is (M_i, M_{i+1}),
-        # drawn in turn as before and checked as one stack per conditioning
+        # drawn in turn, then checked as one stack per conditioning
         rng = np.random.default_rng(2000 + dim)
         for cond_half, pairs in ((2.0, 2000), (4.0, 200)):
             mats, weights = [harness.random_spd(rng, dim, cond_half).entries], []

@@ -16,7 +16,7 @@ Every function broadcasts over ``a``, ``b`` and ``v``, and scalar arguments
 are the 0-d case: they give floats, and one result (a report) of floats where
 arrays give one of arrays.  A bad point raises as it would alone.  The builtins
 have numpy closed-form split averages and are convex by proof; any other spec
-integrates point by point and ``chain_eval`` spot-checks its convexity.
+integrates all its points at once and ``chain_eval`` spot-checks its convexity.
 """
 
 from __future__ import annotations
@@ -371,10 +371,10 @@ def _ordered_terms(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None) -> 
 def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None):
     """v-weighted mix of the integral averages of f over [a, n] and [n, b].
 
-    A builtin takes them from its exact closed form (a piece of zero length
-    from f at its point).  Any other f integrates int_0^1 f(a + v (b-a) t) dt
-    and int_0^1 f(n + (1-v)(b-a) t) dt, which confirms the change of variables
-    independently.  A non-finite result raises NonFiniteIntegrandError.
+    A builtin takes them from its exact closed form, any other f from ``integrate``
+    on [a, n] and [n, b] over their lengths, whose integrand gets the abscissae of
+    both pieces at every point in one call per level.  A piece of zero length takes
+    f at its point.  A non-finite result raises NonFiniteIntegrandError.
     """
     v = check_weight(v)
     return _float_if_0d(_split_avg(f, *_interval(f, a, b, ordered=True), v, quad))
@@ -383,16 +383,10 @@ def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None)
 def _split_avg(f: ConvexFnSpec, a, b, v, quad):
     # split_integral_avg on checked v and a <= b (where a == b, a v-mix of f(a) with itself)
     n = node_point(a, b, v)
-    avg = _AVERAGES.get(id(f.fn))
+    avg = _AVERAGES.get(id(f.fn), lambda p, q: integrate(f.fn, p, q, quad) / (q - p))
     with np.errstate(all="ignore"):  # non-finite values raise below; masked ones go unused
-        if avg is None:  # quadrature, one point at a time
-            pieces = np.vectorize(lambda x, y, w, m: (
-                integrate(lambda t: f.fn(x + w * (y - x) * t), 0.0, 1.0, quad),
-                integrate(lambda t: f.fn(m + (1.0 - w) * (y - x) * t), 0.0, 1.0, quad),
-            ), otypes=(float, float))(a, b, v, n)
-        else:  # [a, n] and [n, b] stacked
-            p, q = _stack(a, n, n, b).reshape(2, 2, *np.shape(n))
-            pieces = np.where(p < q, avg(p, q), f.fn(p))
+        p, q = _stack(a, n, n, b).reshape(2, 2, *np.shape(n))  # [a, n] and [n, b] stacked
+        pieces = np.where(p < q, avg(p, q), f.fn(p))
         # a piece of weight 0 (v at 0 or 1) is left out, so its overflow cannot poison the mix
         weights = _stack(1.0 - v, v, n)[:2]  # with n, so that they take its shape
         first, second = np.where(weights > 0.0, weights * pieces, 0.0)

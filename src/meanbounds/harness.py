@@ -45,7 +45,7 @@ OPERATOR_GRID_WEIGHTS = tuple(np.round(np.arange(0.01, 1.00, 0.01), 2))
 
 
 def _positive_range(name, rng):
-    lo, hi = (float(rng[0]), float(rng[1]))
+    lo, hi = map(float, rng) if np.shape(rng) == (2,) else (math.nan, math.nan)  # NaN fails below
     if not (0.0 < lo <= hi and np.isfinite(hi)):
         raise ValueError(f"{name} must be a nonempty positive interval, got {rng}")
 

@@ -45,7 +45,7 @@ def _sym(x: np.ndarray) -> np.ndarray:
 
 def _require_positive(low):
     if low <= 0.0:
-        raise ValueError(f"matrix is not positive definite (min eig {low!r})")
+        raise ValueError(f"matrix is not positive definite (min eig {float(low)!r})")
 
 
 class SpdMatrix:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -241,9 +242,12 @@ class TestOp:
                         "B": {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}}),
             encoding="utf-8",
         )
-        code, _, err = run_cli(capsys, "op", "chain", "--file", str(bad), "--v", "0.5")
+        code, _, err = run_cli(capsys, "op", "chain", "--file", str(bad), "--v", "0.3")
         assert code == 2
-        assert "positive definite" in err
+        # the smallest eigenvalue (-1) as a plain float, not as np.float64(...)
+        line = re.fullmatch(r"meanbounds: error: matrix is not positive definite "
+                            r"\(min eig ([-+.\deE]+)\)\n", err)
+        assert line and float(line[1]) == pytest.approx(-1.0, rel=1e-12)
 
     def test_rejects_pair_without_b(self, capsys, tmp_path):
         path = tmp_path / "half.json"

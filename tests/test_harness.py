@@ -38,6 +38,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             harness.SuiteConfig(a_range=(-1.0, 2.0))
 
+    def test_rejects_a_range_that_is_not_a_pair(self):
+        # (1, 2, 3) was taken as (1, 2), and the suites then failed to unpack it
+        for key, rng in (("a_range", (1.0, 2.0, 3.0)), ("b_range", (1.0,)), ("a_range", 2.0),
+                         ("b_range", [[1.0, 2.0], [3.0, 4.0]])):
+            with pytest.raises(ValueError, match=f"^{key} must be a nonempty positive interval"):
+                harness.SuiteConfig(**{key: rng})
+        assert harness.SuiteConfig(a_range=[1, 2]).a_range == [1, 2]
+
     def test_rejects_unknown_function(self):
         with pytest.raises(KeyError):
             harness.SuiteConfig(functions=("cube",))

@@ -281,9 +281,13 @@ def logmean_gm_check(x, tol: float = 1e-12) -> PointCheck:
     ``x`` gives arrays of sides and verdicts.
     """
     x = np.asarray(x, dtype=float)
-    bad = x[~((x > 0.0) & (x < np.inf))]
-    if bad.size:
-        raise ValueError(f"x must be finite and positive, got {bad[0]}")
-    lhs = log_mean_unit(x * x, 0.5)
+    with np.errstate(all="ignore"):
+        t = x * x
+    for y, rule in ((x, "x must be finite and positive, got "),
+                    (t, "x**2 must stay in the double range, got x = ")):
+        bad = x[~((y > 0.0) & (y < np.inf))]
+        if bad.size:
+            raise ValueError(f"{rule}{bad[0]}")
+    lhs = log_mean_unit(t, 0.5)
     passed = lhs >= x - tol * np.maximum(1.0, x)
     return check_result(lhs, x, passed)

@@ -132,7 +132,7 @@ def _log_mean_unit(t, v):
     if small.any():
         unit = np.where(small, _log_mean_unit_series(h, w), unit)
     unit = np.where(end, 1.0, unit)  # L_0(1, t) = 1, and t at v = 1 once mirrored
-    return np.where(mirror, unit * t, unit)
+    return np.multiply(unit, t, out=unit, where=mirror)  # no product where it is unused
 
 
 def log_mean_unit(t, v):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -463,6 +465,26 @@ class TestHelperInequality:
             ops.logmean_gm_check(np.array([2.0, bad, 0.5]))
         with pytest.raises(ValueError, match=f"^x must be finite and positive, got {bad}$"):
             ops.logmean_gm_check(bad)
+
+    @pytest.mark.parametrize("bad", [1e160, 1.35e154, 1e-170, 5e-324])
+    def test_square_outside_the_double_range_is_bad_input(self, bad):
+        # x * x overflows or underflows to 0: one ValueError naming x, and no numpy warning
+        message = f"^x\\*\\*2 must stay in the double range, got x = {re.escape(str(bad))}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ops.logmean_gm_check(np.array([2.0, bad, 0.5]))
+            with pytest.raises(ValueError, match=message):
+                ops.logmean_gm_check(bad)
+
+    def test_extreme_squares_in_range_warn_of_nothing(self):
+        xs = np.array([1e-160, 1e-100, 0.5, 2.0, 1e100, 1e154, 1.34e154])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ops.logmean_gm_check(xs)
+            lhs = sc.log_mean_unit(xs * xs, 0.5)
+        assert res.lhs.tolist() == lhs.tolist()
+        assert np.isfinite(res.lhs).all() and res.passed.all()
 
     def test_grid(self):
         xs = np.logspace(-4, 4, 5000)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ class TestLogarithmic:
                 lhs = sc._log_mean_unit_series(h, v)
                 rhs = sc._log_mean_unit_formula(h, v)
                 assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+    def test_large_t_warns_of_nothing(self):
+        # t * L_{1-v}(1, 1/t) is formed only where v > 1/2: at v <= 1/2 the unused product
+        # overflowed with a numpy warning
+        ts, vs = np.array([1e100, 1e300, 1.7e308]), np.array([[0.0], [0.3], [0.5], [0.7], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sc.log_mean_unit(ts, vs)
+            points = [[sc.log_mean_unit(t, v) for t in ts] for v in vs[:, 0]]
+        assert out.tolist() == points
+        assert np.isfinite(out).all()
 
     def test_vectorized(self):
         ts = np.array([0.5, 1.0, 2.0])

@@ -113,5 +113,45 @@ JSON_VALUES = st.recursive(
 @example(value={"\u00e9\u2028\U0001f600": "\x00\x1f\n\t\"\\", "\x7f": ["\ud7ff"]})
 @example(value={1: [2], False: {}, 2.5: [], float("nan"): {float("-inf"): 0}, None: "n"})
 @example(value=((1, (2, ())), [{}], "x"))
+# tables and near-tables: rows in another key order, keys 1 / True / 1.0, which compare equal
+@example(value=[{"a": 1, "b": 2}, {"b": 3, "a": 4}, {"a": 5, "b": 6}])
+@example(value=[{1: "int"}, {True: "bool"}, {1.0: "float"}])
+@example(value=[{"1": 0}, {1: 1}, {"true": 2}, {True: 3}])
+@example(value={"%s%%": "%d %s", "rows": [{"%": "%%", "%(x)s": "%"}, {"%": "%s", "%(x)s": "%%%"}]})
+@example(value=[{"a\nb": "x\ny", ", ": ", "}, {"a\nb": ",\n", ", ": "\n\n"}])
+@example(value=[{"a": 1, "b": 2}, {"a": 3, "b": [4]}, {"a": 5, "b": {"c": 6}}])
+@example(value=[{"a": 1}, {"a": []}, {"a": {}}])
+@example(value=[{}, {}])
+@example(value=[{"a": 1}, ["a"], ("a",)])
+@example(value=({"a": 1.5}, {"a": None}))
+@example(value=[{"a": 1}])
+@example(value=[1])
 def test_to_json_is_json_dumps_indent_2(value):
     assert reports.to_json(value) == json.dumps(value, indent=2)
+
+
+def test_to_json_tables_of_special_floats():
+    # 256-row tables, one order of str keys, as scan writes them: one row template each
+    rng = np.random.default_rng(2026)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308])
+    for _ in range(4):
+        normal = rng.standard_normal((256, 6)) * 10.0 ** rng.integers(-300, 300, (256, 6))
+        cells = np.where(rng.random((256, 6)) < 0.5, rng.choice(specials, (256, 6)), normal)
+        rows = [dict(zip(("a", "b", "%", "pass", "slack_1", ""), row.tolist())) for row in cells]
+        for row, flag in zip(rows, rng.random(256) < 0.5):
+            row["pass"] = bool(flag)
+        value = {"rows": rows, "n": len(rows)}
+        assert reports.to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    object(),
+    [{"a": 1.0, "b": 2}, {"a": object(), "b": 3}],
+    {"x": [1, {"y": (2, object())}]},
+    [[1], {"k": {1, 2}}],
+], ids=["alone", "in-a-table", "nested", "set"])
+def test_to_json_unserializable_leaf_raises_as_json_dumps(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        reports.to_json(value)

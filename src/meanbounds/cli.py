@@ -186,9 +186,7 @@ def _load_matrix_pair(path):
 def _cmd_op_chain(args):
     mat_a, mat_b = _load_matrix_pair(args.file)
     report = ops.operator_chain(mat_a, mat_b, args.v, **_tol(args))
-    out = {"dim": mat_a.dim, "v": args.v}
-    out.update(report.to_dict())
-    return out
+    return {"dim": mat_a.dim, "v": args.v, **report.to_dict()}
 
 
 def _cmd_op_eval(args):

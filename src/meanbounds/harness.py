@@ -400,26 +400,27 @@ def _representing_grid(rep: SuiteReport, cfg: SuiteConfig):
         rep._fail(-1, "logmean_gm", {"t": float(ts[worst])}, slack=float(slack[worst]))
 
 
-def _trial_draws(gen: np.random.Generator, seed: int, inc: int, dim: int) -> tuple:
-    """One trial's draws from ``gen`` set to the state ((seed + inc) M + inc) mod 2**128 that
-    seeding PCG64 with (seed, inc) reaches: A's normals and exponent doubles, B's, v's double."""
+def _trial_draws(gen: np.random.Generator, seed: int, inc: int, gauss, exps, dv):
+    """One trial's draws into its views, from ``gen`` at the state ((seed + inc) M + inc) mod
+    2**128 that PCG64 seeded with (seed, inc) reaches: A's normals and exponents, B's, v's."""
     state = {"state": ((seed + inc) * _POWERS[1] + inc) % (1 << 128), "inc": inc}
     gen.bit_generator.state = dict(bit_generator="PCG64", state=state, has_uint32=0, uinteger=0)
-    return (gen.standard_normal((dim, dim)), gen.random(dim), gen.standard_normal((dim, dim)),
-            gen.random(dim), gen.random())
+    gen.standard_normal(out=gauss[0]), gen.random(out=exps[0])
+    gen.standard_normal(out=gauss[1]), gen.random(out=exps[1]), gen.random(out=dv)
 
 
 def _operator_draws(cfg: SuiteConfig, dim: int, block) -> tuple:
     """(index, A, B, v) of trials ``block``, bit for bit ``random_spd`` (c = 2) and ``uniform``
-    of ``default_rng(cfg.seed ^ i)``; ``uniform(lo, hi)`` is lo + (hi - lo) times a double."""
+    of ``default_rng(cfg.seed ^ i)``; ``uniform(lo, hi)`` is lo + (hi - lo) times a double.
+    Trial k writes A's, then B's normals and exponents to gauss[:, k], exps[:, k], v's to dv[k]."""
     index = np.fromiter(block, np.uint64)
     hi, lo = (x.astype(object) for x in _pcg64_seeds(np.uint64(cfg.seed) ^ index))
-    gen = np.random.Generator(np.random.PCG64(0))
-    draws = [_trial_draws(gen, seed, inc, dim) for seed, inc in zip(*(hi << 64 | lo))]
-    gauss_a, da, gauss_b, db, dv = map(np.array, zip(*draws))
+    gen, n = np.random.Generator(np.random.PCG64(0)), len(index)
+    gauss, exps, dv = np.empty((2, n, dim, dim)), np.empty((2, n, dim)), np.empty(n)
+    for k, (seed, inc) in enumerate(zip(*(hi << 64 | lo))):
+        _trial_draws(gen, seed, inc, gauss[:, k], exps[:, k], dv[k:k + 1])
     v_lo, v_hi = map(float, cfg.v_range)
-    return index, _spd_stack(gauss_a, -2.0 + 4.0 * da), _spd_stack(gauss_b, -2.0 + 4.0 * db), \
-        v_lo + (v_hi - v_lo) * dv
+    return index, *_spd_stack(gauss, -2.0 + 4.0 * exps), v_lo + (v_hi - v_lo) * dv
 
 
 def _operator_block(rep: SuiteReport, draws: tuple, tol: float):
@@ -446,7 +447,7 @@ def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteRep
     """Operator chains on random SPD pairs for every configured dimension,
     plus the representing-function and helper-inequality grids.
 
-    Each dimension's trials in a slice run as one stack: two stacked QRs build SPD pairs,
+    Each dimension's trials in a slice run as one stack: one stacked QR builds the SPD pairs,
     and one operator_chain call, whatever their number, gives one report of margins; a trial
     that raises becomes a failure record.  The grid checks run once, with trial 0's slice.
     """

@@ -182,12 +182,13 @@ def logarithmic_chain(a, b, v, tol=CHAIN_TOL) -> ChainReport:
 
     geometric <= split geometric mix <= logarithmic
               <= average of arithmetic and geometric <= arithmetic.
-    Weight endpoints are accepted; there the chain collapses to equalities.
+    Weight endpoints are accepted; there the chain collapses to equalities.  The split mix
+    reuses G = G(a, b, v): G(a, b, v/2) = sqrt(a) sqrt(G), G(a, b, (1+v)/2) = sqrt(b) sqrt(G).
     """
     a, b, v = _args(a, b, v)
     log_mean = _logarithmic(a, b, v)  # first, so its temporaries are gone before the rest
     geo = _geometric(a, b, v)
-    mix = (1.0 - v) * _geometric(a, b, v / 2.0) + v * _geometric(a, b, (1.0 + v) / 2.0)
+    mix = np.sqrt(geo) * ((1.0 - v) * np.sqrt(a) + v * np.sqrt(b))
     avg = 0.5 * (geo + (1.0 - v) * a + v * b)
     terms = (geo, mix, log_mean, avg, _arithmetic(a, b, v))
     return ChainReport.from_values(LOG_CHAIN_LABELS, terms, tol)

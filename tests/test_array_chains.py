@@ -55,8 +55,10 @@ def oracle(a, b, v):
 # Worst case over 6000 draws of a, b in [1e-6, 1e6], v in [0, 1], with G as
 # exp((1-v) log a + v log b) and log I from b/a before -> now: G 10.84 -> 1.35,
 # mix 15.05 -> 6.97, (A+G)/2 4.70 -> 1.28, log I 10.94 -> 5.94; L 8.61 and
-# A 0.96 did not move.  Each budget is at or below the earlier worst case.
-BUDGETS = {"G": 2.0, "mix": 8.0, "L": 8.6, "(A+G)/2": 2.0, "A": 0.95, "log I": 7.0}
+# A 0.96 did not move.  The mix as sqrt(G) ((1-v) sqrt(a) + v sqrt(b)) then took
+# mix 7.38 -> 1.81 (1.74 on this test's 400 draws).  Each budget is at or below
+# the earlier worst case.
+BUDGETS = {"G": 2.0, "mix": 2.0, "L": 8.6, "(A+G)/2": 2.0, "A": 0.95, "log I": 7.0}
 
 
 def test_terms_within_mpmath_budgets():
@@ -70,6 +72,22 @@ def test_terms_within_mpmath_budgets():
             scale = max(1, abs(exact)) if name == "log I" else abs(exact)
             worst[name] = max(worst[name], float(abs(x - exact) / scale) / EPS)
     assert all(worst[name] <= budget for name, budget in BUDGETS.items()), worst
+
+
+def test_representing_mix_within_mpmath_budget():
+    # the operator suite's regime: a = 1, every 97th t of its grid and t = 1, at every grid
+    # weight and at v = 0 and 1 (there the mix is 1 or t to within an ulp)
+    ts = np.logspace(*np.log10(harness.OPERATOR_GRID_RANGE), harness.OPERATOR_GRID_POINTS)
+    t, v = np.broadcast_arrays(np.append(ts[::97], 1.0)[:, None],
+                               np.append(harness.OPERATOR_GRID_WEIGHTS, [0.0, 1.0]))
+    mix = sc.logarithmic_chain(1.0, t, v).values[1]
+    worst = 0.0
+    with mp.workdps(50):
+        for x, tk, vk in zip(*(y.ravel().tolist() for y in (mix, t, v))):
+            tk, vk = mp.mpf(tk), mp.mpf(vk)
+            exact = (1 - vk) * tk ** (vk / 2) + vk * tk ** ((1 + vk) / 2)
+            worst = max(worst, float(abs(x - exact) / exact) / EPS)
+    assert worst <= BUDGETS["mix"], worst
 
 
 class TestArrayMeans:
@@ -424,12 +442,13 @@ def test_wide_slice_records_each_bad_trial_once():
 
 def parent_operator_chain(a, b, v, tol):
     """One pair's chain as computed before the chains were written once: the
-    representing terms from their own array copy (t**v with numpy power)."""
+    representing terms from their own array copy (t**v with numpy power), the
+    split mix from sqrt(t**v) as the chain takes it."""
     lam, frame = ops._congruence_spectrum(a.entries, b.entries)
     geo = lam**v
     values = np.array([
         geo,
-        (1.0 - v) * lam ** (v / 2.0) + v * lam ** ((1.0 + v) / 2.0),
+        np.sqrt(geo) * ((1.0 - v) + v * np.sqrt(lam)),
         sc.log_mean_unit(lam, v),
         0.5 * (geo + (1.0 - v) + v * lam),
         (1.0 - v) + v * lam,

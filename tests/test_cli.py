@@ -356,13 +356,14 @@ class TestScan:
             "FloatingPointError"
 
     def test_failing_row_exits_1(self, capsys):
-        # subnormal point: the allowance tol * max|values| underflows to 0, so slack_2 = -5e-324
-        # fails; the output is the rows as ever, and the exit status says that one failed
-        point = ("--a", "1.1956e-320:1.1956e-320:1", "--b", "1.1186e-320:1.1186e-320:1",
-                 "--v", "0.035762931627806416:0.035762931627806416:1")
+        # subnormal point: the allowance tol * max|values| underflows to 0, so slack_3 = -5e-324
+        # (L against (A+G)/2) fails; the output is the rows as ever, and the exit status says
+        # that one failed
+        point = ("--a", "1.38e-320:1.38e-320:1", "--b", "1.1947e-320:1.1947e-320:1",
+                 "--v", "0.01639535620554342:0.01639535620554342:1")
         code, payload, _ = run_json(capsys, "scan", *point)
         assert code == 1
-        assert [(row["slack_2"], row["pass"]) for row in payload["rows"]] == [(-5e-324, False)]
+        assert [(row["slack_3"], row["pass"]) for row in payload["rows"]] == [(-5e-324, False)]
         code, out, _ = run_cli(capsys, "scan", *point, "--format", "csv")
         assert code == 1
         assert out.splitlines()[1].endswith(",false")

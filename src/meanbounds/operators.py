@@ -3,9 +3,9 @@
 A scalar mean m with representing function g(t) = m(1, t) lifts to SPD
 matrices through the congruence
 
-    M(A, B) = A^{1/2} g(A^{-1/2} B A^{-1/2}) A^{1/2},
+    M(A, B) = A^{1/2} g(A^{-1/2} B A^{-1/2}) A^{1/2} = L g(C) L^T,
 
-with the matrix function taken via the symmetric eigendecomposition.
+for A = L L^T, C = L^{-1} B L^{-T} and g(C) from C's symmetric eigendecomposition.
 Every functional-calculus output is symmetrized as (X + X^T)/2 so that
 Loewner-order eigenvalue tests are not corrupted by roundoff.
 """
@@ -43,11 +43,6 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.swapaxes(-1, -2))
 
 
-def _require_positive(low):
-    if low <= 0.0:
-        raise ValueError(f"matrix is not positive definite (min eig {float(low)!r})")
-
-
 class SpdMatrix:
     """Immutable symmetric positive-definite matrix, or a stack (n, d, d) of them.
 
@@ -67,14 +62,15 @@ class SpdMatrix:
         if (np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale).any():
             raise ValueError("matrix is not symmetric within tolerance")
         m = _sym(m)
-        _require_positive(np.linalg.eigvalsh(m).min())
+        if (low := np.linalg.eigvalsh(m).min()) <= 0.0:
+            raise ValueError(f"matrix is not positive definite (min eig {float(low)!r})")
         m.setflags(write=False)
         self._m = m
 
     @classmethod
     def _by_construction(cls, m: np.ndarray) -> "SpdMatrix":
         """A float stack SPD by how it was built (Q diag(10^e) Q^T, symmetrized), taken without
-        a copy or an eigen-solve: a congruence's own solves then decide its positivity."""
+        a copy or an eigen-solve: a congruence's Cholesky factor and spectrum then decide it."""
         if not np.isfinite(m).all():
             return cls(m)  # raises the public check's "matrix entries must be finite"
         out = object.__new__(cls)
@@ -134,19 +130,23 @@ def _check_operands(a: SpdMatrix, b: SpdMatrix, v):
     return v
 
 
-def _congruence_spectrum(a: np.ndarray, b: np.ndarray):
-    """Eigen-data of A^{-1/2} B A^{-1/2} plus the frame A^{1/2} V, for pairs or stacks.  Its
-    solves decide positivity: of A (ValueError), then of B (NumericalBreakdown)."""
-    lam_a, u = np.linalg.eigh(a)
-    _require_positive(lam_a[..., 0].min())
-    sqrt_a, ut = np.sqrt(lam_a)[..., None, :], u.swapaxes(-1, -2)
-    inv_root = (u / sqrt_a) @ ut
-    lam, v = np.linalg.eigh(_sym(inv_root @ b @ inv_root))
+def _congruence(a: np.ndarray, b: np.ndarray):
+    """A's Cholesky factor L and C = L^{-1} B L^{-T}, which has the spectrum of A^{-1/2} B A^{-1/2},
+    for pairs or stacks.  The factorization decides A's positivity (ValueError)."""
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        SpdMatrix(a)  # raises the public check's "matrix is not positive definite (min eig ..."
+        raise
+    inv = np.linalg.inv(low)
+    return low, _sym(inv @ b @ inv.swapaxes(-1, -2))
+
+
+def _positive(lam: np.ndarray) -> np.ndarray:
+    # ascending eigenvalues of C, all positive iff B is positive definite
     if (lam[..., 0] <= 0.0).any():
-        raise NumericalBreakdown(
-            "congruence transform lost positivity; inputs too ill-conditioned"
-        )
-    return lam, (u * sqrt_a) @ ut @ v
+        raise NumericalBreakdown("congruence transform lost positivity; inputs too ill-conditioned")
+    return lam
 
 
 def _from_representing(frame: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -168,8 +168,9 @@ def _lift(a: SpdMatrix, b: SpdMatrix, v, representing) -> SpdMatrix:
         return SpdMatrix(a.entries)
     if v == 1.0:
         return SpdMatrix(b.entries)
-    lam, frame = _congruence_spectrum(a.entries, b.entries)
-    mean = _from_representing(frame, representing(lam, v))
+    low, c = _congruence(a.entries, b.entries)
+    lam, vec = np.linalg.eigh(c)
+    mean = _from_representing(low @ vec, representing(_positive(lam), v))
     try:
         return SpdMatrix(mean)
     except ValueError as exc:
@@ -222,19 +223,23 @@ class SpectralVerdict(Report):
 class OperatorChainReport(Report):
     """Matrix analogue of ChainReport: consecutive spectral verdicts, whose fields and
     ``passed`` are (n,) arrays for stacks of n pairs, and the ``terms`` (matrices, or
-    (n, d, d) stacks), made from the frame F and g_k(Lambda) when first read.  Its
-    dict leaves them out and nests each verdict."""
+    (n, d, d) stacks).  Verdicts read eigvalsh(C), for A = L L^T and C = L^{-1} B L^{-T}; the
+    terms, made when first read, are L V g_k(Lambda) V^T L^T from their own eigh(C), whose
+    Lambda is the verdicts' to LAPACK rounding.  Its dict leaves out L, C and the weights."""
 
     labels: tuple[str, ...]
     verdicts: tuple[SpectralVerdict, ...]
     tol_used: float
     passed: bool
-    frame: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
+    congruence: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, ...]:
-        terms = _from_representing(self.frame[..., None, :, :], self.values)
+        lam, vec = np.linalg.eigh(self.congruence)
+        chain = logarithmic_chain(1.0, _positive(lam), np.expand_dims(self.weights, -1))
+        terms = _from_representing((self.factor @ vec)[..., None, :, :], np.stack(chain.values, -2))
         return tuple(np.moveaxis(terms, -3, 0))
 
 
@@ -250,18 +255,19 @@ def operator_chain(a: SpdMatrix, b: SpdMatrix, v, tol: float = 1e-10) -> Operato
     """
     stacked = a.entries.ndim == 3
     weights = np.reshape(_check_operands(a, b, v), -1)
-    lam, frame = _congruence_spectrum(*(m.entries.reshape(-1, a.dim, a.dim) for m in (a, b)))
+    low, c = _congruence(*(m.entries.reshape(-1, a.dim, a.dim) for m in (a, b)))
+    lam = _positive(np.linalg.eigvalsh(c))
     chain = logarithmic_chain(1.0, lam, weights[:, None], tol)
     slack, allowed = np.array(chain.slacks), tol * chain.scale
     worst = (slack + allowed).argmin(axis=-1)
     link, pair = np.arange(4)[:, None], np.arange(len(weights))
     margin, bound = slack[link, pair, worst], allowed[pair, worst]
-    links, values = (margin, lam[pair, worst], bound, margin >= -bound), np.stack(chain.values, 1)
+    links = (margin, lam[pair, worst], bound, margin >= -bound)
     if not stacked:  # one pair: floats and bools
-        links, frame, values = [x[:, 0].tolist() for x in links], frame[0], values[0]
+        links, low, c, weights = [x[:, 0].tolist() for x in links], low[0], c[0], weights[0]
     passed = np.logical_and.reduce(links[3])
     return OperatorChainReport(OPERATOR_CHAIN_LABELS, tuple(map(SpectralVerdict, *links)), tol,
-                               passed if stacked else bool(passed), frame, values)
+                               passed if stacked else bool(passed), low, c, weights)
 
 
 def representing_chain(t, v, tol: float = 1e-12) -> ChainReport:

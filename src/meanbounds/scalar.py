@@ -80,7 +80,8 @@ def _geometric(a, b, v):
 
 
 def _logarithmic(a, b, v):
-    return np.where(v == 1.0, b, a * _log_mean_unit(b / a, v))
+    mean = a * _log_mean_unit(b / a, v)
+    return np.where(v == 1.0, b, mean) if (v == 1.0).any() else mean
 
 
 def _log_identric(a, b, v):
@@ -125,14 +126,16 @@ def _log_mean_unit(t, v):
         raise ValueError("log_mean_unit needs finite positive arguments")
     mirror, end = v > 0.5, (v == 0.0) | (v == 1.0)
     w = np.where(end, 0.5, np.where(mirror, 1.0 - v, v))
-    x = np.broadcast_to(t, np.broadcast_shapes(t.shape, v.shape)).copy()
-    h = np.log(np.divide(1.0, t, out=x, where=mirror))
+    # mixed weights mask 1/t and the product, which may overflow where they are unused
+    mixed = mirror.any() != (every := mirror.all())
+    h = np.log(np.divide(1.0, t, out=t * np.ones(v.shape), where=mirror) if mixed
+               else 1.0 / t if every else t)
     small = np.abs(h) < H_SWITCH
-    unit = _log_mean_unit_formula(np.where(small, 1.0, h), w)
-    if small.any():
+    unit = _log_mean_unit_formula(np.where(small, 1.0, h) if (near := small.any()) else h, w)
+    if near:
         unit = np.where(small, _log_mean_unit_series(h, w), unit)
-    unit = np.where(end, 1.0, unit)  # L_0(1, t) = 1, and t at v = 1 once mirrored
-    return np.multiply(unit, t, out=unit, where=mirror)  # no product where it is unused
+    unit = np.where(end, 1.0, unit) if end.any() else unit  # L_0(1, t) = 1, t at v = 1 mirrored
+    return np.multiply(unit, t, out=unit, where=mirror) if mixed else unit * t if every else unit
 
 
 def log_mean_unit(t, v):

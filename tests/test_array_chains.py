@@ -122,6 +122,23 @@ class TestArrayMeans:
         for w in (0.0, 0.3, 0.5, 0.8, 1.0):  # a scalar weight is the same call
             assert sc.log_mean_unit(t, w).tolist() == sc.log_mean_unit(t, np.full(200, w)).tolist()
 
+    @pytest.mark.parametrize("case", ["below", "above", "mixed", "ends"])
+    def test_log_mean_unit_mask_cases(self, case):
+        # each masked step runs only if some point needs it: a weight below or above 1/2 takes
+        # none or all points through the mirror, mixed weights mask 1/t and the product, and
+        # endpoint weights take their own where; every case keeps the bits of 0-d calls, and
+        # no unused 1/t or product warns (-W error::RuntimeWarning)
+        t = np.array([1e-300, 0.25, 1.0 - 1e-12, 1.0, 1.0 + 3e-9, 1.0 + 2e-8, 4.0, 1e300,
+                      1.7e308])
+        v = {"below": 0.3, "above": 0.8,
+             "mixed": np.resize([0.3, 0.8, 0.5, np.nextafter(0.5, 1.0)], t.size),
+             "ends": np.resize([0.0, 1.0, 0.3, 0.8], t.size)}[case]
+        got = sc.log_mean_unit(t, v)
+        assert got.tolist() == [sc.log_mean_unit(x, w) for x, w in np.broadcast(t, v)]
+        assert np.isfinite(got).all()
+        if case == "ends":
+            assert got[[0, 4, 8]].tolist() == [1.0, 1.0, 1.0] and got[1] == t[1]
+
     def test_bad_point_in_an_array_raises(self):
         with pytest.raises(ValueError, match="^mean arguments must be finite and positive"):
             sc.weighted_geometric(np.array([1.0, -2.0]), 3.0, 0.5)
@@ -443,22 +460,30 @@ def test_wide_slice_records_each_bad_trial_once():
 def parent_operator_chain(a, b, v, tol):
     """One pair's chain as computed before the chains were written once: the
     representing terms from their own array copy (t**v with numpy power), the
-    split mix from sqrt(t**v) as the chain takes it."""
-    lam, frame = ops._congruence_spectrum(a.entries, b.entries)
-    geo = lam**v
-    values = np.array([
-        geo,
-        np.sqrt(geo) * ((1.0 - v) + v * np.sqrt(lam)),
-        sc.log_mean_unit(lam, v),
-        0.5 * (geo + (1.0 - v) + v * lam),
-        (1.0 - v) + v * lam,
-    ])
+    split mix from sqrt(t**v) as the chain takes it.  The verdicts are taken at the
+    eigvalsh spectrum of the congruence C = L^{-1} B L^{-T}, the terms at eigh(C) = V Lambda V^T
+    in the frame L V."""
+    low, c = ops._congruence(a.entries, b.entries)
+
+    def chain_values(lam):
+        geo = lam**v
+        return np.array([
+            geo,
+            np.sqrt(geo) * ((1.0 - v) + v * np.sqrt(lam)),
+            sc.log_mean_unit(lam, v),
+            0.5 * (geo + (1.0 - v) + v * lam),
+            (1.0 - v) + v * lam,
+        ])
+
+    lam = np.linalg.eigvalsh(c)
+    values = chain_values(lam)
     slack = values[1:] - values[:-1]
     allowed = tol * np.abs(values).max(axis=0)
     worst = (slack + allowed).argmin(axis=-1)
     verdicts = [(slack[k, j], lam[j], allowed[j], slack[k, j] >= -allowed[j])
                 for k, j in enumerate(worst.tolist())]
-    return ops._from_representing(frame, values), verdicts
+    lam_terms, vec = np.linalg.eigh(c)
+    return ops._from_representing(low @ vec, chain_values(lam_terms)), verdicts
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])

@@ -406,7 +406,7 @@ class TestOperatorBatch:
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     @pytest.mark.parametrize("count", [1, 7, 20])
     def test_lapack_calls_per_slice(self, dim, count, monkeypatch):
-        calls = {"qr": 0, "eigvalsh": 0, "eigh": 0}
+        calls = {"qr": 0, "cholesky": 0, "inv": 0, "eigvalsh": 0, "eigh": 0}
         for name in calls:
             solve = getattr(np.linalg, name)
 
@@ -417,12 +417,12 @@ class TestOperatorBatch:
             monkeypatch.setattr(np.linalg, name, counted)
         cfg = harness.SuiteConfig(seed=5, trials=20, dims=(dim,))
         assert harness.run_operator_suite(cfg, 20 - count, count).passed
-        assert calls == {"qr": 1, "eigvalsh": 0, "eigh": 2}
+        assert calls == {"qr": 1, "cholesky": 1, "inv": 1, "eigvalsh": 1, "eigh": 0}
 
     @pytest.mark.parametrize("kind,error", [
         ("invalid", "matrix entries must be finite"),
         ("breakdown", "congruence transform lost positivity"),
-        ("linalg", "eigh did not converge"),
+        ("linalg", "cholesky did not converge"),
     ])
     def test_broken_trial_becomes_its_record(self, kind, error, monkeypatch):
         cfg = harness.SuiteConfig(seed=11, trials=12, dims=(3,))
@@ -442,16 +442,16 @@ class TestOperatorBatch:
             else:
                 exps[0], exps[1] = 3.0, -79.5
 
-        def eigh(m, *args, _eigh=np.linalg.eigh):
+        def cholesky(m, *args, _cholesky=np.linalg.cholesky):
             if np.abs(m).max() > 1e9:
-                raise np.linalg.LinAlgError("eigh did not converge")
-            return _eigh(m, *args)
+                raise np.linalg.LinAlgError("cholesky did not converge")
+            return _cholesky(m, *args)
 
         clean = harness.merge_reports(harness.run_operator_suite(cfg, 1, bad - 1),
                                       harness.run_operator_suite(cfg, bad + 1, 11 - bad))
         monkeypatch.setattr(harness, "_trial_draws", broken_draws)
         if kind == "linalg":
-            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         rep = harness.run_operator_suite(cfg, 1, 11)
         [record] = rep.failures
         assert record["trial"] == bad and record["check"] == "op_chain"

@@ -29,7 +29,7 @@ from . import convex as cvx
 from . import harness
 from . import operators as ops
 from . import scalar as sc
-from .reports import to_json
+from .reports import Table, to_json
 
 FUNCTION_CHOICES = tuple(sorted(cvx.BUILTINS))
 
@@ -208,6 +208,8 @@ def _parse_grid(spec: str, name: str, positive: bool) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"--{name} grid spec must be lo:hi:n, got {spec!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"--{name} grid bounds must be finite: {spec!r}")
     if n < 1 or lo > hi:
         raise ValueError(f"--{name} grid is empty: {spec!r}")
     if positive and lo <= 0.0:
@@ -225,7 +227,7 @@ def _cmd_scan(args):
     rep = _check(args)(a, b, v)
     keys = ("a", "b", "v", *rep.labels, *(f"slack_{k}" for k in range(1, len(rep.labels))), "pass")
     columns = (a, b, v, *rep.values, *rep.slacks, rep.passed)
-    return {"rows": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]}
+    return {"rows": Table(keys, [c.tolist() for c in columns])}
 
 
 def _flatten(prefix, value, out):
@@ -240,16 +242,15 @@ def _flatten(prefix, value, out):
 
 
 def _to_csv(payload: dict) -> str:
-    rows = payload.get("rows")
-    if not (isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows)):
-        rows = [{}]  # the flattened payload as one row
-        _flatten("", payload, rows[0])
+    if not isinstance(table := payload.get("rows"), Table):  # the flattened payload as one row
+        _flatten("", payload, flat := {})
+        table = Table(tuple(flat), [[x] for x in flat.values()])
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.keys)
     # csv writes a float as its repr; a bool is written as in JSON
-    writer.writerows({k: json.dumps(v) if isinstance(v, bool) else v for k, v in row.items()}
-                     for row in rows)
+    writer.writerows(zip(*([json.dumps(x) if isinstance(x, bool) else x for x in column]
+                           for column in table.columns)))
     return buf.getvalue()
 
 
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
     else:
         print(to_json(payload))
     failed = payload.get("pass") is False or bool(payload.get("failures")) or (
-        args.handler is _cmd_scan and not all(row["pass"] for row in payload["rows"]))
+        args.handler is _cmd_scan and not all(payload["rows"].columns[-1]))  # the pass column
     return 1 if failed else 0
 
 

@@ -32,46 +32,45 @@ def chain_links(values, tol):
     return slacks, [s >= floor for s in slacks]
 
 
+@dataclass(frozen=True)
+class Table:
+    """Rows of scalars held as columns of one length, under distinct keys: ``to_json``
+    writes it as the list ``[dict(zip(keys, row)) for row in zip(*columns)]``."""
+
+    keys: tuple
+    columns: list
+
+
 def to_json(value) -> str:
     """``json.dumps(value, indent=2)`` byte for byte, at about the cost of its leaves alone.  One
     walk lays the value out as a %-template (literal ``%`` doubled) and lists its leaves, scalars
     and empty containers; one C-encoder call with a newline, which no JSON token holds, as item
-    separator writes them all.  A table, a list of plain dicts with one order of ``str`` keys
-    (``tuple(row) == keys``) and only scalar values, repeats one row template."""
+    separator writes them all.  A ``Table`` repeats one row template over its cells."""
     leaves = []
     template = _template(value, "\n", leaves)
     return template % tuple(_LEAVES.encode(leaves)[1:-1].split("\n"))
 
 
 _LEAVES = json.JSONEncoder(separators=("\n", ": "))
-_CONTAINERS = (dict, list, tuple)
 
 
 def _template(value, pad, leaves):
     # value's layout at indent pad, one "%s" per leaf, each appended to leaves
-    if not isinstance(value, _CONTAINERS) or not value:
+    if isinstance(value, Table) and not any(map(len, value.columns)):
+        value = []  # a table of no rows
+    if not isinstance(value, (dict, list, tuple, Table)) or not value:
         leaves.append(value)
         return "%s"
     inner = pad + "  "
     if is_dict := isinstance(value, dict):  # each '"KEY": null' as json writes it, less null
         keys = _LEAVES.encode(dict.fromkeys(value))[1:-1].replace("%", "%%").split("\n")
         items = [k[:-4] + _template(x, inner, leaves) for k, x in zip(keys, value.values())]
+    elif isinstance(value, Table):  # one row template per row, the cells as leaves row by row
+        leaves.extend(chain.from_iterable(zip(*value.columns)))
+        items = [_template(dict.fromkeys(value.keys, 0), inner, [])] * len(value.columns[0])
     else:
-        items = _table(value, inner, leaves) or [_template(x, inner, leaves) for x in value]
+        items = [_template(x, inner, leaves) for x in value]
     return f"{'[{'[is_dict]}{inner}{(',' + inner).join(items)}{pad}{']}'[is_dict]}"
-
-
-def _table(rows, pad, leaves):
-    # rows as one repeated row template if they are a table, else None
-    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
-    if not (keys and all(isinstance(k, str) for k in keys) and {*map(type, rows)} == {dict}
-            and all(map(keys.__eq__, map(tuple, rows)))):
-        return None
-    cells = [*chain.from_iterable(map(dict.values, rows))]
-    if any(issubclass(t, _CONTAINERS) for t in {*map(type, cells)}):
-        return None
-    leaves.extend(cells)
-    return [_template(dict.fromkeys(keys, 0), pad, [])] * len(rows)
 
 
 class PointCheck(NamedTuple):

@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from meanbounds import cli, harness
+from meanbounds import cli, harness, scalar
 from meanbounds.quadrature import QuadratureError
 
 SCAN_LOG_HEADER = (
@@ -46,6 +47,25 @@ def reject_constant(constant):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out), err
+
+
+def scan_as_dict_rows(chain, *specs):
+    """scan's JSON and CSV stdout as written from one dict per row: json.dumps and
+    csv.DictWriter (bools as in JSON) over rows built from the library chain's columns."""
+    grids = [np.linspace(float(lo), float(hi), int(n)) for lo, hi, n in
+             (spec.split(":") for spec in specs)]
+    a, b, v = (x.ravel() for x in np.meshgrid(*grids, indexing="ij"))
+    rep = (scalar.logarithmic_chain if chain == "log" else scalar.identric_chain)(a, b, v)
+    keys = ["a", "b", "v", *rep.labels, *(f"slack_{k}" for k in range(1, len(rep.labels))),
+            "pass"]
+    columns = (a, b, v, *rep.values, *rep.slacks, rep.passed)
+    rows = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: json.dumps(x) if isinstance(x, bool) else x for k, x in row.items()}
+                     for row in rows)
+    return json.dumps({"rows": rows}, indent=2) + "\n", buf.getvalue()
 
 
 @pytest.fixture
@@ -348,6 +368,17 @@ class TestScan:
                 else:
                     assert float(row_csv[key]) == val
 
+    @pytest.mark.parametrize("chain", ["log", "identric"])
+    @pytest.mark.parametrize("specs", [
+        ("0.3:7.5:4", "0.1:9.2:8", "0.05:0.93:8"),  # the benchmark's 4 x 8 x 8 shape
+        ("0.5:2.0:11", "0.5:2.0:11", "0.1:0.9:9"),  # the default grid
+    ], ids=["bench-shaped", "default"])
+    def test_stdout_is_the_dict_rows_rule(self, capsys, chain, specs):
+        argv = ("scan", "--a", specs[0], "--b", specs[1], "--v", specs[2], "--chain", chain)
+        json_out, csv_out = scan_as_dict_rows(chain, *specs)
+        assert run_cli(capsys, *argv) == (0, json_out, "")
+        assert run_cli(capsys, *argv, "--format", "csv") == (0, csv_out, "")
+
     def test_overflowing_point_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--a", "1:1.6e308:2", "--b", "1.7e308:1.7e308:1",
                                  "--v", "0.5:0.5:1")
@@ -372,6 +403,16 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--a", "2:1:3")
         assert code == 2
         assert "empty" in err
+
+    @pytest.mark.parametrize("flag, spec", [("--a", "1:inf:2"), ("--a", "1:1e400:2"),
+                                            ("--a", "nan:1:2"), ("--b", "-inf:1:3"),
+                                            ("--v", "0:nan:3")])
+    def test_non_finite_grid_bound_exits_2(self, capsys, flag, spec):
+        # rejected as typed, not as the NaN that np.linspace makes of an infinite bound
+        code, out, err = run_cli(capsys, "scan", f"{flag}={spec}")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"meanbounds: error: {flag} grid bounds must be finite: "
+                                    f"{spec!r}"]
 
     def test_bad_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--a", "1:2")

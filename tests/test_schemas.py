@@ -1,9 +1,12 @@
 """Report schemas: each JSON object is its report's fields, each CLI --tol
 default is the library's, README's min-slack key lists match the suites, and
-the JSON writer is ``json.dumps(value, indent=2)`` byte for byte."""
+the JSON writer is ``json.dumps(value, indent=2)`` byte for byte, with a ``Table`` written as
+its dict rows, in JSON and in the CLI's CSV."""
 
+import csv
 import dataclasses
 import inspect
+import io
 import json
 import pathlib
 import re
@@ -113,7 +116,8 @@ JSON_VALUES = st.recursive(
 @example(value={"\u00e9\u2028\U0001f600": "\x00\x1f\n\t\"\\", "\x7f": ["\ud7ff"]})
 @example(value={1: [2], False: {}, 2.5: [], float("nan"): {float("-inf"): 0}, None: "n"})
 @example(value=((1, (2, ())), [{}], "x"))
-# tables and near-tables: rows in another key order, keys 1 / True / 1.0, which compare equal
+# lists of dicts, written row by row: rows in another key order, keys 1 / True / 1.0, which
+# compare equal
 @example(value=[{"a": 1, "b": 2}, {"b": 3, "a": 4}, {"a": 5, "b": 6}])
 @example(value=[{1: "int"}, {True: "bool"}, {1.0: "float"}])
 @example(value=[{"1": 0}, {1: 1}, {"true": 2}, {True: 3}])
@@ -130,18 +134,61 @@ def test_to_json_is_json_dumps_indent_2(value):
     assert reports.to_json(value) == json.dumps(value, indent=2)
 
 
+def dict_rows(keys, columns):
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+def dict_writer_csv(keys, rows):
+    # the CLI's CSV rule for rows of dicts: csv.DictWriter, bools as in JSON
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: json.dumps(x) if isinstance(x, bool) else x for k, x in row.items()}
+                     for row in rows)
+    return buf.getvalue()
+
+
+CELLS = (st.floats() | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]) | st.integers()
+         | st.booleans() | st.none() | st.text() | st.sampled_from(['"', "%s", "a,b\n", "\\"]))
+CELL_KEYS = st.text() | st.sampled_from(["%", "%s", "%%", '"', '"%(x)s"', "a,b"])
+
+
+@st.composite
+def tables(draw):
+    keys = draw(st.lists(CELL_KEYS, unique=True, max_size=6))
+    n = draw(st.integers(0, 5))
+    return keys, [draw(st.lists(CELLS, min_size=n, max_size=n)) for _ in keys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+@example(table=(["a", "pass"], [[], []]))  # no rows: []
+@example(table=([], []))
+@example(table=(["%", '"'], [[-0.0, 5e-324, 1.7976931348623157e308], [True, False, None]]))
+def test_table_is_written_as_its_dict_rows(table):
+    keys, columns = table
+    rows = dict_rows(keys, columns)
+    value = {"rows": reports.Table(tuple(keys), columns)}
+    assert reports.to_json(value) == json.dumps({"rows": rows}, indent=2)
+    nested = [{"x": value["rows"]}, value["rows"]]  # the same rule at other indents
+    assert reports.to_json(nested) == json.dumps([{"x": rows}, rows], indent=2)
+    assert cli._to_csv(value) == dict_writer_csv(keys, rows)
+
+
 def test_to_json_tables_of_special_floats():
-    # 256-row tables, one order of str keys, as scan writes them: one row template each
+    # 256-row tables, one order of str keys, as scan writes them: a Table and its dict rows
     rng = np.random.default_rng(2026)
     specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308])
+    keys = ("a", "b", "%", "pass", "slack_1", "")
     for _ in range(4):
-        normal = rng.standard_normal((256, 6)) * 10.0 ** rng.integers(-300, 300, (256, 6))
-        cells = np.where(rng.random((256, 6)) < 0.5, rng.choice(specials, (256, 6)), normal)
-        rows = [dict(zip(("a", "b", "%", "pass", "slack_1", ""), row.tolist())) for row in cells]
-        for row, flag in zip(rows, rng.random(256) < 0.5):
-            row["pass"] = bool(flag)
-        value = {"rows": rows, "n": len(rows)}
-        assert reports.to_json(value) == json.dumps(value, indent=2)
+        normal = rng.standard_normal((6, 256)) * 10.0 ** rng.integers(-300, 300, (6, 256))
+        columns = np.where(rng.random((6, 256)) < 0.5, rng.choice(specials, (6, 256)),
+                           normal).tolist()
+        columns[3] = (rng.random(256) < 0.5).tolist()
+        rows = dict_rows(keys, columns)
+        expected = json.dumps({"rows": rows, "n": len(rows)}, indent=2)
+        assert reports.to_json({"rows": rows, "n": len(rows)}) == expected
+        assert reports.to_json({"rows": reports.Table(keys, columns), "n": len(rows)}) == expected
 
 
 @pytest.mark.parametrize("value", [

@@ -204,17 +204,19 @@ def _cmd_paper_numbers(args):
 
 
 def _parse_grid(spec: str, name: str, positive: bool) -> np.ndarray:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--{name} grid spec must be lo:hi:n, got {spec!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:  # three numbers, n integral however written (1000 or 1e3)
+        lo, hi, n = map(float, spec.split(":"))
+    except ValueError:
+        lo = hi = n = np.nan
+    if not n.is_integer():
+        raise ValueError(f"--{name} grid spec must be lo:hi:n with n a whole number, got {spec!r}")
     if not np.isfinite([lo, hi]).all():
         raise ValueError(f"--{name} grid bounds must be finite: {spec!r}")
     if n < 1 or lo > hi:
         raise ValueError(f"--{name} grid is empty: {spec!r}")
     if positive and lo <= 0.0:
         raise ValueError(f"--{name} grid must stay positive: {spec!r}")
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, int(n))
 
 
 def _cmd_scan(args):

@@ -1,11 +1,12 @@
 """Seeded randomized verification suites with replayable failure records.
 
-Trial i derives its generator from ``seed XOR i``, so any slice of the trial
-range gives exactly the per-trial results of a full serial run, and reports
-from disjoint slices merge associatively via :func:`merge_reports`.  The scalar
-and bounds suites replay a slice's ``np.random.default_rng(seed ^ i)`` streams
-as arrays, bit for bit (numpy keeps SeedSequence and PCG64 streams stable, NEP
-19); the operator suite sets one generator to each trial's replayed seeding.
+Trial i's draws depend on the seed and i alone, so any slice of the trial range gives exactly
+the per-trial results of a full serial run, and reports from disjoint slices merge
+associatively via :func:`merge_reports` if they name one draw scheme (``SuiteReport.draws``).
+Scalar and bounds, ``"pcg64-xor"``: a slice replays ``np.random.default_rng(seed ^ i)`` as
+arrays, bit for bit (NEP 19).  Operator, ``"philox-blocks"``: trial i of dimension d reads its
+own ``np.random.Philox`` blocks (``_operator_draws``); an operator report of the older
+``default_rng(seed ^ i)`` scheme, which names none, does not re-run under it.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class SuiteReport(Report):
     failures: list = field(default_factory=list)
     min_slacks: dict = field(default_factory=dict)
     wall_ms: float | None = None
+    draws: str | None = None  # the trials' draw scheme
 
     @property
     def passed(self) -> bool:
@@ -110,6 +112,8 @@ class SuiteReport(Report):
         out = _strict_json(super().to_dict())
         if not include_timing:
             out["wall_ms"] = None
+        if self.draws is None:  # a suite that draws nothing names no scheme
+            del out["draws"]
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
@@ -137,10 +141,10 @@ def _strict_json(value):
 
 
 def merge_reports(first: SuiteReport, second: SuiteReport) -> SuiteReport:
-    if first.suite != second.suite or first.seed != second.seed:
-        raise ValueError("reports stem from different suites or seeds")
+    if (first.suite, first.seed, first.draws) != (second.suite, second.seed, second.draws):
+        raise ValueError("reports stem from different suites, seeds or draw schemes")
     out = SuiteReport(first.suite, first.seed, first.trials + second.trials,
-                      first.failures + second.failures)
+                      first.failures + second.failures, draws=first.draws)
     for key, val in (*first.min_slacks.items(), *second.min_slacks.items()):
         out._note(key, val)
     return out
@@ -336,7 +340,7 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool
     a, b, v = _replay(cfg, index)
     a, b = (np.minimum(a, b), np.maximum(a, b)) if oriented else (a, b)
     draws = (index, a, b, v, tuple(map(cvx.get_builtin, cfg.functions)))
-    rep = SuiteReport(suite, cfg.seed, len(index))
+    rep = SuiteReport(suite, cfg.seed, len(index), draws="pcg64-xor")
     # every position, or those without b - a < MIN_GAP for a check that needs a < b
     positions = (np.arange(len(index)), np.flatnonzero(np.abs(b - a) >= MIN_GAP))
     terms = {}  # the chain terms built in this slice, shared by the checks that read them
@@ -371,11 +375,10 @@ def _spd_stack(gauss: np.ndarray, exps: np.ndarray) -> np.ndarray:
 
 
 def random_spd(rng, dim: int, log10_cond_half: float = 2.0) -> ops.SpdMatrix:
-    """Random SPD matrix Q diag(lambda) Q^T with log-uniform spectrum.
-
-    Eigenvalues are drawn from 10^U(-c, c) with c = log10_cond_half, so
-    the condition number ranges up to 10^(2c).
-    """
+    """Random SPD matrix Q diag(lambda) Q^T with log-uniform spectrum, from ``rng``'s normals
+    and uniforms.  Eigenvalues are drawn from 10^U(-c, c) with c = log10_cond_half, so the
+    condition number ranges up to 10^(2c).  No suite calls it: the operator suite draws its
+    pairs as stacks (``_operator_draws``)."""
     gauss, c = rng.standard_normal((dim, dim)), log10_cond_half
     return ops.SpdMatrix._by_construction(_spd_stack(gauss, rng.uniform(-c, c, dim)))
 
@@ -400,27 +403,21 @@ def _representing_grid(rep: SuiteReport, cfg: SuiteConfig):
         rep._fail(-1, "logmean_gm", {"t": float(ts[worst])}, slack=float(slack[worst]))
 
 
-def _trial_draws(gen: np.random.Generator, seed: int, inc: int, gauss, exps, dv):
-    """One trial's draws into its views, from ``gen`` at the state ((seed + inc) M + inc) mod
-    2**128 that PCG64 seeded with (seed, inc) reaches: A's normals and exponents, B's, v's."""
-    state = {"state": ((seed + inc) * _POWERS[1] + inc) % (1 << 128), "inc": inc}
-    gen.bit_generator.state = dict(bit_generator="PCG64", state=state, has_uint32=0, uinteger=0)
-    gen.standard_normal(out=gauss[0]), gen.random(out=exps[0])
-    gen.standard_normal(out=gauss[1]), gen.random(out=exps[1]), gen.random(out=dv)
-
-
 def _operator_draws(cfg: SuiteConfig, dim: int, block) -> tuple:
-    """(index, A, B, v) of trials ``block``, bit for bit ``random_spd`` (c = 2) and ``uniform``
-    of ``default_rng(cfg.seed ^ i)``; ``uniform(lo, hi)`` is lo + (hi - lo) times a double.
-    Trial k writes A's, then B's normals and exponents to gauss[:, k], exps[:, k], v's to dv[k]."""
-    index = np.fromiter(block, np.uint64)
-    hi, lo = (x.astype(object) for x in _pcg64_seeds(np.uint64(cfg.seed) ^ index))
-    gen, n = np.random.Generator(np.random.PCG64(0)), len(index)
-    gauss, exps, dv = np.empty((2, n, dim, dim)), np.empty((2, n, dim)), np.empty(n)
-    for k, (seed, inc) in enumerate(zip(*(hi << 64 | lo))):
-        _trial_draws(gen, seed, inc, gauss[:, k], exps[:, k], dv[k:k + 1])
+    """(index, A, B, v) of trials ``block``, all of dimension ``dim``, from one Philox call:
+    trial i reads the K blocks of 4 doubles after counter i K under key seed + (dim << 64),
+    K = ceil((2 dim^2 + 2 dim + 1) / 4).  Doubles u1, u2 at j and dim^2 + j (j < dim^2) give
+    entry j of A's and B's Gaussian, r cos(2 pi u2) and r sin(2 pi u2), r = sqrt(-2 log1p(-u1))
+    (Box-Muller); the next dim doubles give A's exponents -2 + 4u, the next dim B's, then v's."""
+    index = np.fromiter(block, np.int64)
+    n, sq, k = len(index), dim * dim, -(-(2 * dim * (dim + 1) + 1) // 4)
+    bits = np.random.Philox(key=cfg.seed + (dim << 64)).advance(int(index[0]) * k)
+    u = np.random.Generator(bits).random((n, 4 * k))
+    r, angle = np.sqrt(-2.0 * np.log1p(-u[:, :sq])), 2.0 * np.pi * u[:, sq:2 * sq]
+    gauss = np.stack([r * np.cos(angle), r * np.sin(angle)]).reshape(2, n, dim, dim)
+    exps = -2.0 + 4.0 * u[:, 2 * sq:2 * sq + 2 * dim].reshape(n, 2, dim).swapaxes(0, 1)
     v_lo, v_hi = map(float, cfg.v_range)
-    return index, *_spd_stack(gauss, -2.0 + 4.0 * exps), v_lo + (v_hi - v_lo) * dv
+    return index, *_spd_stack(gauss, exps), v_lo + (v_hi - v_lo) * u[:, 2 * sq + 2 * dim]
 
 
 def _operator_block(rep: SuiteReport, draws: tuple, tol: float):
@@ -453,7 +450,7 @@ def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteRep
     """
     t0 = time.perf_counter()
     indices = _slice(cfg.trials * len(cfg.dims), start, count)
-    rep = SuiteReport("operator", cfg.seed, len(indices))
+    rep = SuiteReport("operator", cfg.seed, len(indices), draws="philox-blocks")
     for dim, block in itertools.groupby(indices, lambda i: cfg.dims[i // cfg.trials]):
         _operator_block(rep, _operator_draws(cfg, dim, block), cfg.op_tol)
     if 0 in indices:

@@ -22,7 +22,7 @@ SCAN_IDENTRIC_HEADER = (
     "a,b,v,geometric,geom_of_geom_arith,identric,split_arithmetic_mix,arithmetic,"
     "slack_1,slack_2,slack_3,slack_4,pass"
 )
-SUITE_KEYS = ["suite", "seed", "trials", "failures", "min_slacks", "wall_ms"]
+SUITE_KEYS = ["suite", "seed", "trials", "failures", "min_slacks", "wall_ms", "draws"]
 CHAIN_KEYS = ["labels", "values", "slacks", "tol_used", "pass", "certified"]
 
 
@@ -417,6 +417,24 @@ class TestScan:
     def test_bad_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--a", "1:2")
         assert code == 2
+
+    @pytest.mark.parametrize("flag, spec", [("--a", "1:2:3.5"), ("--a", "x:2:3"),
+                                            ("--b", "1:2"), ("--b", "1:2:3:4"),
+                                            ("--v", "0:1:inf"), ("--v", "0:1:"),
+                                            ("--a", "1:2:nan")])
+    def test_malformed_spec_names_flag_and_spec(self, capsys, flag, spec):
+        # one line in the grid-spec form, not Python's conversion text
+        code, out, err = run_cli(capsys, "scan", f"{flag}={spec}")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"meanbounds: error: {flag} grid spec must be lo:hi:n "
+                                    f"with n a whole number, got {spec!r}"]
+
+    @pytest.mark.parametrize("count", ["1e1", "10.0", "1.0e+1"])
+    def test_integral_count_may_be_written_as_a_float(self, capsys, count):
+        code, out, _ = run_cli(capsys, "scan", "--a", f"1:2:{count}", "--b", "3:3:1")
+        assert code == 0
+        assert out == run_cli(capsys, "scan", "--a", "1:2:10", "--b", "3:3:1")[1]
+        assert len(json.loads(out)["rows"]) == 10 * 9  # the default --v grid has 9 points
 
 
 GRID = ("--a", "0.5:2:3", "--b", "1:4:3", "--v", "0.2:0.8:3")

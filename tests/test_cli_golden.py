@@ -79,6 +79,7 @@ ERROR_CASES = (
     ("err-verify-zero-trials", ("verify", "bounds", "--trials", "0")),
     ("err-scan-empty-grid", ("scan", "--a", "2:1:3")),
     ("err-scan-infinite-grid", ("scan", "--a", "1:inf:2")),
+    ("err-scan-fractional-count", ("scan", "--a", "1:2:3.5")),
     ("err-scan-nonpositive-grid", ("scan", "--b", "0:1:3")),
     ("err-scan-weight-grid", ("scan", "--v", "0.5:1.5:3")),
     # numeric failures, exit 1: a chain term and a reverse's bound overflow

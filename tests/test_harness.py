@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -364,13 +365,57 @@ class TestFunctionAxis:
             {key: repr(val) for key, val in merged.min_slacks.items()}
 
 
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and Weyl key increments
+
+
+def philox4x64_10(counter, key):
+    """Random123's Philox4x64-10 of one 256-bit counter under a 128-bit key, in Python
+    integers (Salmon et al., SC 2011): its four 64-bit words, low word first."""
+    mask = (1 << 64) - 1
+    c, k = [counter >> 64 * j & mask for j in range(4)], [key & mask, key >> 64]
+    for rnd in range(10):
+        if rnd:
+            k = [(k[0] + PHILOX_W[0]) & mask, (k[1] + PHILOX_W[1]) & mask]
+        p0, p1 = PHILOX_M[0] * c[0], PHILOX_M[1] * c[2]
+        c = [p1 >> 64 ^ c[1] ^ k[0], p1 & mask, p0 >> 64 ^ c[3] ^ k[1], p0 & mask]
+    return c
+
+
+def reference_uniforms(seed, dim, i):
+    """Trial i's doubles at dimension ``dim`` as the README states them, one trial at a time:
+    the K = ceil((2 dim^2 + 2 dim + 1) / 4) blocks of 4 doubles after Philox counter i K under
+    key seed + (dim << 64), here from a bit generator constructed at that counter."""
+    blocks = math.ceil((2 * dim**2 + 2 * dim + 1) / 4)
+    bits = np.random.Philox(counter=i * blocks, key=seed + (dim << 64))
+    return np.random.Generator(bits).random(4 * blocks)
+
+
+class ReplayedDraws:
+    """A stand-in generator that hands ``random_spd`` and ``uniform`` one trial's
+    documented draws in their order: A's normals and exponent doubles, B's, v's."""
+
+    def __init__(self, seed, dim, i):
+        u, sq = reference_uniforms(seed, dim, i), dim * dim
+        r, angle = np.sqrt(-2.0 * np.log1p(-u[:sq])), 2.0 * np.pi * u[sq:2 * sq]
+        exps = u[2 * sq:2 * sq + 2 * dim]
+        self.draws = [r * np.cos(angle), exps[:dim], r * np.sin(angle), exps[dim:],
+                      u[2 * sq + 2 * dim]]
+
+    def standard_normal(self, shape):
+        return self.draws.pop(0).reshape(shape)
+
+    def uniform(self, lo, hi, size=None):  # Generator.uniform: lo + (hi - lo) times a double
+        return lo + (hi - lo) * self.draws.pop(0)
+
+
 def reference_operator_slice(cfg, start, count):
     """The operator suite's chains trial by trial through the public one-pair
     API: (min_slacks of the op_chain keys, failure records)."""
     mins, failures = {}, []
     for i in range(start, start + count):
-        rng = np.random.default_rng(cfg.seed ^ i)
         dim = cfg.dims[i // cfg.trials]
+        rng = ReplayedDraws(cfg.seed, dim, i)
         mat_a, mat_b = harness.random_spd(rng, dim), harness.random_spd(rng, dim)
         v = float(rng.uniform(*cfg.v_range))
         rep = ops.operator_chain(mat_a, mat_b, v, tol=cfg.op_tol)
@@ -427,20 +472,20 @@ class TestOperatorBatch:
     def test_broken_trial_becomes_its_record(self, kind, error, monkeypatch):
         cfg = harness.SuiteConfig(seed=11, trials=12, dims=(3,))
         bad = 5
-        bad_inc = np.random.default_rng(cfg.seed ^ bad).bit_generator.state["state"]["inc"]
-        trial_draws = harness._trial_draws
+        bad_gauss = ReplayedDraws(cfg.seed, 3, bad).draws[0].reshape(3, 3)
+        spd_stack = harness._spd_stack
 
-        def broken_draws(gen, seed, inc, gauss, exps, dv):
-            """Trial ``bad``'s draws: its normals are NaN ("invalid"), or its exponent
-            doubles 3 and -79.5 (10^(-2 + 4u)) put A near 1e10 I and B near 1e-320 I.
-            Both are then valid, but the congruence A^{-1/2} B A^{-1/2} underflows to zero."""
-            trial_draws(gen, seed, inc, gauss, exps, dv)
-            if inc != bad_inc:
-                return
+        def broken_stack(gauss, exps):
+            """The slice's stack with trial ``bad``'s draws, found by its normals, broken: its
+            normals are NaN ("invalid"), or its exponents 10 and -320 put A near 1e10 I and B
+            near 1e-320 I.  Both are then valid, but the congruence A^{-1/2} B A^{-1/2}
+            underflows to zero."""
+            [k] = [k for k, g in enumerate(gauss[0]) if np.array_equal(g, bad_gauss)]
             if kind == "invalid":
-                gauss[:] = np.nan
+                gauss[:, k] = np.nan
             else:
-                exps[0], exps[1] = 3.0, -79.5
+                exps[0, k], exps[1, k] = 10.0, -320.0
+            return spd_stack(gauss, exps)
 
         def cholesky(m, *args, _cholesky=np.linalg.cholesky):
             if np.abs(m).max() > 1e9:
@@ -449,7 +494,7 @@ class TestOperatorBatch:
 
         clean = harness.merge_reports(harness.run_operator_suite(cfg, 1, bad - 1),
                                       harness.run_operator_suite(cfg, bad + 1, 11 - bad))
-        monkeypatch.setattr(harness, "_trial_draws", broken_draws)
+        monkeypatch.setattr(harness, "_spd_stack", broken_stack)
         if kind == "linalg":
             monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         rep = harness.run_operator_suite(cfg, 1, 11)
@@ -461,35 +506,87 @@ class TestOperatorBatch:
 
 
 class TestOperatorDraws:
-    """The operator suite re-states one generator per trial: its draws are those of
-    ``default_rng(seed ^ i)``, and concurrent runs share no generator."""
+    """Trial i of dimension d reads its own Philox counter blocks under key seed + (d << 64):
+    the draws follow the documented layout bit for bit, whatever the slice or the order of
+    the dims, and concurrent runs share no generator."""
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**64 - 1])
-    def test_draws_replay_default_rng(self, seed, monkeypatch):
-        cfg, dim = harness.SuiteConfig(seed=seed, trials=1000), 3
-        lo, hi = cfg.v_range
-        block = [*range(40), 999, 1000, 2**20 + 3, 3999]
-        seen, trial_draws = [], harness._trial_draws
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("dims", [(2, 3, 5, 8), (8, 5, 3, 2), (3, 2, 3, 3)],
+                             ids=["given", "reversed", "repeated"])
+    def test_draws_follow_the_philox_layout(self, seed, dims):
+        def checked(cfg, start, count):  # each trial's draws, equal to the reference's
+            out = []
+            slice_ = range(start, start + count)
+            for dim, block in itertools.groupby(slice_, lambda i: dims[i // cfg.trials]):
+                index, mat_a, mat_b, v = harness._operator_draws(cfg, dim, block)
+                for k, i in enumerate(index.tolist()):
+                    rng = ReplayedDraws(seed, dim, i)
+                    for got in (mat_a[k], mat_b[k]):
+                        assert got.tobytes() == harness.random_spd(rng, dim).entries.tobytes()
+                    assert v[k].item() == rng.uniform(*cfg.v_range)
+                    out.append((i, mat_a[k].tobytes(), mat_b[k].tobytes(), v[k].item()))
+            return out
 
-        def recorded(gen, seed, inc, gauss, exps, dv):  # what the trial wrote into its views
-            trial_draws(gen, seed, inc, gauss, exps, dv)
-            seen.append((gauss[0].copy(), exps[0].copy(), gauss[1].copy(), exps[1].copy(),
-                         dv.item()))
+        cfg = harness.SuiteConfig(seed=seed, trials=6, dims=dims)
+        # the whole range and two slices, one across a change of dimension
+        seen = {draws for start, count in ((0, 24), (5, 8), (17, 1))
+                for draws in checked(cfg, start, count)}
+        # one draw per trial, every slice agreeing, and no two trials alike: no trial of
+        # a repeated dim reads another's blocks
+        assert len(seen) == 24
+        assert len({draws[1:] for draws in seen}) == 24
+        # trials far into the range, a slice across dims[1] and dims[2]
+        checked(harness.SuiteConfig(seed=seed, trials=2**40, dims=dims), 2**41 - 2, 4)
 
-        monkeypatch.setattr(harness, "_trial_draws", recorded)
-        index, mat_a, mat_b, v = harness._operator_draws(cfg, dim, block)
-        assert index.tolist() == block and len(seen) == len(block)
-        for k, (i, (gauss_a, da, gauss_b, db, dv)) in enumerate(zip(block, seen)):
-            rng = np.random.default_rng(seed ^ i)
-            assert np.array_equal(gauss_a, rng.standard_normal((dim, dim)))
-            assert np.array_equal(-2.0 + 4.0 * da, rng.uniform(-2.0, 2.0, dim))
-            assert np.array_equal(gauss_b, rng.standard_normal((dim, dim)))
-            assert np.array_equal(-2.0 + 4.0 * db, rng.uniform(-2.0, 2.0, dim))
-            assert lo + (hi - lo) * dv == float(rng.uniform(lo, hi))
-            rng = np.random.default_rng(seed ^ i)  # the same trial through the public calls
-            for got in (mat_a[k], mat_b[k]):
-                assert np.array_equal(got, harness.random_spd(rng, dim).entries)
-            assert v[k].item() == float(rng.uniform(lo, hi))
+    @pytest.mark.parametrize("seed, dim, i", [(0, 2, 0), (7, 3, 5), (2**64 - 1, 8, 3999)])
+    def test_blocks_are_philox4x64_10(self, seed, dim, i):
+        blocks = math.ceil((2 * dim**2 + 2 * dim + 1) / 4)
+        words = [w for c in range(i * blocks + 1, (i + 1) * blocks + 1)
+                 for w in philox4x64_10(c, seed + (dim << 64))]
+        assert reference_uniforms(seed, dim, i).tolist() == [(w >> 11) * 2.0**-53 for w in words]
+
+    def test_normals_and_exponents_have_their_law(self, monkeypatch):
+        seen, spd_stack = [], harness._spd_stack
+
+        def recorded(gauss, exps):
+            seen.append((gauss.copy(), exps.copy()))
+            return spd_stack(gauss, exps)
+
+        monkeypatch.setattr(harness, "_spd_stack", recorded)
+        harness._operator_draws(harness.SuiteConfig(seed=7, trials=2000, dims=(8,)), 8,
+                                range(2000))
+        [(gauss, exps)] = seen
+        z, n = gauss.ravel(), gauss.size  # 256,000 Box-Muller normals
+        # within 5 standard errors sqrt(Var(z^p) / n), Var(z^p) = 1, 2, 15, 96 for p = 1..4
+        for p, want, var in ((1, 0.0, 1.0), (2, 1.0, 2.0), (3, 0.0, 15.0), (4, 3.0, 96.0)):
+            assert abs(np.mean(z**p) - want) < 5.0 * math.sqrt(var / n), p
+        # A's and B's normals, the cosine and sine of one angle, are uncorrelated
+        assert abs(np.mean(gauss[0] * gauss[1])) < 5.0 * math.sqrt(2.0 / n)
+        # exponents in U(-2, 2): mean 0, variance 4/3
+        assert -2.0 <= exps.min() and exps.max() < 2.0
+        assert abs(exps.mean()) < 5.0 * math.sqrt(4.0 / 3.0 / exps.size)
+
+    def test_slices_merge_to_the_full_run(self):
+        cfg = harness.SuiteConfig(seed=2**64 - 1, trials=5, dims=(3, 2, 3), op_tol=-3e-2)
+        full = harness.run_operator_suite(cfg)
+        for cuts in ((0, 1, 15), (0, 4, 5, 11, 15), tuple(range(16))):
+            parts = [harness.run_operator_suite(cfg, lo, hi - lo)
+                     for lo, hi in zip(cuts, cuts[1:])]
+            merged = functools.reduce(harness.merge_reports, parts)
+            assert merged.to_json() == full.to_json()
+        assert {r["inputs"]["dim"] for r in full.failures if r["check"] == "op_chain"} == {2, 3}
+
+    def test_merge_rejects_mixed_draw_schemes(self):
+        op = harness.run_operator_suite(harness.SuiteConfig(seed=7, trials=1, dims=(2,)), 0, 1)
+        scalar = harness.run_scalar_suite(harness.SuiteConfig(seed=7, trials=2), 0, 1)
+        assert (op.draws, scalar.draws) == ("philox-blocks", "pcg64-xor")
+        assert json.loads(op.to_json())["draws"] == "philox-blocks"
+        assert harness.reference_value_check().draws is None
+        for other in (dataclasses.replace(op, draws=None), dataclasses.replace(op, draws="x")):
+            for pair in ((op, other), (other, op)):
+                with pytest.raises(ValueError, match="draw schemes"):
+                    harness.merge_reports(*pair)
+        harness.merge_reports(op, dataclasses.replace(op))  # the same scheme merges
 
     def test_concurrent_runs_equal_serial(self):
         cfgs = [harness.SuiteConfig(seed=seed, trials=100) for seed in (3, 2**64 - 1)]

@@ -203,7 +203,7 @@ def _cmd_paper_numbers(args):
     return harness.reference_value_check().to_dict(include_timing=args.timing)
 
 
-def _parse_grid(spec: str, name: str, positive: bool) -> np.ndarray:
+def _parse_grid(spec: str, name: str, positive: bool) -> tuple:
     try:  # three numbers, n integral however written (1000 or 1e3)
         lo, hi, n = map(float, spec.split(":"))
     except ValueError:
@@ -216,17 +216,20 @@ def _parse_grid(spec: str, name: str, positive: bool) -> np.ndarray:
         raise ValueError(f"--{name} grid is empty: {spec!r}")
     if positive and lo <= 0.0:
         raise ValueError(f"--{name} grid must stay positive: {spec!r}")
-    return np.linspace(lo, hi, int(n))
+    return lo, hi, int(n)
 
 
 def _cmd_scan(args):
-    a_grid = _parse_grid(args.a, "a", positive=True)
-    b_grid = _parse_grid(args.b, "b", positive=True)
-    v_grid = _parse_grid(args.v, "v", positive=False)
-    if np.any(v_grid < 0.0) or np.any(v_grid > 1.0):
-        raise ValueError(f"--v grid must stay inside [0, 1]: {args.v!r}")
-    a, b, v = (x.ravel() for x in np.meshgrid(a_grid, b_grid, v_grid, indexing="ij"))
-    rep = _check(args)(a, b, v)
+    specs = [_parse_grid(getattr(args, name), name, positive=name != "v") for name in "abv"]
+    try:  # a grid too large to allocate is bad input, named by its point count
+        a_grid, b_grid, v_grid = (np.linspace(*spec) for spec in specs)
+        if np.any(v_grid < 0.0) or np.any(v_grid > 1.0):
+            raise ValueError(f"--v grid must stay inside [0, 1]: {args.v!r}")
+        a, b, v = (x.ravel() for x in np.meshgrid(a_grid, b_grid, v_grid, indexing="ij"))
+        rep = _check(args)(a, b, v)
+    except MemoryError:
+        points = specs[0][2] * specs[1][2] * specs[2][2]
+        raise ValueError(f"the scan grid of {points} points does not fit in memory") from None
     keys = ("a", "b", "v", *rep.labels, *(f"slack_{k}" for k in range(1, len(rep.labels))), "pass")
     columns = (a, b, v, *rep.values, *rep.slacks, rep.passed)
     return {"rows": Table(keys, [c.tolist() for c in columns])}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -276,14 +276,15 @@ def _term(formula):
 
 class _Terms:
     """f at the seven chain points of each checked (a, b, v) (n = node_point(a, b, v), m1 and
-    m2 the midpoints of [a, n] and [n, b]), f being ``fs[which]`` at each point (``which`` of
-    the shape of a, b and v if there are several specs; each spec runs on its points alone);
-    each chain term, the split integral average, f's scale, whether f is certified convex
-    and, at a <= b, its (K, m, M) unless given, are made when first read."""
+    m2 the midpoints of [a, n] and [n, b]), f being ``fs[which]`` at each point (``which`` an
+    index per point of the last axis if there are several specs); each chain term, the split
+    integral average, f's scale, whether f is certified convex and, at a <= b, its (K, m, M)
+    unless given, are made when first read.  Each formula runs once on all the points; only
+    f, its average, bounds and convexity spot check run spec by spec, each on its points."""
 
     def __init__(self, fs, which, a, b, v, quad: QuadConfig | None = None, bounds=None):
         self.fs, self.which, self.a, self.b, self.v, self.quad = fs, which, a, b, v, quad
-        fx = self._each(_at_chain_points, a, b, v)
+        fx = _at_chain_points(self.f, a, b, v)
         # f at a, b, n, m1, m2, (a + b) / 2 and (m1 + m2) / 2
         self.fa, self.fb, self.node, self.f1, self.f2, self.fh, self.fmh = fx
         self.arrays = fx.ndim > 1
@@ -291,14 +292,21 @@ class _Terms:
             self.bounds = bounds
 
     def _each(self, fn, *xs):
-        # fn(f, *xs) for each spec f on the points that take it, put back point by point
+        # fn(f, *xs) per spec on its points (last axis) in point order: tuples stacked, bools spread
         if len(self.fs) == 1:
             return fn(self.fs[0], *xs)
-        return _gather([(at, fn(f, *(x[at] for x in xs))) for f, at in self.groups],
-                       self.which.shape)
+        parts = [(at, fn(f, *(x.take(at, axis=-1) for x in xs))) for f, at in self.groups]
+        parts = [_stack(*value) if isinstance(value, tuple) else value if np.ndim(value)
+                 else np.full(at.shape, value) for at, value in parts]
+        return np.concatenate(parts, axis=-1).take(self.inverse, axis=-1)
 
-    # each spec that some point takes, with the mask of those points
-    groups = _lazy(lambda t: [(f, at) for k, f in enumerate(t.fs) if (at := t.which == k).any()])
+    # f as one spec whose fn takes each point's own spec; made per read, so no cycle holds t
+    f = property(lambda t: t.fs[0] if len(t.fs) == 1 else ConvexFnSpec(
+        "mixed", lambda x: t._each(lambda f, x: f.fn(x), x)))
+    # each spec that some point takes with those points, and the permutation back to point order
+    groups = _lazy(lambda t: [(f, at) for k, f in enumerate(t.fs)
+                              if len(at := (t.which == k).nonzero()[0])])
+    inverse = _lazy(lambda t: np.argsort(np.concatenate([at for _, at in t.groups])))
     low = _lazy(lambda t: np.minimum(t.v, 1.0 - t.v))  # the smaller split weight
     high = _lazy(lambda t: np.maximum(t.v, 1.0 - t.v))
     half_gap = _lazy(lambda t: 0.5 * t.fa + 0.5 * t.fb - t.fh)  # gap(a, b, 1/2)
@@ -311,9 +319,10 @@ class _Terms:
     sharp_upper = _term(lambda t: t.endpoint_average - t.low * t.half_gap)
     maxweight_lower = _term(lambda t: t.node + 2.0 * t.high * t.split_gap)
     maxweight_upper = _term(lambda t: t.endpoint_average - t.high * t.half_gap)
-    fn_scale = _lazy(lambda t: t._each(_fn_scale, t.a, t.b))
+    fn_scale = _lazy(lambda t: _fn_scale(t.f, t.a, t.b))
     bounds = _lazy(lambda t: t._each(_derivative_bounds, t.a, t.b))
-    average = _lazy(lambda t: t._each(lambda f, *abv: _split_avg(f, *abv, t.quad), t.a, t.b, t.v))
+    average = _lazy(lambda t: _split_avg(t.f, t.a, t.b, t.v,
+                                         partial(t._each, partial(_average, t.quad))))
     # a builtin is convex by proof; any other f must pass a convexity spot check on [a, b]
     certified = _lazy(lambda t: t._each(lambda f, a, b: id(f.fn) in _AVERAGES or (
         convexity_violation(f, a, b, samples=17) <= CONVEXITY_REJECT * _fn_scale(f, a, b)
@@ -326,16 +335,6 @@ def _at_chain_points(f, a, b, v) -> np.ndarray:
     points = _stack(a, b, node_point(a, b, v), m1, m2, node_point(a, b, 0.5),
                     node_point(m1, m2, 0.5))
     return np.asarray(f.fn(points), dtype=float)
-
-
-def _gather(parts, shape):
-    # the (mask, value) parts as one array whose trailing axes have ``shape``; a tuple
-    # value (the (K, m, M) of a spec) is stacked on a new first axis
-    values = [_stack(*value) if isinstance(value, tuple) else value for _, value in parts]
-    out = np.empty(np.shape(values[0])[:-1] + shape, np.result_type(*values))
-    for (at, _), value in zip(parts, values):
-        out[..., at] = value
-    return out
 
 
 def _stack(*xs) -> np.ndarray:
@@ -377,16 +376,21 @@ def split_integral_avg(f: ConvexFnSpec, a, b, v, quad: QuadConfig | None = None)
     f at its point.  A non-finite result raises NonFiniteIntegrandError.
     """
     v = check_weight(v)
-    return _float_if_0d(_split_avg(f, *_interval(f, a, b, ordered=True), v, quad))
+    return _float_if_0d(_split_avg(f, *_interval(f, a, b, ordered=True), v,
+                                   partial(_average, quad, f)))
 
 
-def _split_avg(f: ConvexFnSpec, a, b, v, quad):
-    # split_integral_avg on checked v and a <= b (where a == b, a v-mix of f(a) with itself)
+def _average(quad, f: ConvexFnSpec, p, q):
+    # f's integral average over [p, q], p < q: exact for a builtin, else from integrate
+    return _AVERAGES.get(id(f.fn), lambda p, q: integrate(f.fn, p, q, quad) / (q - p))(p, q)
+
+
+def _split_avg(f: ConvexFnSpec, a, b, v, average):
+    # split_integral_avg on checked v and a <= b from average(p, q) (a v-mix of f(a) at a == b)
     n = node_point(a, b, v)
-    avg = _AVERAGES.get(id(f.fn), lambda p, q: integrate(f.fn, p, q, quad) / (q - p))
     with np.errstate(all="ignore"):  # non-finite values raise below; masked ones go unused
         p, q = _stack(a, n, n, b).reshape(2, 2, *np.shape(n))  # [a, n] and [n, b] stacked
-        pieces = np.where(p < q, avg(p, q), f.fn(p))
+        pieces = np.where(p < q, average(p, q), f.fn(p))
         # a piece of weight 0 (v at 0 or 1) is left out, so its overflow cannot poison the mix
         weights = _stack(1.0 - v, v, n)[:2]  # with n, so that they take its shape
         first, second = np.where(weights > 0.0, weights * pieces, 0.0)
@@ -401,20 +405,13 @@ def _derivative_bounds(f: ConvexFnSpec, lo, hi) -> tuple:
     with np.errstate(all="ignore"):  # a sampled bound that is not finite raises below
         if f.exact_bounds is not None:
             return tuple(map(_float_if_0d, f.exact_bounds(lo, hi)))
-        xs = np.linspace(lo, hi, DERIV_GRID)
-        if f.deriv1 is not None:
-            d1 = np.asarray(f.deriv1(xs), dtype=float)
-        else:
-            d1 = _central_difference(f.fn, xs)
-        if f.deriv2 is not None:
-            d2 = np.asarray(f.deriv2(xs), dtype=float)
-        else:
+        xs, fn = np.linspace(lo, hi, DERIV_GRID), lambda x: np.asarray(f.fn(x), float)
+        d1 = _central_difference(f.fn, xs) if f.deriv1 is None else np.asarray(f.deriv1(xs), float)
+        if f.deriv2 is None:  # second differences, step eps^(1/4) max(1, |x|)
             h = np.finfo(float).eps ** 0.25 * np.maximum(1.0, np.abs(xs))
-            d2 = (
-                np.asarray(f.fn(xs + h), float)
-                - 2.0 * np.asarray(f.fn(xs), float)
-                + np.asarray(f.fn(xs - h), float)
-            ) / (h * h)
+            d2 = (fn(xs + h) - 2.0 * fn(xs) + fn(xs - h)) / (h * h)
+        else:
+            d2 = np.asarray(f.deriv2(xs), float)
         d1, d2, _ = np.broadcast_arrays(d1, d2, xs)  # a derivative may return a constant
         big_k, m_raw, m_big_raw = 1.01 * np.abs(d1).max(axis=0), d2.min(axis=0), d2.max(axis=0)
         bounds = (big_k, m_raw - 0.01 * abs(m_raw), m_big_raw + 0.01 * abs(m_big_raw))

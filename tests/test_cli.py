@@ -436,6 +436,18 @@ class TestScan:
         assert out == run_cli(capsys, "scan", "--a", "1:2:10", "--b", "3:3:1")[1]
         assert len(json.loads(out)["rows"]) == 10 * 9  # the default --v grid has 9 points
 
+    # each grid fails to allocate at once: an axis of 1e17 or more points is 800 PB or more
+    @pytest.mark.parametrize("specs, points", [
+        (("--a", "1:2:1e18", "--b", "1:1:1", "--v", "0.5:0.5:1"), 10**18),
+        (("--a", "1:1:1", "--b", "1:1:1", "--v", "0:1:1000000000000000000"), 10**18),
+        (("--a", "1:2:1e17", "--b", "1:2:1e17"), 10**34 * 9),  # the default --v has 9 points
+    ])
+    def test_grid_too_large_to_allocate_is_bad_input(self, capsys, specs, points):
+        code, out, err = run_cli(capsys, "scan", *specs)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"meanbounds: error: the scan grid of {points} points does not fit in memory"]
+
 
 GRID = ("--a", "0.5:2:3", "--b", "1:4:3", "--v", "0.2:0.8:3")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import math
@@ -334,6 +335,69 @@ class TestChainEvaluations:
             close = np.abs(b - a) < harness.MIN_GAP
             assert any(close) and not all(close)
             assert self.builds(harness.run_scalar_suite, cfg, start, monkeypatch) == 2
+
+    SUITES = pytest.mark.parametrize("run, trials, builds, scales", [
+        (harness.run_scalar_suite, 10_000, 1, 1),  # the gap checks read f's scale
+        (harness.run_bounds_suite, 2000, 3, 0),  # no bounds check reads it
+    ], ids=lambda x: getattr(x, "__name__", x))
+
+    @SUITES
+    def test_each_formula_runs_once_per_build(self, run, trials, builds, scales, monkeypatch):
+        # the chain points, split average and scale of terms over all five builtins are one
+        # call each, whatever builtins the trials take, not one call per builtin
+        names = ("_at_chain_points", "_split_avg", "_fn_scale")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _call=getattr(cvx, name)):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(cvx, name, counted)
+        cfg = harness.SuiteConfig(seed=42, trials=trials)
+        for start in (0, 20, 1980):
+            calls.update(dict.fromkeys(names, 0))
+            assert run(cfg, start, 20).passed
+            assert calls == {"_at_chain_points": builds, "_split_avg": builds,
+                             "_fn_scale": scales}
+
+    @SUITES
+    def test_each_builtin_sees_its_own_trials(self, run, trials, builds, scales, monkeypatch):
+        # each call of a builtin's fn gets the points of exactly the trials that take it, in
+        # trial order on the last axis: its first row (a, lo or p) is lo at those trials
+        seen = []
+        for name, spec in cvx.BUILTINS.items():
+            def fn(x, _name=name, _fn=spec.fn):
+                seen.append((_name, np.array(x)))
+                return _fn(x)
+
+            monkeypatch.setitem(cvx.BUILTINS, name, dataclasses.replace(spec, fn=fn))
+            monkeypatch.setitem(cvx._AVERAGES, id(fn), cvx._AVERAGES[id(spec.fn)])
+        cfg = harness.SuiteConfig(seed=42, trials=trials)
+        for start in (0, 20, 1980):
+            seen.clear()
+            assert run(cfg, start, 20).passed
+            index = np.arange(start, start + 20)
+            a, b, _ = harness._replay(cfg, index)
+            takes = np.array(cfg.functions)[index % len(cfg.functions)]
+            assert {name for name, _ in seen} == set(cfg.functions)
+            for name, x in seen:
+                assert x.shape[-1] == 4 and x.ndim == 2, name
+                assert x[0].tobytes() == np.minimum(a, b)[takes == name].tobytes(), name
+
+    @SUITES
+    def test_terms_leave_no_reference_cycle(self, run, trials, builds, scales):
+        # the terms of a slice over all five builtins, and the arrays they hold, are freed by
+        # reference counting as the slice ends, not left for the cycle collector
+        cfg = harness.SuiteConfig(seed=42, trials=trials)
+        assert run(cfg, 0, 20).passed
+        gc.collect()
+        gc.disable()
+        try:
+            for start in (20, 1980):
+                assert run(cfg, start, 20).passed
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFunctionAxis:

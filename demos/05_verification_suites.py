@@ -12,12 +12,13 @@ from meanbounds import (
     run_scalar_suite,
 )
 
-# Trial i's draws depend on the seed and i alone, so reruns and partial runs
-# reproduce per-trial results exactly.  Each report names its draw scheme:
-# "pcg64-xor" for the scalar and bounds suites (trial i draws from
-# default_rng(seed ^ i)), "philox-blocks" for the operator suite (trial i reads
-# its own Philox counter blocks).  An operator report made under the older
-# default_rng(seed ^ i) scheme does not re-run under the new one.
+# Every suite draws from SplitMix64 and its reports name that scheme,
+# "splitmix64": trial i's k-th double is output i*K + k + 1 of SplitMix64
+# seeded with the seed (K = 11 for the scalar and bounds suites, 2D^2 + 2D + 1
+# with D = max(dims) for the operator suite).  So trial i's draws depend on the
+# seed and i alone (and on max(dims) for operator trials), and reruns and
+# partial runs reproduce per-trial results exactly.  Reports of the older
+# "pcg64-xor" and "philox-blocks" schemes neither merge with these nor re-run.
 cfg = SuiteConfig(seed=42, trials=400)
 
 print("== scalar suite (chains + gap checks) ==")

@@ -1,12 +1,12 @@
 """Seeded randomized verification suites with replayable failure records.
 
-Trial i's draws depend on the seed and i alone, so any slice of the trial range gives exactly
-the per-trial results of a full serial run, and reports from disjoint slices merge
-associatively via :func:`merge_reports` if they name one draw scheme (``SuiteReport.draws``).
-Scalar and bounds, ``"pcg64-xor"``: a slice replays ``np.random.default_rng(seed ^ i)`` as
-arrays, bit for bit (NEP 19).  Operator, ``"philox-blocks"``: trial i of dimension d reads its
-own ``np.random.Philox`` blocks (``_operator_draws``); an operator report of the older
-``default_rng(seed ^ i)`` scheme, which names none, does not re-run under it.
+Every suite draws from SplitMix64 (``SuiteReport.draws`` is ``"splitmix64"``): trial i's k-th
+double is the top 53 bits of output i K + k + 1 of SplitMix64 seeded with the seed, K = 11 for
+the scalar and bounds suites and 2 D^2 + 2 D + 1, D = max(dims), for the operator suite.  So
+trial i's draws depend on the seed and i alone (and D), any slice of the trial range gives
+exactly the per-trial results of a full serial run, and reports from disjoint slices merge
+associatively via :func:`merge_reports` if they name one draw scheme.  Reports of the older
+schemes (``"pcg64-xor"``, ``"philox-blocks"``) neither merge with these nor re-run.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from . import scalar as sc
 from .reports import ChainReport, GapBoundReport, PointCheck, Report, to_json
 
 DEFAULT_FUNCTIONS = tuple(cvx.BUILTINS)
-
-_U64 = (1 << 64) - 1
 
 # oriented draws keep |b - a| at or above this
 MIN_GAP = 1e-6
@@ -74,8 +72,8 @@ class SuiteConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "trials", _count("trials", self.trials))
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Real)
-                                               and 0 <= self.seed <= _U64 and self.seed % 1 == 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Real) and
+                                               0 <= self.seed <= 2**64 - 1 and self.seed % 1 == 0):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         _positive_range("a_range", self.a_range)
@@ -150,61 +148,25 @@ def merge_reports(first: SuiteReport, second: SuiteReport) -> SuiteReport:
     return out
 
 
-# default_rng(seed ^ i) replayed on arrays: numpy's SeedSequence on its pool of 4 words, then
-# PCG64 (O'Neill, HMC-CS-2014-0905, 2014).  SeedSequence's hash constants do not depend on the
-# data: _HASH[:4] hash the pool, then mixing round src hashes word src with _MIX[:, src, dst]
-# (xor, multiplier) for each word dst != src, and _STATE_HASH hash the state words.
-_HASH, _STATE_HASH = (np.array([[x * pow(m, k, 1 << 32) & 0xFFFFFFFF] for k in range(n)], np.uint32)
-                      for x, m, n in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9)))
-_MIX = np.zeros((2, 4, 4, 1), np.uint32)
-_MIX[:, ~np.eye(4, dtype=bool)] = _HASH[4:16], _HASH[5:17]
-# draw k's state is seed * M**(k+2) + inc * (1 + M + ... + M**(k+2)) mod 2**128, k over a, b,
-# 8 redraws of b and v: [hi, lo, lo >> 32, lo & 0xFFFFFFFF][seed, inc][k]
-_POWERS = [pow(0x2360ED051FC65DA44385DF649FCCF645, j, 1 << 128) for j in range(13)]
-_JUMPS = np.array([[[c >> 64, c & _U64, c >> 32 & 0xFFFFFFFF, c & 0xFFFFFFFF] for c in (
-    _POWERS[k + 2], sum(_POWERS[:k + 3]) % (1 << 128))] for k in range(11)], np.uint64).T
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), as Vigna's splitmix64.c: output n of the
+# generator seeded with s is mix(s + n GAMMA mod 2**64), so any output is one counter away
+_GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 
-def _pcg64_seeds(seeds: np.ndarray):
-    """PCG64's 128-bit (seed, inc) per uint64 seed as numpy derives them, rows 0 and 1 of the
-    (hi, lo) returned: the seed's two 32-bit words fill the pool (a missing high word hashes
-    as 0), and generate_state(4, uint64) gives (seed, seq)."""
-    pool = np.zeros((4, len(seeds)), np.uint32)
-    pool[:2] = seeds, seeds >> 32
-    pool = (pool ^ _HASH[:4]) * _HASH[1:5]
-    pool ^= pool >> 16
-    for src in range(4):  # word src into every other word, all four rows at once
-        y = (pool[src] ^ _MIX[0, src]) * _MIX[1, src]
-        y = 0xCA01F9DD * pool - 0x4973F715 * (y ^ y >> 16)
-        y ^= y >> 16
-        y[src], pool = pool[src], y
-    words = (np.concatenate([pool, pool]) ^ _STATE_HASH[:8]) * _STATE_HASH[1:]
-    words = (words ^ words >> 16).astype(np.uint64)
-    val = words[0::2] | words[1::2] << 32  # seed hi, seed lo, seq hi, seq lo
-    return np.stack([val[0], val[2] << 1 | val[3] >> 63]), np.stack([val[1], val[3] << 1 | 1])
-
-
-def _doubles(hi: np.ndarray, lo: np.ndarray, cols) -> np.ndarray:
-    """``Generator.random`` of draws ``cols`` of the streams (hi, lo) from _pcg64_seeds: the
-    state from one 128-bit product per row, its XSL-RR output, its top 53 bits."""
-    ch, cl, c1, c0 = _JUMPS[:, :, cols]
-    x1, x0 = lo >> 32, lo & 0xFFFFFFFF
-    p01, p10 = x0 * c1, x1 * c0
-    mid = (x0 * c0 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)  # high half by 32-bit limbs
-    hi = x1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * ch + hi * cl
-    lo = lo * cl
-    out = lo[0] + lo[1]
-    hi = hi[0] + hi[1] + (out < lo[0])
-    out, rot = hi ^ out, hi >> 58
-    return ((out >> rot | out << (-rot & 63)) >> 11) * 2.0 ** -53
+def _uniform(seed: int, n: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) from the top 53 bits of outputs ``n`` (a uint64 array) of
+    SplitMix64 seeded with ``seed``; uint64 arrays wrap mod 2**64 without a warning."""
+    z = n * _GAMMA + np.uint64(seed)
+    z = (z ^ z >> np.uint64(30)) * _MIX1
+    z = (z ^ z >> np.uint64(27)) * _MIX2
+    return ((z ^ z >> np.uint64(31)) >> np.uint64(11)) * 2.0 ** -53
 
 
 def _replay(cfg: SuiteConfig, index: np.ndarray):
-    """(a, b, v) of trials ``index`` as arrays, bit for bit the draws of
-    ``np.random.default_rng(cfg.seed ^ i)`` for trial i: a and b log-uniform over their
-    ranges (no draw for a one-point range), b redrawn up to 8 times while |b - a| < MIN_GAP,
-    then v uniform."""
-    hi, lo = _pcg64_seeds(np.uint64(cfg.seed) ^ index.astype(np.uint64))
+    """(a, b, v) of trials ``index`` as arrays: trial i's k-th double is SplitMix64 output
+    11 i + k + 1.  a and b are log-uniform over their ranges (no draw for a one-point range),
+    b is redrawn up to 8 times while |b - a| < MIN_GAP, then v is uniform."""
+    first = index.astype(np.uint64) * np.uint64(11) + np.uint64(1)  # output of double k = 0
     na, nb = (int(lo_ != hi_) for lo_, hi_ in (cfg.a_range, cfg.b_range))
 
     def log_uniform(rng, d):  # a one-point range takes no draw
@@ -212,14 +174,14 @@ def _replay(cfg: SuiteConfig, index: np.ndarray):
         return np.full(len(d), lo_) if lo_ == hi_ else \
             np.exp(np.log(lo_) + (np.log(hi_) - np.log(lo_)) * d)
 
-    d = _doubles(hi[:, None], lo[:, None], np.arange(na + nb + 1)[:, None])
+    d = _uniform(cfg.seed, first + np.arange(na + nb + 1, dtype=np.uint64)[:, None])
     a, b, dv = log_uniform(cfg.a_range, d[0]), log_uniform(cfg.b_range, d[na]), d[na + nb]
     need = np.arange(len(index))
-    for col in range(na + 1, na + 9 * nb):  # redraw b from column col, then v from col + 1
+    for col in range(na + 1, na + 9 * nb):  # redraw b from double col, then v from col + 1
         need = need[np.abs(b[need] - a[need]) < MIN_GAP]
         if not len(need):
             break
-        d = _doubles(hi[:, None, need], lo[:, None, need], np.array([[col], [col + 1]]))
+        d = _uniform(cfg.seed, first[need] + np.array([[col], [col + 1]], np.uint64))
         b[need], dv[need] = log_uniform(cfg.b_range, d[0]), d[1]
     v_lo, v_hi = map(float, cfg.v_range)
     return a, b, v_lo + (v_hi - v_lo) * dv
@@ -340,7 +302,7 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool
     a, b, v = _replay(cfg, index)
     a, b = (np.minimum(a, b), np.maximum(a, b)) if oriented else (a, b)
     draws = (index, a, b, v, tuple(map(cvx.get_builtin, cfg.functions)))
-    rep = SuiteReport(suite, cfg.seed, len(index), draws="pcg64-xor")
+    rep = SuiteReport(suite, cfg.seed, len(index), draws="splitmix64")
     # every position, or those without b - a < MIN_GAP for a check that needs a < b
     positions = (np.arange(len(index)), np.flatnonzero(np.abs(b - a) >= MIN_GAP))
     terms = {}  # the chain terms built in this slice, shared by the checks that read them
@@ -404,15 +366,15 @@ def _representing_grid(rep: SuiteReport, cfg: SuiteConfig):
 
 
 def _operator_draws(cfg: SuiteConfig, dim: int, block) -> tuple:
-    """(index, A, B, v) of trials ``block``, all of dimension ``dim``, from one Philox call:
-    trial i reads the K blocks of 4 doubles after counter i K under key seed + (dim << 64),
-    K = ceil((2 dim^2 + 2 dim + 1) / 4).  Doubles u1, u2 at j and dim^2 + j (j < dim^2) give
-    entry j of A's and B's Gaussian, r cos(2 pi u2) and r sin(2 pi u2), r = sqrt(-2 log1p(-u1))
-    (Box-Muller); the next dim doubles give A's exponents -2 + 4u, the next dim B's, then v's."""
+    """(index, A, B, v) of trials ``block``, all of dimension ``dim``: trial i reads the first
+    2 dim^2 + 2 dim + 1 of its doubles, SplitMix64 outputs i K + k + 1, K = 2 D^2 + 2 D + 1 for
+    D = max(cfg.dims).  Doubles u1, u2 at j and dim^2 + j (j < dim^2) give entry j of A's and
+    B's Gaussian, r cos(2 pi u2) and r sin(2 pi u2), r = sqrt(-2 log1p(-u1)) (Box-Muller); the
+    next dim doubles give A's exponents -2 + 4u, the next dim B's, then v's."""
     index = np.fromiter(block, np.int64)
-    n, sq, k = len(index), dim * dim, -(-(2 * dim * (dim + 1) + 1) // 4)
-    bits = np.random.Philox(key=cfg.seed + (dim << 64)).advance(int(index[0]) * k)
-    u = np.random.Generator(bits).random((n, 4 * k))
+    n, sq, top = len(index), dim * dim, max(cfg.dims)
+    first = index.astype(np.uint64)[:, None] * np.uint64(2 * top * (top + 1) + 1) + np.uint64(1)
+    u = _uniform(cfg.seed, first + np.arange(2 * sq + 2 * dim + 1, dtype=np.uint64))
     r, angle = np.sqrt(-2.0 * np.log1p(-u[:, :sq])), 2.0 * np.pi * u[:, sq:2 * sq]
     gauss = np.stack([r * np.cos(angle), r * np.sin(angle)]).reshape(2, n, dim, dim)
     exps = -2.0 + 4.0 * u[:, 2 * sq:2 * sq + 2 * dim].reshape(n, 2, dim).swapaxes(0, 1)
@@ -450,7 +412,7 @@ def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteRep
     """
     t0 = time.perf_counter()
     indices = _slice(cfg.trials * len(cfg.dims), start, count)
-    rep = SuiteReport("operator", cfg.seed, len(indices), draws="philox-blocks")
+    rep = SuiteReport("operator", cfg.seed, len(indices), draws="splitmix64")
     for dim, block in itertools.groupby(indices, lambda i: cfg.dims[i // cfg.trials]):
         _operator_block(rep, _operator_draws(cfg, dim, block), cfg.op_tol)
     if 0 in indices:

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .reports import ChainReport
+from .reports import ChainReport, require_finite
 
 # |log(b/a)| below this switches the logarithmic/identric kernels to their
 # series branch; the quadratic term is ~1e-16 relative there, so the two
@@ -146,14 +146,22 @@ def log_mean_unit(t, v):
     with the series 1 + v h + v(1+2v) h^2/6 used for |h| < H_SWITCH.
     Per element, weights above 1/2 route through L_v(1, t) = t L_{1-v}(1, 1/t),
     which keeps the expm1 difference well conditioned near the weight
-    endpoints, and v = 0 and v = 1 give 1 and t.
+    endpoints, and v = 0 and v = 1 give 1 and t.  A result that is not finite raises
+    FloatingPointError.
     """
-    return _float_if_0d(_log_mean_unit(t, np.asarray(check_weight(v))))
+    with np.errstate(all="ignore"):
+        return _finite_mean(_log_mean_unit(t, np.asarray(check_weight(v))))
 
 
 def weighted_logarithmic(a, b, v):
-    """Weighted logarithmic mean, a * L_v(1, b/a)."""
-    return _float_if_0d(_logarithmic(*_args(a, b, v)))
+    """Weighted logarithmic mean, a * L_v(1, b/a); FloatingPointError if it is not finite."""
+    with np.errstate(all="ignore"):
+        return _finite_mean(_logarithmic(*_args(a, b, v)))
+
+
+def _finite_mean(x):
+    require_finite("the logarithmic mean is not finite", x)
+    return _float_if_0d(x)
 
 
 def _identric_rho(rho):

@@ -19,6 +19,7 @@ from meanbounds import convex as cvx
 from meanbounds import operators as ops
 from meanbounds import scalar as sc
 from meanbounds.reports import ChainReport, GapBoundReport, chain_links
+from splitmix64 import SplitMix64
 
 EPS = np.finfo(float).eps
 
@@ -225,10 +226,10 @@ def test_scan_rows_equal_the_0d_chains(chain, capsys):
 
 
 def draw_trial(cfg, i):
-    """Trial i's (a, b, v), drawn one at a time from ``np.random.default_rng(seed ^ i)`` as
-    the scalar and bounds suites define them: a, then b, log-uniform over their ranges (no
-    draw for a one-point range), b redrawn up to 8 times while |b - a| < MIN_GAP, then v."""
-    rng = np.random.default_rng(cfg.seed ^ i)
+    """Trial i's (a, b, v), drawn one at a time from SplitMix64 after 11 i calls, as the
+    scalar and bounds suites define them: a, then b, log-uniform over their ranges (no draw for
+    a one-point range), b redrawn up to 8 times while |b - a| < MIN_GAP, then v."""
+    rng = SplitMix64(cfg.seed, 11 * i)
 
     def log_uniform(lo, hi):
         return lo if lo == hi else float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
@@ -242,12 +243,12 @@ def draw_trial(cfg, i):
 
 
 class TestReplay:
-    """The suites replay the seed ^ i streams on arrays, bit for bit the draws above."""
+    """The suites draw trial i's doubles as arrays, bit for bit the one-at-a-time draws above."""
 
-    SEEDS = (0, 42, 2**32 - 1, 2**32, 2**63, 2**64 - 20, 2**64 - 1)
-    # indices below 2**32 and across it, where seed ^ i changes its high word: with the eight
-    # cases below, 21,280 trials
-    INDEX = np.r_[0:320, 2**32 - 30:2**32 + 30]
+    SEEDS = (0, 7, 42, 2**63, 2**64 - 20, 2**64 - 1)
+    # slices at 0, 17 and the last trials of a 10,000-trial run, and indices far into the
+    # range: with the eight cases below, 18,720 trials
+    INDEX = np.r_[0:320, 17:37, 9980:10_000, 2**40 - 30:2**40]
 
     @pytest.mark.parametrize("overrides, close", [
         ({}, (0.0, 0.0)),  # the CLI defaults
@@ -255,14 +256,16 @@ class TestReplay:
         ({"b_range": (0.5, 0.5)}, None),
         ({"a_range": (3.0, 3.0), "b_range": (3.0, 3.0), "v_range": (0.4, 0.4)}, (1.0, 1.0)),
         ({"a_range": (5e-324, 1.7e308), "b_range": (5e-324, 1.7e308)}, None),
-        # 3/4 of the first pairs are closer than MIN_GAP: most trials redraw b, few 8 times
-        ({"a_range": (1.0, 1.0 + 2e-6), "b_range": (1.0, 1.0 + 2e-6)}, (0.01, 0.2)),
+        # 3/4 of the first pairs are closer than MIN_GAP, and (1 - 2**-10) / 5 = 0.1998 of
+        # them stay closer after 9 draws of b; 2280 pairs give a standard error of 0.0084
+        ({"a_range": (1.0, 1.0 + 2e-6), "b_range": (1.0, 1.0 + 2e-6)}, (0.165, 0.235)),
+        # with a at the range's end, 1/2 of the first pairs and 2**-9 after 9 draws
         ({"a_range": (1.0, 1.0), "b_range": (1.0, 1.0 + 2e-6)}, (0.0, 0.01)),
-        # every pair is closer than MIN_GAP: every trial draws b nine times
+        # every pair is closer than MIN_GAP: every trial draws b nine times, v last
         ({"a_range": (1.0, 1.0 + 1e-9), "b_range": (1.0, 1.0 + 1e-9)}, (1.0, 1.0)),
     ], ids=["defaults", "a-point", "b-point", "all-points", "full-range", "redraws",
             "a-point-redraws", "exhausted"])
-    def test_draws_equal_default_rng(self, overrides, close):
+    def test_draws_equal_splitmix64_reference(self, overrides, close):
         pairs_close = []
         for seed in self.SEEDS:
             cfg = harness.SuiteConfig(seed=seed, **overrides)
@@ -272,6 +275,24 @@ class TestReplay:
             pairs_close.extend(np.abs(got[1] - got[0]) < harness.MIN_GAP)
         if close is not None:
             assert close[0] <= np.mean(pairs_close) <= close[1]
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"a_range": (1.0, 1.0 + 1e-9), "b_range": (1.0, 1.0 + 1e-9)}],
+        ids=["defaults", "exhausted"])
+    def test_no_two_trials_read_one_output(self, overrides, monkeypatch):
+        # each trial drawn alone: the SplitMix64 outputs that it reads, all 11 where every
+        # redraw is taken, are its own
+        cfg, reads, uniform = harness.SuiteConfig(seed=7, trials=200, **overrides), [], \
+            harness._uniform
+        monkeypatch.setattr(harness, "_uniform", lambda seed, n: reads.append(n) or
+                            uniform(seed, n))
+        owners = {}
+        for i in range(cfg.trials):
+            reads.clear()
+            harness._replay(cfg, np.array([i]))
+            for n in set(np.concatenate([n.ravel() for n in reads]).tolist()):
+                assert owners.setdefault(n, i) == i, (n, owners[n], i)
+        assert len(owners) == cfg.trials * (11 if overrides else 3)
 
 
 def reference_scalar_slice(cfg, start, count):
@@ -335,7 +356,7 @@ NEAR_MAX = dict(a_range=(1.5e308, 1.79e308), b_range=(1.5e308, 1.79e308))
     ({"seed": 5, "trials": 10, **WIDE}, 0, 10),  # b/a overflows at every trial
     ({"seed": 5, "a_range": (1e-300, 1.0), "b_range": (1.0, 1e300)}, 0, 40),  # at some
     ({"seed": 3, **NEAR_MAX}, 0, 40),  # a chain term overflows at every trial
-    # MIN_GAP leaves 12 trials out of hh_chain but not of the gap checks: two trial sets
+    # MIN_GAP leaves 9 trials out of hh_chain but not of the gap checks: two trial sets
     ({"a_range": (1.0, 1.000002), "b_range": (1.0, 1.000002)}, 0, 60),
 ])
 def test_scalar_slice_equals_trial_by_trial_reference(overrides, start, count):
@@ -388,14 +409,14 @@ def reference_bounds_slice(cfg, start, count):
     ({}, 13, 20),
     ({}, 7, 0),  # an empty slice
     ({"tol": -1e-3}, 5, 20),  # a negative tolerance makes the bounds fail: records compared
-    ({"seed": 1, "trials": 30, "a_range": (1.0, 2000.0), "b_range": (1.0, 2000.0)}, 0, 30),
+    # exp overflows at every trial that takes it: thm32 and thm33 raise at 6 trials each
+    ({"seed": 1, "trials": 30, "a_range": (710.0, 2000.0), "b_range": (710.0, 2000.0)}, 0, 30),
     # thm33 and cor34 raise at every trial, thm32 at 24, while cor32 answers: 104 records
     # (the reference's 0-d thm33 and cor34 calls warn of 0 * inf in a window)
     pytest.param({"seed": 2, "a_range": (1.0, 2.0), "b_range": (1e200, 1e201)}, 0, 40,
                  marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
 ])
 def test_bounds_slice_equals_trial_by_trial_reference(overrides, start, count):
-    # the last case is the exp-overflow range: exp's derivative bounds and gaps overflow
     cfg = harness.SuiteConfig(**{"seed": 42, "trials": 40, **overrides})
     rep = harness.run_bounds_suite(cfg, start, count)
     mins, failures = reference_bounds_slice(cfg, start, count)

@@ -179,6 +179,14 @@ class TestNumericStderr:
         assert proc.stderr.splitlines() == [
             "meanbounds: error: log_mean_unit needs finite positive arguments"]
 
+    def test_subnormal_ratio_log_mean_exits_1_with_strict_json(self):
+        # b/a = 5e-324 at v = 0.8: the mirror forms 1/t = inf and the mean is not finite
+        proc = run_process("means", "eval", "--mean", "log", "--a", "1.0", "--b", "5e-324",
+                           "--v", "0.8")
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout, parse_constant=reject_constant) == {"error": {
+            "type": "FloatingPointError", "message": "the logarithmic mean is not finite"}}
+
     def test_near_max_chain_exits_1_with_strict_json(self):
         proc = run_process("means", "chain", "--a", "1.6e308", "--b", "1.7e308", "--v", "0.5")
         assert proc.returncode == 1 and proc.stderr == ""

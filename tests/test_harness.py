@@ -4,7 +4,11 @@ import gc
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from meanbounds import cli, harness
 from meanbounds import convex as cvx
 from meanbounds import operators as ops
 from meanbounds.quadrature import QuadratureError
+from splitmix64 import SplitMix64
 
 
 def small_cfg(**overrides):
@@ -185,10 +190,10 @@ class TestFailureRecords:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("runner", [harness.run_scalar_suite, harness.run_bounds_suite])
     def test_numeric_errors_become_replayable_records(self, runner):
-        # exp overflows on this accepted range: the quadrature sees non-finite
-        # values and the exact derivative bounds raise OverflowError
-        cfg = harness.SuiteConfig(seed=1, trials=30, a_range=(1.0, 2000.0),
-                                  b_range=(1.0, 2000.0))
+        # exp overflows at every trial that takes it on this accepted range: its chain
+        # terms are not finite and the exact derivative bounds raise OverflowError
+        cfg = harness.SuiteConfig(seed=1, trials=30, a_range=(710.0, 2000.0),
+                                  b_range=(710.0, 2000.0))
         rep = runner(cfg)
         errors = [r for r in rep.failures if "error" in r]
         assert errors
@@ -200,13 +205,15 @@ class TestFailureRecords:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_is_a_numeric_error_not_a_violation(self):
         # exp overflows on this range: every check that meets it, the point
-        # gap checks included, records an error rather than a violated inequality
-        cfg = harness.SuiteConfig(seed=1, trials=60, a_range=(1.0, 2000.0),
-                                  b_range=(1.0, 2000.0))
+        # gap checks included, records an error rather than a violated inequality,
+        # at each of the 12 trials of 60 that take exp
+        cfg = harness.SuiteConfig(seed=1, trials=60, a_range=(710.0, 2000.0),
+                                  b_range=(710.0, 2000.0))
         rep = harness.run_scalar_suite(cfg)
         checks = [r["check"] for r in rep.failures]
         assert {check: checks.count(check) for check in checks} == \
-            {"hh_chain": 6, "gap_sandwich": 6, "refined_gap": 6}
+            {"hh_chain": 12, "gap_sandwich": 12, "refined_gap": 12}
+        assert {r["inputs"]["f"] for r in rep.failures} == {"exp"}
         assert all("error" in r for r in rep.failures)
         # the overflowing trials are left out of min_slacks, not noted as NaN
         assert all(math.isfinite(x) for x in rep.min_slacks.values())
@@ -410,12 +417,12 @@ class TestFunctionAxis:
     @pytest.mark.parametrize("overrides, start, errors", [
         ({}, 0, False),  # the CLI defaults
         ({"functions": ("xlogx", "exp", "quartic")}, 40, False),
-        # exp overflows at some trials of this slice: every check that takes f raises on
-        # the whole slice and reruns it trial by trial
-        ({"a_range": (1.0, 800.0), "b_range": (1.0, 800.0)}, 120, True),
-        ({"seed": 2**64 - 1}, 9980, False),  # seed ^ i at the top of the uint64 range
+        # exp overflows at the 4 trials of this slice that take it: every check that takes
+        # f raises on the whole slice and reruns it trial by trial
+        ({"a_range": (710.0, 2000.0), "b_range": (710.0, 2000.0)}, 120, True),
+        ({"seed": 2**64 - 1}, 9980, False),  # the SplitMix state wraps mod 2**64
         # every pair stays closer than MIN_GAP after 8 redraws: hh_chain, thm32 and thm33
-        # check no trial, and v comes from each stream's eleventh draw
+        # check no trial, and v comes from each trial's eleventh double
         ({"a_range": (1.0, 1.0 + 1e-9), "b_range": (1.0, 1.0 + 1e-9)}, 20, False),
     ], ids=["defaults", "subset-reordered", "exp-overflows", "top-seed", "exhausted-redraws"])
     def test_slice_equals_merged_one_trial_slices(self, run, overrides, start, errors):
@@ -429,38 +436,21 @@ class TestFunctionAxis:
             {key: repr(val) for key, val in merged.min_slacks.items()}
 
 
-PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
-PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and Weyl key increments
-
-
-def philox4x64_10(counter, key):
-    """Random123's Philox4x64-10 of one 256-bit counter under a 128-bit key, in Python
-    integers (Salmon et al., SC 2011): its four 64-bit words, low word first."""
-    mask = (1 << 64) - 1
-    c, k = [counter >> 64 * j & mask for j in range(4)], [key & mask, key >> 64]
-    for rnd in range(10):
-        if rnd:
-            k = [(k[0] + PHILOX_W[0]) & mask, (k[1] + PHILOX_W[1]) & mask]
-        p0, p1 = PHILOX_M[0] * c[0], PHILOX_M[1] * c[2]
-        c = [p1 >> 64 ^ c[1] ^ k[0], p1 & mask, p0 >> 64 ^ c[3] ^ k[1], p0 & mask]
-    return c
-
-
-def reference_uniforms(seed, dim, i):
+def reference_uniforms(cfg, dim, i):
     """Trial i's doubles at dimension ``dim`` as the README states them, one trial at a time:
-    the K = ceil((2 dim^2 + 2 dim + 1) / 4) blocks of 4 doubles after Philox counter i K under
-    key seed + (dim << 64), here from a bit generator constructed at that counter."""
-    blocks = math.ceil((2 * dim**2 + 2 * dim + 1) / 4)
-    bits = np.random.Philox(counter=i * blocks, key=seed + (dim << 64))
-    return np.random.Generator(bits).random(4 * blocks)
+    the first 2 dim^2 + 2 dim + 1 of its K = 2 D^2 + 2 D + 1, D = max(cfg.dims), from
+    SplitMix64 after i K calls."""
+    top = max(cfg.dims)
+    rng = SplitMix64(cfg.seed, i * (2 * top * (top + 1) + 1))
+    return np.array([rng.random() for _ in range(2 * dim * (dim + 1) + 1)])
 
 
 class ReplayedDraws:
     """A stand-in generator that hands ``random_spd`` and ``uniform`` one trial's
     documented draws in their order: A's normals and exponent doubles, B's, v's."""
 
-    def __init__(self, seed, dim, i):
-        u, sq = reference_uniforms(seed, dim, i), dim * dim
+    def __init__(self, cfg, dim, i):
+        u, sq = reference_uniforms(cfg, dim, i), dim * dim
         r, angle = np.sqrt(-2.0 * np.log1p(-u[:sq])), 2.0 * np.pi * u[sq:2 * sq]
         exps = u[2 * sq:2 * sq + 2 * dim]
         self.draws = [r * np.cos(angle), exps[:dim], r * np.sin(angle), exps[dim:],
@@ -479,7 +469,7 @@ def reference_operator_slice(cfg, start, count):
     mins, failures = {}, []
     for i in range(start, start + count):
         dim = cfg.dims[i // cfg.trials]
-        rng = ReplayedDraws(cfg.seed, dim, i)
+        rng = ReplayedDraws(cfg, dim, i)
         mat_a, mat_b = harness.random_spd(rng, dim), harness.random_spd(rng, dim)
         v = float(rng.uniform(*cfg.v_range))
         rep = ops.operator_chain(mat_a, mat_b, v, tol=cfg.op_tol)
@@ -503,7 +493,7 @@ class TestOperatorBatch:
         for seed in (9001, 2**64 - 1) for start, count in ((0, 10), (7, 6), (21, 19))])
     def test_slice_matches_reference_loop(self, start, count, seed, op_tol):
         # 10 trials per dimension: (7, 6) crosses from dim 2 into dim 3 and
-        # (21, 19) from dim 5 into dim 8; seed ^ i at the top of the uint64 range
+        # (21, 19) from dim 5 into dim 8; a seed at the top of the uint64 range
         cfg = harness.SuiteConfig(seed=seed, trials=10, op_tol=op_tol)
         rep = harness.run_operator_suite(cfg, start, count)
         mins, failures = reference_operator_slice(cfg, start, count)
@@ -536,7 +526,7 @@ class TestOperatorBatch:
     def test_broken_trial_becomes_its_record(self, kind, error, monkeypatch):
         cfg = harness.SuiteConfig(seed=11, trials=12, dims=(3,))
         bad = 5
-        bad_gauss = ReplayedDraws(cfg.seed, 3, bad).draws[0].reshape(3, 3)
+        bad_gauss = ReplayedDraws(cfg, 3, bad).draws[0].reshape(3, 3)
         spd_stack = harness._spd_stack
 
         def broken_stack(gauss, exps):
@@ -570,21 +560,21 @@ class TestOperatorBatch:
 
 
 class TestOperatorDraws:
-    """Trial i of dimension d reads its own Philox counter blocks under key seed + (d << 64):
-    the draws follow the documented layout bit for bit, whatever the slice or the order of
-    the dims, and concurrent runs share no generator."""
+    """Operator trial i of dimension d reads the first 2 d^2 + 2 d + 1 of its own K SplitMix64
+    outputs: the draws follow the documented layout bit for bit, whatever the slice or the
+    order of the dims, and concurrent runs share no generator."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     @pytest.mark.parametrize("dims", [(2, 3, 5, 8), (8, 5, 3, 2), (3, 2, 3, 3)],
                              ids=["given", "reversed", "repeated"])
-    def test_draws_follow_the_philox_layout(self, seed, dims):
+    def test_draws_follow_the_splitmix64_layout(self, seed, dims):
         def checked(cfg, start, count):  # each trial's draws, equal to the reference's
             out = []
             slice_ = range(start, start + count)
             for dim, block in itertools.groupby(slice_, lambda i: dims[i // cfg.trials]):
                 index, mat_a, mat_b, v = harness._operator_draws(cfg, dim, block)
                 for k, i in enumerate(index.tolist()):
-                    rng = ReplayedDraws(seed, dim, i)
+                    rng = ReplayedDraws(cfg, dim, i)
                     for got in (mat_a[k], mat_b[k]):
                         assert got.tobytes() == harness.random_spd(rng, dim).entries.tobytes()
                     assert v[k].item() == rng.uniform(*cfg.v_range)
@@ -592,22 +582,47 @@ class TestOperatorDraws:
             return out
 
         cfg = harness.SuiteConfig(seed=seed, trials=6, dims=dims)
-        # the whole range and two slices, one across a change of dimension
-        seen = {draws for start, count in ((0, 24), (5, 8), (17, 1))
+        # the whole range and slices at 0, 5 (across a change of dimension), 17 and the last
+        seen = {draws for start, count in ((0, 24), (5, 8), (17, 7), (23, 1))
                 for draws in checked(cfg, start, count)}
-        # one draw per trial, every slice agreeing, and no two trials alike: no trial of
-        # a repeated dim reads another's blocks
+        # one draw per trial, every slice agreeing, and no two trials alike
         assert len(seen) == 24
         assert len({draws[1:] for draws in seen}) == 24
         # trials far into the range, a slice across dims[1] and dims[2]
         checked(harness.SuiteConfig(seed=seed, trials=2**40, dims=dims), 2**41 - 2, 4)
 
-    @pytest.mark.parametrize("seed, dim, i", [(0, 2, 0), (7, 3, 5), (2**64 - 1, 8, 3999)])
-    def test_blocks_are_philox4x64_10(self, seed, dim, i):
-        blocks = math.ceil((2 * dim**2 + 2 * dim + 1) / 4)
-        words = [w for c in range(i * blocks + 1, (i + 1) * blocks + 1)
-                 for w in philox4x64_10(c, seed + (dim << 64))]
-        assert reference_uniforms(seed, dim, i).tolist() == [(w >> 11) * 2.0**-53 for w in words]
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_uniform_is_splitmix64(self, seed):
+        # outputs 1 to 300 are next()'s first 300 calls, and output n, far on, is one call
+        # after n - 1 calls, where seed + n GAMMA wraps mod 2**64
+        rng = SplitMix64(seed)
+        want = [rng.random() for _ in range(300)]
+        assert harness._uniform(seed, np.arange(1, 301, dtype=np.uint64)).tolist() == want
+        far = [2**40, 2**63 + 5, 2**64 - 1]
+        assert harness._uniform(seed, np.array(far, np.uint64)).tolist() == \
+            [SplitMix64(seed, n - 1).random() for n in far]
+
+    def test_reference_is_vigna_splitmix64(self):
+        # the first outputs of splitmix64.c seeded with 0
+        rng = SplitMix64(0)
+        assert [rng.next() for _ in range(3)] == \
+            [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("dims", [(2, 3, 5, 8), (8, 5, 3, 2), (3, 2, 3, 3)],
+                             ids=["given", "reversed", "repeated"])
+    def test_no_two_trials_read_one_output(self, dims, monkeypatch):
+        # each trial drawn alone: the SplitMix64 outputs that it reads are its own
+        cfg, reads, uniform = harness.SuiteConfig(seed=7, trials=9, dims=dims), [], \
+            harness._uniform
+        monkeypatch.setattr(harness, "_uniform", lambda seed, n: reads.append(n) or
+                            uniform(seed, n))
+        owners = {}
+        for i in range(cfg.trials * len(dims)):
+            reads.clear()
+            harness._operator_draws(cfg, dims[i // cfg.trials], [i])
+            for n in set(np.concatenate([n.ravel() for n in reads]).tolist()):
+                assert owners.setdefault(n, i) == i, (n, owners[n], i)
+        assert len(owners) == sum(cfg.trials * (2 * d * (d + 1) + 1) for d in dims)
 
     def test_normals_and_exponents_have_their_law(self, monkeypatch):
         seen, spd_stack = [], harness._spd_stack
@@ -643,14 +658,19 @@ class TestOperatorDraws:
     def test_merge_rejects_mixed_draw_schemes(self):
         op = harness.run_operator_suite(harness.SuiteConfig(seed=7, trials=1, dims=(2,)), 0, 1)
         scalar = harness.run_scalar_suite(harness.SuiteConfig(seed=7, trials=2), 0, 1)
-        assert (op.draws, scalar.draws) == ("philox-blocks", "pcg64-xor")
-        assert json.loads(op.to_json())["draws"] == "philox-blocks"
+        bounds = harness.run_bounds_suite(harness.SuiteConfig(seed=7, trials=2), 0, 1)
+        assert op.draws == scalar.draws == bounds.draws == "splitmix64"
+        assert json.loads(op.to_json())["draws"] == "splitmix64"
         assert harness.reference_value_check().draws is None
-        for other in (dataclasses.replace(op, draws=None), dataclasses.replace(op, draws="x")):
-            for pair in ((op, other), (other, op)):
-                with pytest.raises(ValueError, match="draw schemes"):
-                    harness.merge_reports(*pair)
-        harness.merge_reports(op, dataclasses.replace(op))  # the same scheme merges
+        # reports of no scheme, of the older "pcg64-xor" and "philox-blocks" draws, or of
+        # another name do not merge with these
+        for rep in (op, scalar, bounds):
+            for draws in (None, "pcg64-xor", "philox-blocks", "x"):
+                other = dataclasses.replace(rep, draws=draws)
+                for pair in ((rep, other), (other, rep)):
+                    with pytest.raises(ValueError, match="draw schemes"):
+                        harness.merge_reports(*pair)
+            harness.merge_reports(rep, dataclasses.replace(rep))  # the same scheme merges
 
     def test_concurrent_runs_equal_serial(self):
         cfgs = [harness.SuiteConfig(seed=seed, trials=100) for seed in (3, 2**64 - 1)]
@@ -658,6 +678,26 @@ class TestOperatorDraws:
         serial = [run(cfg) for cfg in cfgs]
         with ThreadPoolExecutor(max_workers=2) as pool:
             assert list(pool.map(run, cfgs)) == serial
+
+
+def test_suites_leave_numpy_random_unimported():
+    # the draws are ufuncs on uint64 arrays: importing meanbounds and running a 20-trial
+    # slice of each suite imports no numpy.random (about 6 MB of RSS on first import)
+    script = "\n".join([
+        "import sys, numpy",
+        "if 'numpy.random' in sys.modules: sys.exit(3)",
+        "from meanbounds import harness",
+        "cfg = harness.SuiteConfig(trials=20)",
+        "for run in (harness.run_scalar_suite, harness.run_bounds_suite, "
+        "harness.run_operator_suite):",
+        "    assert run(cfg, 0, 20).passed",
+        "sys.exit('numpy.random' in sys.modules)"])
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = subprocess.run([sys.executable, "-c", script], check=False,
+                          env={**os.environ, "PYTHONPATH": src}).returncode
+    if code == 3:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert code == 0
 
 
 class TestNumericFailureClass:

@@ -113,6 +113,19 @@ class TestLogarithmic:
         assert out.tolist() == points
         assert np.isfinite(out).all()
 
+    def test_non_finite_result_raises(self):
+        # at t = 5e-324 and v > 1/2 the mirror forms 1/t = inf and the kernel answers NaN:
+        # the public calls raise instead, warn of nothing, and keep every finite result's bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in ((5e-324, 0.8), ([5e-324, 2.0], [0.8, 0.2]), (1.0, 5e-324, 0.8)):
+                call = sc.log_mean_unit if len(args) == 2 else sc.weighted_logarithmic
+                with pytest.raises(FloatingPointError, match="^the logarithmic mean is not finite"):
+                    call(*args)
+            ts, vs = np.array([1e-300, 0.5, 2.0, 1e300]), np.linspace(0.0, 1.0, 11)[:, None]
+            assert sc.log_mean_unit(ts, vs).tobytes() == sc._log_mean_unit(ts, vs).tobytes()
+            assert sc.log_mean_unit(5e-324, 0.2) == 0.005373165887854613
+
     def test_vectorized(self):
         ts = np.array([0.5, 1.0, 2.0])
         out = sc.log_mean_unit(ts, 0.3)

@@ -43,10 +43,13 @@ OPERATOR_GRID_RANGE = (1e-4, 1e4)
 OPERATOR_GRID_WEIGHTS = tuple(np.round(np.arange(0.01, 1.00, 0.01), 2))
 
 
-def _positive_range(name, rng):
-    lo, hi = map(float, rng) if np.shape(rng) == (2,) else (math.nan, math.nan)  # NaN fails below
-    if not (0.0 < lo <= hi and np.isfinite(hi)):
-        raise ValueError(f"{name} must be a nonempty positive interval, got {rng}")
+def _interval(name, rng, top=math.inf, rule="be a nonempty positive interval"):
+    try:  # anything but a pair of numbers is NaN, which fails below
+        lo, hi = map(float, rng) if np.shape(rng) == (2,) else (math.nan, math.nan)
+    except (TypeError, ValueError):
+        lo = hi = math.nan
+    if not 0.0 < lo <= hi < top:
+        raise ValueError(f"{name} must {rule}, got {rng}")
 
 
 def _count(name, value):
@@ -76,13 +79,13 @@ class SuiteConfig:
                                                0 <= self.seed <= 2**64 - 1 and self.seed % 1 == 0):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
-        _positive_range("a_range", self.a_range)
-        _positive_range("b_range", self.b_range)
-        v_lo, v_hi = self.v_range
-        if not (0.0 < v_lo <= v_hi < 1.0):
-            raise ValueError(f"v_range must sit inside (0, 1), got {self.v_range}")
+        _interval("a_range", self.a_range)
+        _interval("b_range", self.b_range)
+        _interval("v_range", self.v_range, 1.0, "sit inside (0, 1)")
         if not np.isfinite([self.tol, self.op_tol]).all():  # a negative tolerance is valid
             raise ValueError(f"tol and op_tol must be finite, got {self.tol!r}, {self.op_tol!r}")
+        if isinstance(self.functions, str):  # one name would be read a character at a time
+            raise ValueError(f"functions must be a sequence of names, got {self.functions!r}")
         for name in self.functions:
             cvx.get_builtin(name)
         if not self.functions:
@@ -225,21 +228,13 @@ def _producer(key: str, fname: str | None = None):
     return functools.partial(produce, cvx.get_builtin(fname)) if takes_f else produce
 
 
-def _fail_at(rep: SuiteReport, draws: tuple, pos: int, check: str, **extra):
-    """Record a failure of ``check`` at position ``pos`` of a slice's draws."""
-    index, a, b, v, specs = draws
-    i = int(index[pos])
-    inputs = {"a": a[pos].item(), "b": b[pos].item(), "v": v[pos].item(),
-              "f": specs[i % len(specs)].name}
-    rep._fail(i, check, inputs, **extra)
-
-
-def _record(rep: SuiteReport, key: str, res, pos: np.ndarray, draws: tuple):
-    """Note the minimum of each slack of a check's result at positions ``pos`` of the
-    slice's draws, and record each trial where a verdict fails."""
-    if isinstance(res, ChainReport):
-        verdicts = [(key, dict(enumerate(res.slacks, start=1)), res.passed,
-                     {"slacks": res.slacks})]
+def _record(rep: SuiteReport, key: str, res, pos: np.ndarray, fail):
+    """Note the minimum of each slack of a check's result at positions ``pos`` of a slice, and
+    record each trial where a verdict fails through ``fail(position, check, **fields)``."""
+    if isinstance(res, (ChainReport, ops.OperatorChainReport)):  # links 1, 2, ... of a chain
+        field_, slacks = ("slacks", res.slacks) if isinstance(res, ChainReport) else \
+            ("margins", tuple(verdict.margin for verdict in res.verdicts))
+        verdicts = [(key, dict(enumerate(slacks, start=1)), res.passed, {field_: slacks})]
     elif isinstance(res, PointCheck):
         verdicts = [(key, {"refined": res.lhs - res.rhs, "nonneg": res.rhs}, res.passed,
                      {"lhs": res.lhs, "rhs": res.rhs})]
@@ -256,36 +251,41 @@ def _record(rep: SuiteReport, key: str, res, pos: np.ndarray, draws: tuple):
             extra = {field: [x.flat[k].item() for x in map(np.asarray, value)]
                      if isinstance(value, tuple) else np.broadcast_to(value, np.shape(passed))
                      .flat[k].item() for field, value in fields.items()}
-            _fail_at(rep, draws, pos[k], name, **extra)
+            fail(pos[k], name, **extra)
 
 
-def _check_slice(rep: SuiteReport, key: str, pos: np.ndarray, draws: tuple, tol: float,
-                 terms: dict):
+def _check_slice(rep: SuiteReport, key: str, pos: np.ndarray, run, fail):
+    """Check ``key`` at positions ``pos`` of a slice in one array call ``run(pos)``, and record
+    its result.  Inputs are valid by construction, so a raise is a numeric failure: then each
+    trial reruns alone through ``run``, and ``fail(position, key, error=...)`` records it if it
+    raises.  This is every suite's evaluator, and ``_record`` its one recorder."""
+    try:
+        res = run(pos)
+    except (ArithmeticError, ValueError) as exc:  # LinAlgError is a ValueError
+        if len(pos) == 1:
+            return fail(pos[0], key, error=str(exc))
+        for one in pos[:, None]:
+            _check_slice(rep, key, one, run, fail)
+        return
+    _record(rep, key, res, pos, fail)
+
+
+def _array_call(key: str, draws: tuple, tol: float, terms: dict, pos: np.ndarray):
     """Check ``key`` at positions ``pos`` of the slice's draws (index, a, b, v, specs) in one
-    array call on their (lo, hi, v), trial i taking ``specs[i % len(specs)]``, or on their
+    array call: on their (lo, hi, v), trial i taking ``specs[i % len(specs)]``, or on their
     (a, b, v) if it takes no f, reading chain terms from ``terms``, each built once per slice
-    and position set.  Inputs are valid by construction, so a raise is a numeric failure: then
-    each trial reruns alone through the same builder and body, and gets a record if it raises."""
+    and position set."""
     module, producer, takes_f, _, reads = CHECKS[key]
     index, a, b, v, specs = draws
     arrays = lambda: (np.minimum(a[pos], b[pos]), np.maximum(a[pos], b[pos]), v[pos]) \
         if takes_f else (a[pos], b[pos], v[pos])  # made only if a call takes them
-    try:
-        if reads is None:
-            res = getattr(module, producer)(*arrays(), tol=tol)
-        else:
-            at = (reads[0], pos.tobytes())
-            if at not in terms:  # with f, the specs and an index into them per trial
-                fs = (specs, index[pos] % len(specs)) if takes_f else ()
-                terms[at] = getattr(module, reads[0])(*fs, *arrays())
-            res = getattr(module, reads[1])(terms[at], tol)
-    except (ArithmeticError, ValueError) as exc:
-        if len(pos) == 1:
-            return _fail_at(rep, draws, pos[0], key, error=str(exc))
-        for one in pos[:, None]:
-            _check_slice(rep, key, one, draws, tol, terms)
-        return
-    _record(rep, key, res, pos, draws)
+    if reads is None:
+        return getattr(module, producer)(*arrays(), tol=tol)
+    at = (reads[0], pos.tobytes())
+    if at not in terms:  # with f, the specs and an index into them per trial
+        fs = (specs, index[pos] % len(specs)) if takes_f else ()
+        terms[at] = getattr(module, reads[0])(*fs, *arrays())
+    return getattr(module, reads[1])(terms[at], tol)
 
 
 def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool):
@@ -301,8 +301,11 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool
     index = np.arange(trials.start, trials.stop)
     a, b, v = _replay(cfg, index)
     a, b = (np.minimum(a, b), np.maximum(a, b)) if oriented else (a, b)
-    draws = (index, a, b, v, tuple(map(cvx.get_builtin, cfg.functions)))
+    specs = tuple(map(cvx.get_builtin, cfg.functions))
     rep = SuiteReport(suite, cfg.seed, len(index), draws="splitmix64")
+    fail = lambda p, check, **extra: rep._fail(int(index[p]), check, {  # with trial p's draws
+        "a": a[p].item(), "b": b[p].item(), "v": v[p].item(),
+        "f": specs[index[p] % len(specs)].name}, **extra)
     # every position, or those without b - a < MIN_GAP for a check that needs a < b
     positions = (np.arange(len(index)), np.flatnonzero(np.abs(b - a) >= MIN_GAP))
     terms = {}  # the chain terms built in this slice, shared by the checks that read them
@@ -310,7 +313,8 @@ def _run_trials(suite: str, cfg: SuiteConfig, start, count, keys, oriented: bool
         for key in keys:
             pos = positions[CHECKS[key][3]]
             if len(pos):
-                _check_slice(rep, key, pos, draws, cfg.tol, terms)
+                run = functools.partial(_array_call, key, (index, a, b, v, specs), cfg.tol, terms)
+                _check_slice(rep, key, pos, run, fail)
     rep.failures.sort(key=lambda record: record["trial"])  # stable: check order stays
     rep.wall_ms = (time.perf_counter() - t0) * 1e3
     return rep
@@ -382,39 +386,25 @@ def _operator_draws(cfg: SuiteConfig, dim: int, block) -> tuple:
     return index, *_spd_stack(gauss, exps), v_lo + (v_hi - v_lo) * u[:, 2 * sq + 2 * dim]
 
 
-def _operator_block(rep: SuiteReport, draws: tuple, tol: float):
-    """One dimension's trials as one stack of pairs, from their (index, A, B, v).  If the stack
-    raises, its trials rerun one by one and the failing one gets a record with the error."""
-    index, a, b, v = draws
-    inputs = lambda k: dict(dim=a.shape[-1], v=v[k].item(), A=a[k].tolist(), B=b[k].tolist())
-    try:  # SPD by construction: the congruence's solves decide positivity
-        report = ops.operator_chain(*map(ops.SpdMatrix._by_construction, (a, b)), v, tol=tol)
-    except (ArithmeticError, ValueError) as exc:  # LinAlgError is a ValueError
-        if len(index) == 1:
-            return rep._fail(index[0].item(), "op_chain", inputs(0), error=str(exc))
-        for k in range(len(index)):
-            _operator_block(rep, tuple(x[k:k + 1] for x in draws), tol)
-        return
-    margins = np.array([vd.margin for vd in report.verdicts])  # (link, pair)
-    for idx, low in enumerate(margins.min(axis=1), start=1):
-        rep._note(f"op_chain.{idx}", low)
-    for k in np.flatnonzero(~report.passed).tolist():
-        rep._fail(index[k].item(), "op_chain", inputs(k), margins=margins[:, k].tolist())
-
-
 def run_operator_suite(cfg: SuiteConfig, start: int = 0, count=None) -> SuiteReport:
     """Operator chains on random SPD pairs for every configured dimension,
     plus the representing-function and helper-inequality grids.
 
     Each dimension's trials in a slice run as one stack: one stacked QR builds the SPD pairs,
-    and one operator_chain call, whatever their number, gives one report of margins; a trial
-    that raises becomes a failure record.  The grid checks run once, with trial 0's slice.
+    and one operator_chain call, whatever their number, gives one report of margins.  As in the
+    other suites, ``_check_slice`` makes that call and reruns each trial alone if it raises.
+    The grid checks run once, with trial 0's slice.
     """
     t0 = time.perf_counter()
     indices = _slice(cfg.trials * len(cfg.dims), start, count)
     rep = SuiteReport("operator", cfg.seed, len(indices), draws="splitmix64")
     for dim, block in itertools.groupby(indices, lambda i: cfg.dims[i // cfg.trials]):
-        _operator_block(rep, _operator_draws(cfg, dim, block), cfg.op_tol)
+        index, a, b, v = _operator_draws(cfg, dim, block)
+        run = lambda p: ops.operator_chain(  # SPD by construction: the solves decide positivity
+            *(ops.SpdMatrix._by_construction(m[p]) for m in (a, b)), v[p], tol=cfg.op_tol)
+        fail = lambda p, check, **extra: rep._fail(index[p].item(), check, dict(
+            dim=dim, v=v[p].item(), A=a[p].tolist(), B=b[p].tolist()), **extra)
+        _check_slice(rep, "op_chain", np.arange(len(index)), run, fail)
     if 0 in indices:
         _representing_grid(rep, cfg)
     rep.wall_ms = (time.perf_counter() - t0) * 1e3

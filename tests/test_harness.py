@@ -36,10 +36,12 @@ class TestConfigValidation:
             harness.SuiteConfig(trials=0)
 
     def test_rejects_bad_v_range(self):
-        with pytest.raises(ValueError):
-            harness.SuiteConfig(v_range=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            harness.SuiteConfig(v_range=(0.2, 1.0))
+        # "ab" raised TypeError and (0.5,) a ValueError from tuple unpacking
+        for rng in ((0.0, 0.5), (0.2, 1.0), "ab", (0.5,), (0.2, 0.3, 0.4), 0.5, ("a", "b"),
+                    [[0.2], [0.3, 0.4]]):
+            with pytest.raises(ValueError, match=r"^v_range must sit inside \(0, 1\)"):
+                harness.SuiteConfig(v_range=rng)
+        assert harness.SuiteConfig(v_range=[0.2, 0.3]).v_range == [0.2, 0.3]
 
     def test_rejects_negative_range(self):
         with pytest.raises(ValueError):
@@ -56,6 +58,11 @@ class TestConfigValidation:
     def test_rejects_unknown_function(self):
         with pytest.raises(KeyError):
             harness.SuiteConfig(functions=("cube",))
+
+    def test_rejects_a_bare_string_of_functions(self):
+        # "exp" was read one character at a time: KeyError for the builtin 'e'
+        with pytest.raises(ValueError, match="^functions must be a sequence of names"):
+            harness.SuiteConfig(functions="exp")
 
     def test_rejects_empty_functions(self):
         with pytest.raises(ValueError, match="functions must be nonempty"):
@@ -557,6 +564,31 @@ class TestOperatorBatch:
         assert record["error"].startswith(error)
         assert set(record["inputs"]) == {"dim", "v", "A", "B"}
         assert rep.min_slacks == clean.min_slacks
+
+    def test_error_and_verdict_records_mix_in_trial_order(self, monkeypatch):
+        # trial 5's NaN normals make the stack raise, so each trial reruns alone: trial 5 gets
+        # its error record, and each other trial the record of its failing verdicts
+        cfg = harness.SuiteConfig(seed=11, trials=12, dims=(3,), op_tol=-3e-2)
+        bad = 5
+        bad_gauss = ReplayedDraws(cfg, 3, bad).draws[0].reshape(3, 3)
+        _, verdicts = reference_operator_slice(cfg, 1, 11)
+        trials = [record["trial"] for record in verdicts]
+        assert min(trials) < bad < max(trials)  # verdict records on both sides of trial 5
+        spd_stack = harness._spd_stack
+
+        def broken_stack(gauss, exps):
+            [k] = [k for k, g in enumerate(gauss[0]) if np.array_equal(g, bad_gauss)]
+            gauss[:, k] = np.nan
+            return spd_stack(gauss, exps)
+
+        monkeypatch.setattr(harness, "_spd_stack", broken_stack)
+        rep = harness.run_operator_suite(cfg, 1, 11)
+        [broken] = [record for record in rep.failures if "error" in record]
+        assert broken["trial"] == bad and broken["check"] == "op_chain"
+        assert broken["error"].startswith("matrix entries must be finite")
+        assert set(broken["inputs"]) == {"dim", "v", "A", "B"}
+        assert rep.failures == [record for record in verdicts if record["trial"] < bad] + \
+            [broken] + [record for record in verdicts if record["trial"] > bad]
 
 
 class TestOperatorDraws:
